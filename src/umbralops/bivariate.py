@@ -15,22 +15,11 @@ def _clean(d: dict) -> dict:
     return {k: v for k, v in d.items() if v != 0}
 
 
-def biv_add(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for k, v in b.items():
-        out[k] = out.get(k, 0) + v
-    return _clean(out)
-
-
 def biv_sub(a: dict, b: dict) -> dict:
     out = dict(a)
     for k, v in b.items():
         out[k] = out.get(k, 0) - v
     return _clean(out)
-
-
-def biv_scale(a: dict, c) -> dict:
-    return _clean({k: c * v for k, v in a.items()})
 
 
 def expand_in_x_plus_y(p: Polynomial) -> dict:

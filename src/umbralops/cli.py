@@ -1,8 +1,8 @@
 """Command-line front end: construct, compare, tabulate, and verify.
 
-Exit codes: 0 success / all identities pass, 1 identity failure, 2 usage or
-parse error.  Rationals cross the boundary as "num/den" strings in exact
-mode; generator series are given as tail coefficients "c1,c2,..." of
+Exit codes: 0 success / all identities pass, 1 identity failure, 2 usage,
+parse or file error.  Rationals cross the boundary as "num/den" strings in
+exact mode; generator series are given as tail coefficients "c1,c2,..." of
 t^1, t^2, ... (the constant term is always zero).
 """
 
@@ -238,10 +238,13 @@ def cmd_verify(args) -> int:
         corpus_path=args.corpus,
         order=args.order,
     )
+    # laguerre cross-sequence and generating-function items carry no window
     if args.format == "pretty":
         for item in report["items"]:
             status = item["status"]
-            line = f"[{status:>10}] {item['suite']}/{item['identity']} :: {item['case']} (window {item['window']})"
+            line = f"[{status:>10}] {item['suite']}/{item['identity']} :: {item['case']}"
+            if item.get("window") is not None:
+                line += f" (window {item['window']})"
             if item["first_discrepancy"] is not None:
                 line += f" first discrepancy {item['first_discrepancy']}"
             print(line)
@@ -251,7 +254,7 @@ def cmd_verify(args) -> int:
             print(
                 ",".join(
                     str(x)
-                    for x in (item["suite"], item["identity"], item["case"], item["window"], item["status"])
+                    for x in (item["suite"], item["identity"], item["case"], item.get("window", ""), item["status"])
                 )
             )
     else:
@@ -318,7 +321,7 @@ def main(argv=None) -> int:
         if args.order < 2:
             raise UsageError("--order must be >= 2")
         return args.fn(args)
-    except (UsageError, PreconditionError, ValueError) as exc:
+    except (UsageError, PreconditionError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

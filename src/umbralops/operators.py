@@ -22,11 +22,10 @@ overflows ``max_out``.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Sequence
 
 from .polynomials import Polynomial, poly_from_series
-from .scalars import EXACT, check_mode, coerce, common_mode, scalar_from_json, scalar_to_json
+from .scalars import EXACT, FLOAT, check_mode, coerce, common_mode, scalar_from_json, scalar_to_json
 from .series import PreconditionError, TruncatedSeries
 
 
@@ -34,12 +33,9 @@ class WindowUnderflowError(ValueError):
     """An operation left no columns that can be certified exact."""
 
 
-def _binom(n: int, k: int) -> int:
-    return math.comb(n, k)
-
-
-def _inv_int(k: int, mode: str):
-    return Fraction(1, k) if mode == EXACT else 1.0 / k
+# Float-mode first_discrepancy tolerance, relative to the column's largest
+# coefficient magnitude (at least 1); exact mode compares at zero tolerance.
+FLOAT_COLUMN_TOL = 1e-9
 
 
 class OperatorMatrix:
@@ -383,8 +379,13 @@ def op_inverse(U: OperatorMatrix) -> OperatorMatrix:
 
 
 def first_discrepancy(U: OperatorMatrix, V: OperatorMatrix):
-    """First (column, coefficient) where U and V differ on the common window."""
-    common_mode(U.mode, V.mode)
+    """First (column, coefficient) where U and V differ on the common window.
+
+    Float columns differ where a coefficient pair is further apart than
+    FLOAT_COLUMN_TOL times the largest magnitude (at least 1) in the pair of
+    columns; exact columns must be equal.
+    """
+    mode = common_mode(U.mode, V.mode)
     window = min(U.window, V.window)
     cap = None if (U.complete and V.complete) else min(U.max_out, V.max_out)
     for n in range(window + 1):
@@ -392,9 +393,12 @@ def first_discrepancy(U: OperatorMatrix, V: OperatorMatrix):
         if cap is not None:
             a, b = a.truncate(cap), b.truncate(cap)
         if a != b:
-            top = max(a.degree, b.degree)
-            for k in range(top + 1):
-                if a.coeff(k) != b.coeff(k):
+            pairs = [(a.coeff(k), b.coeff(k)) for k in range(max(a.degree, b.degree) + 1)]
+            tol = 0
+            if mode == FLOAT:
+                tol = FLOAT_COLUMN_TOL * max([1.0] + [abs(c) for pair in pairs for c in pair])
+            for k, (x, y) in enumerate(pairs):
+                if not abs(x - y) <= tol:
                     return (n, k)
     return None
 
@@ -441,7 +445,7 @@ def _nth_pincherle_explicit(U: OperatorMatrix, n: int) -> OperatorMatrix:
         mxk = op_from_x_poly(
             Polynomial.monomial(n - k, (-1) ** (n - k), U.mode), U.max_out, U.max_out + n - k
         )
-        term = op_scale(compose_ops(mxk, compose_ops(U, xk)), _binom(n, k))
+        term = op_scale(compose_ops(mxk, compose_ops(U, xk)), math.comb(n, k))
         acc = term if acc is None else op_add(acc, term)
     return acc
 
@@ -453,42 +457,36 @@ def _series_termination_bound(U: OperatorMatrix) -> int:
     return U.n_in + U.max_out + 2
 
 
-def exp_loc_nilpotent(A: OperatorMatrix) -> OperatorMatrix:
-    """exp(A) for A that strictly lowers degree or strictly raises valuation."""
+def _power_sum(A: OperatorMatrix, acc: OperatorMatrix, coeff, name: str) -> OperatorMatrix:
+    """acc + sum_{k >= 1} coeff(k) A^k for A that strictly lowers degree or
+    strictly raises valuation, stopping at the first power that vanishes on
+    the window."""
     if not (A.lowers_degree_strictly() or A.raises_valuation_strictly()):
         raise PreconditionError(
-            "exp requires a strictly degree-lowering or valuation-raising operator"
+            f"{name} series needs a strictly degree-lowering or valuation-raising operator"
         )
-    acc = identity_op(A.n_in, A.max_out, A.mode)
-    power = acc
-    fact = 1
+    power = identity_op(A.n_in, A.max_out, A.mode)
     for k in range(1, _series_termination_bound(A) + 1):
         power = compose_ops(power, A)
         if power.is_window_zero():
-            break
-        fact *= k
-        acc = op_add(acc, op_scale(power, _inv_int(fact, A.mode)))
-    else:
-        raise PreconditionError("exponential series did not terminate")
-    return acc
+            return acc
+        acc = op_add(acc, op_scale(power, coeff(k)))
+    raise PreconditionError(f"{name} series did not terminate")
+
+
+def exp_loc_nilpotent(A: OperatorMatrix) -> OperatorMatrix:
+    """exp(A) for A that strictly lowers degree or strictly raises valuation."""
+    one = coerce(1, A.mode)
+    acc = identity_op(A.n_in, A.max_out, A.mode)
+    return _power_sum(A, acc, lambda k: one / math.factorial(k), "exponential")
 
 
 def log_unipotent(U: OperatorMatrix) -> OperatorMatrix:
     """log(U) for unipotent U (U - 1 strictly lowers degree or raises valuation)."""
     n1 = op_sub(U, identity_op(U.n_in, U.max_out, U.mode))
-    if not (n1.lowers_degree_strictly() or n1.raises_valuation_strictly()):
-        raise PreconditionError("log requires a unipotent operator")
+    one = coerce(1, U.mode)
     acc = zero_op(n1.n_in, n1.max_out, n1.mode)
-    power = identity_op(n1.n_in, n1.max_out, n1.mode)
-    for k in range(1, _series_termination_bound(U) + 1):
-        power = compose_ops(power, n1)
-        if power.is_window_zero():
-            break
-        sign = 1 if k % 2 == 1 else -1
-        acc = op_add(acc, op_scale(power, _inv_int(k, n1.mode) * sign))
-    else:
-        raise PreconditionError("logarithm series did not terminate")
-    return acc
+    return _power_sum(n1, acc, lambda k: one / k * (1 if k % 2 else -1), "logarithm")
 
 
 def gen_pow(U: OperatorMatrix, V: OperatorMatrix, term_bound: int | None = None) -> OperatorMatrix:
@@ -514,7 +512,7 @@ def gen_pow(U: OperatorMatrix, V: OperatorMatrix, term_bound: int | None = None)
         if auto and power.is_window_zero():
             break
         shifted = op_sub(V, op_scale(identity_op(V.n_in, V.max_out, V.mode), m - 1))
-        bino = op_scale(compose_ops(bino, shifted), _inv_int(m, U.mode))
+        bino = op_scale(compose_ops(bino, shifted), coerce(1, U.mode) / m)
         acc = op_add(acc, compose_ops(power, bino))
     else:
         if auto and term_bound is None:
@@ -588,7 +586,7 @@ def normal_form(U: OperatorMatrix, k_max: int | None = None, j_max: int | None =
         inner = Polynomial.zero(U.mode)
         for j in range(k + 1):
             sign = (-1) ** (k - j)
-            inner = inner + U.cols[j].shift(k - j).scale(sign * _binom(k, j))
+            inner = inner + U.cols[j].shift(k - j).scale(sign * math.comb(k, j))
         for j, c in enumerate(inner.coeffs):
             if c != 0 and j <= j_max:
                 table[(j, k)] = c / fact

@@ -10,7 +10,6 @@ silently extends it.  Binary operations require equal orders (use
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .scalars import (
@@ -97,14 +96,12 @@ class TruncatedSeries:
         return f"TruncatedSeries({list(self.coeffs)!r}, order={self.order})"
 
     def is_zero(self) -> bool:
-        z = coerce(0, self.mode)
-        return all(c == z for c in self.coeffs)
+        return all(c == 0 for c in self.coeffs)
 
     def valuation(self) -> int | None:
         """Index of the first nonzero coefficient, or None for the zero series."""
-        z = coerce(0, self.mode)
         for n, c in enumerate(self.coeffs):
-            if c != z:
+            if c != 0:
                 return n
         return None
 
@@ -243,28 +240,15 @@ class TruncatedSeries:
     def exp(self) -> "TruncatedSeries":
         if self.coeffs[0] != 0:
             raise PreconditionError("exp requires f(0) = 0")
-        acc = TruncatedSeries.one(self.order, self.mode)
-        power = TruncatedSeries.one(self.order, self.mode)
-        for k in range(1, self.order + 1):
-            power = power * self
-            if power.is_zero():
-                break
-            acc = acc + power.scale(Fraction(1, math.factorial(k)) if self.mode == EXACT else 1.0 / math.factorial(k))
-        return acc
+        one = coerce(1, self.mode)
+        return _power_sum(self, TruncatedSeries.one(self.order, self.mode), lambda k: one / math.factorial(k))
 
     def log1(self) -> "TruncatedSeries":
-        if self.coeffs[0] != coerce(1, self.mode):
+        one = coerce(1, self.mode)
+        if self.coeffs[0] != one:
             raise PreconditionError("log1 requires f(0) = 1")
         u = self - TruncatedSeries.one(self.order, self.mode)
-        acc = TruncatedSeries.zero(self.order, self.mode)
-        power = TruncatedSeries.one(self.order, self.mode)
-        for k in range(1, self.order + 1):
-            power = power * u
-            if power.is_zero():
-                break
-            sign = 1 if k % 2 == 1 else -1
-            acc = acc + power.scale(Fraction(sign, k) if self.mode == EXACT else sign / k)
-        return acc
+        return _power_sum(u, TruncatedSeries.zero(self.order, self.mode), lambda k: (one if k % 2 else -one) / k)
 
     def pow_scalar(self, alpha) -> "TruncatedSeries":
         """Generalized binomial series: f^alpha for a series with f(0) = 1."""
@@ -272,14 +256,19 @@ class TruncatedSeries:
             raise PreconditionError("pow_scalar requires f(0) = 1")
         alpha = coerce(alpha, self.mode)
         u = self - TruncatedSeries.one(self.order, self.mode)
-        acc = TruncatedSeries.one(self.order, self.mode)
-        power = TruncatedSeries.one(self.order, self.mode)
-        for k in range(1, self.order + 1):
-            power = power * u
-            if power.is_zero():
-                break
-            acc = acc + power.scale(gbinom(alpha, k))
-        return acc
+        return _power_sum(u, TruncatedSeries.one(self.order, self.mode), lambda k: gbinom(alpha, k))
+
+
+def _power_sum(u: TruncatedSeries, acc: TruncatedSeries, coeff) -> TruncatedSeries:
+    """acc + sum_{k >= 1} coeff(k) u^k for u(0) = 0, stopping at the first
+    power of u that vanishes."""
+    power = TruncatedSeries.one(u.order, u.mode)
+    for k in range(1, u.order + 1):
+        power = power * u
+        if power.is_zero():
+            break
+        acc = acc + power.scale(coeff(k))
+    return acc
 
 
 def series_from_tail(coeffs: Iterable, order: int, mode: str = EXACT) -> TruncatedSeries:

@@ -9,7 +9,6 @@ the same; the cross-construction comparison is the engine's core check.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import cached_property
 
 from .bivariate import biv_sub, expand_in_x_plus_y, product_x_y
@@ -41,13 +40,7 @@ from .series import PreconditionError, TruncatedSeries
 
 
 def _is_integer(s) -> bool:
-    if isinstance(s, Fraction):
-        return s.denominator == 1
-    if isinstance(s, int):
-        return True
-    if isinstance(s, float):
-        return s == int(s)
-    return False
+    return s == int(s)
 
 
 # -- iteration theory -----------------------------------------------------
@@ -124,7 +117,7 @@ def flow(V: TruncatedSeries, s) -> TruncatedSeries:
             break
         spow *= s
         fact *= k
-        term = cur.scale(spow / fact if exact else spow / fact)
+        term = cur.scale(spow / fact)
         g = g + term
         if not exact:
             scale = max(abs(c) for c in g.coeffs)
@@ -265,7 +258,7 @@ def umbral_garsia(spec: UmbralSpec, n_max: int | None = None) -> UmbralOperator:
         for k in range(n + 1):
             c = coeff_rows[k][n]
             if c != 0:
-                col[k] = c * Fraction(nfact, math.factorial(k)) if f.mode == EXACT else c * nfact / math.factorial(k)
+                col[k] = c * nfact / math.factorial(k)
         cols.append(Polynomial(col, f.mode))
     return UmbralOperator(spec, _square(cols, n_max, f.mode), "garsia")
 
@@ -312,6 +305,7 @@ def umbral_bucc(spec: UmbralSpec, n_max: int | None = None) -> UmbralOperator:
     for _ in range(n_max):
         gpow = gpow * g
         gpowers.append(gpow)
+    one = coerce(1, f.mode)
     cols = []
     for n in range(n_max + 1):
         acc = Polynomial.zero(f.mode)
@@ -325,10 +319,7 @@ def umbral_bucc(spec: UmbralSpec, n_max: int | None = None) -> UmbralOperator:
                     falling *= n - m + 1
                 if m <= gk.order and gk[m] != 0:
                     part[n - m] += gk[m] * falling
-            kfact = math.factorial(k)
-            scaled = Polynomial(part, f.mode).shift(k).scale(
-                Fraction(1, kfact) if f.mode == EXACT else 1.0 / kfact
-            )
+            scaled = Polynomial(part, f.mode).shift(k).scale(one / math.factorial(k))
             acc = acc + scaled
         cols.append(acc.truncate(n_max))
     return UmbralOperator(spec, _square(cols, n_max, f.mode), "bucc")
@@ -468,11 +459,7 @@ def genfun_check(U: UmbralOperator, t_order: int) -> dict:
             power = power * f
         for n in range(k, t_order + 1):
             # [x^k t^n] e^{x f(t)} = [t^n] f^k / k!
-            rhs = power[n] * (
-                Fraction(math.factorial(n), math.factorial(k))
-                if f.mode == EXACT
-                else math.factorial(n) / math.factorial(k)
-            )
+            rhs = power[n] * (math.factorial(n) // math.factorial(k))
             lhs = U.matrix.col(n).coeff(k)
             if lhs != rhs and discrepancy is None:
                 discrepancy = {"col": n, "coeff": k}
@@ -507,37 +494,6 @@ def binomial_type_residual(U: UmbralOperator, n: int) -> dict:
         for key, val in term.items():
             rhs[key] = rhs.get(key, 0) + val
     return biv_sub(lhs, rhs)
-
-
-def coeff_identity_residual(spec: UmbralSpec, n: int, k: int, s) -> object:
-    """Residual of the fractional-power coefficient identity expressing the
-    x^k coefficient of phi^s x^n through integer-power coefficients and
-    Gaussian binomials in the multiplier q."""
-    if k > n:
-        raise ValueError("need k <= n")
-    q = spec.q
-    s = coerce(s, spec.mode)
-    n_max = max(n, 1)
-    lhs = frac_power(spec, s, n_max).matrix.col(n).coeff(k)
-    base = umbral_bucc(spec, n_max).matrix
-    powers = [identity_op(n_max, n_max, spec.mode)]
-    for _ in range(n - k):
-        powers.append(compose_ops(base, powers[-1]))
-    rhs = coerce(0, spec.mode)
-    for p in range(n - k + 1):
-        c = powers[p].col(n).coeff(k)
-        if c == 0:
-            continue
-        term = c * qbinom(s, p, q) * qbinom(n - k - s, n - k - p, q)
-        expo = (n - p) * (s - p)
-        if q == coerce(1, spec.mode):
-            qfac = coerce(1, spec.mode)
-        else:
-            if not _is_integer(expo):
-                raise PreconditionError("non-integer q-power needs float mode")
-            qfac = q ** int(expo)
-        rhs += term * qfac
-    return lhs - rhs
 
 
 def coeff_identity_scan(spec: UmbralSpec, s, n_max: int = 8):

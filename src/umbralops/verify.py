@@ -58,6 +58,8 @@ from .umbral import (
     coeff_identity_scan,
     duality_check,
     extract_generator_field,
+    flow,
+    frac_power,
     genfun_check,
     group_law_checks,
     itlog,
@@ -182,34 +184,21 @@ def suite_coeff(corpus, order):
     items = []
     tangent, general = split_by_multiplier(corpus)
     n_max = min(8, order - 2)
-    for name, f in tangent:
-        spec = UmbralSpec(f)
-        for s in (Fraction(1, 2), Fraction(2), Fraction(-1)):
-            bad = coeff_identity_scan(spec, s, n_max)
-            items.append(
-                _item(
-                    "coeff",
-                    "fractional-coefficient-identity",
-                    f"{name}[s={s}]",
-                    n_max,
-                    bad is None,
-                    None if bad is None else {"col": bad[0], "coeff": bad[1]},
+    for entries, exponents in ((tangent, (Fraction(1, 2), Fraction(2), Fraction(-1))), (general, (2, 3))):
+        for name, f in entries:
+            spec = UmbralSpec(f)
+            for s in exponents:
+                bad = coeff_identity_scan(spec, s, n_max)
+                items.append(
+                    _item(
+                        "coeff",
+                        "fractional-coefficient-identity",
+                        f"{name}[s={s}]",
+                        n_max,
+                        bad is None,
+                        None if bad is None else {"col": bad[0], "coeff": bad[1]},
+                    )
                 )
-            )
-    for name, f in general:
-        spec = UmbralSpec(f)
-        for s in (2, 3):
-            bad = coeff_identity_scan(spec, s, n_max)
-            items.append(
-                _item(
-                    "coeff",
-                    "fractional-coefficient-identity",
-                    f"{name}[s={s}]",
-                    n_max,
-                    bad is None,
-                    None if bad is None else {"col": bad[0], "coeff": bad[1]},
-                )
-            )
     return items
 
 
@@ -401,8 +390,6 @@ def suite_laguerre(corpus, order):
         rep = laguerre_genfun_check(p, 1, 7)
         items.append(_from_report("laguerre", f"p={p},alpha=1", rep))
         # closed-form flow against the general machinery
-        from .umbral import flow
-
         v = TruncatedSeries([0] * (p + 1) + [-1], order)
         for s in (1, Fraction(1, 2)):
             ok = flow(v, s) == laguerre_generator(p, s, order)
@@ -410,8 +397,6 @@ def suite_laguerre(corpus, order):
         ok = laguerre_delta_series(p, order - 1) == laguerre_generator(p, 1, order - 1).comp_inverse()
         items.append(_item("laguerre", "delta-series", f"p={p}", order - 1, ok))
         # fractional members against the general fractional power
-        from .umbral import frac_power
-
         spec = UmbralSpec(laguerre_generator(p, 1, order))
         for s in (Fraction(1, 2), 2):
             P = frac_power(spec, s)

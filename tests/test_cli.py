@@ -143,3 +143,35 @@ def test_bad_env_order(capsys, monkeypatch):
 def test_usage_error_on_unknown_flag(capsys):
     code = main(["series", "itlog", "--nonsense"])
     assert code == 2
+
+
+def test_float_umbral_agrees_within_column_tolerance(capsys):
+    code, out, _ = run_cli(capsys, "--mode", "float", "umbral", "--f", "1,0.5", "--formulas", "all")
+    assert code == 0
+    assert "agree" in out
+
+
+def test_float_umbral_reports_ill_conditioning(capsys):
+    # at order 16 expitlog and steffensen drift far beyond the tolerance
+    code, out, _ = run_cli(
+        capsys, "--mode", "float", "--order", "16", "umbral", "--f", "1,0.5", "--formulas", "all"
+    )
+    assert code == 1
+    assert "DISAGREEMENT" in out
+
+
+def test_verify_laguerre_pretty_and_csv(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--suite", "laguerre")
+    assert code == 0
+    assert "laguerre/laguerre-genfun :: p=1,alpha=1" in out
+    assert out.strip().endswith("checks")
+    code, out, _ = run_cli(capsys, "verify", "--suite", "laguerre", "--format", "csv")
+    assert code == 0
+    assert "laguerre,laguerre-genfun,p=1,alpha=1,,exact-pass" in out.splitlines()
+
+
+def test_missing_corpus_is_exit_2(capsys, tmp_path):
+    code, _, err = run_cli(capsys, "verify", "--corpus", str(tmp_path / "missing.json"))
+    assert code == 2
+    assert err.startswith("error:")
+    assert "Traceback" not in err

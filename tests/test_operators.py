@@ -41,7 +41,9 @@ from umbralops.operators import (
     zero_op,
 )
 from umbralops.polynomials import Polynomial
-from umbralops.series import TruncatedSeries
+from umbralops.scalars import FLOAT
+from umbralops.series import TruncatedSeries, series_from_tail
+from umbralops.umbral import UmbralSpec, umbral_bucc
 
 F = Fraction
 
@@ -286,3 +288,21 @@ def test_operator_json_roundtrip():
 def test_ops_equal_window_restricted():
     assert ops_equal(identity_op(4), identity_op(4))
     assert not ops_equal(identity_op(4), d_op(4))
+
+
+@pytest.mark.parametrize("order", [8, 12])
+@pytest.mark.parametrize(
+    "tail",
+    ([F(1), F(1, 2), F(-1, 3)], [F(1), F(-1), F(1, 4), F(3)], [F(1), F(0), F(3, 4), F(-2)]),
+)
+def test_float_log_exp_match_exact(tail, order):
+    exact = umbral_bucc(UmbralSpec(series_from_tail(tail, order))).matrix
+    flt = umbral_bucc(UmbralSpec(series_from_tail([float(c) for c in tail], order, FLOAT))).matrix
+    log_e, log_f = log_unipotent(exact), log_unipotent(flt)
+    for got, want in ((log_f, log_e), (exp_loc_nilpotent(log_f), exp_loc_nilpotent(log_e))):
+        assert got.window == want.window
+        for g, w in zip(got.cols, want.cols):
+            assert all(type(c) is float for c in g.coeffs)
+            scale = max([1.0] + [abs(float(c)) for c in w.coeffs])
+            top = max(g.degree, w.degree)
+            assert all(abs(g.coeff(k) - float(w.coeff(k))) <= 1e-9 * scale for k in range(top + 1))

@@ -146,3 +146,32 @@ def test_series_from_tail():
 def test_json_roundtrip():
     f = TruncatedSeries([0, 1, F(-1, 3)], 4)
     assert TruncatedSeries.from_json(f.to_json()) == f
+
+
+# generator tails for the float-mode checks of the power-sum expansions
+FLOAT_TAILS = (
+    [F(1), F(1, 2), F(-1, 3)],
+    [F(2), F(-1), F(1, 4), F(3)],
+    [F(-1, 2), F(3, 4), F(0), F(-2)],
+)
+
+
+def assert_float_close_to_exact(got, want, tol=1e-9):
+    """Every coefficient is a float within tol of the exact one, relative to
+    the largest exact magnitude (at least 1)."""
+    assert all(type(c) is float for c in got.coeffs)
+    scale = max([1.0] + [abs(float(c)) for c in want.coeffs])
+    assert all(abs(a - float(b)) <= tol * scale for a, b in zip(got.coeffs, want.coeffs))
+
+
+@pytest.mark.parametrize("order", [8, 12])
+@pytest.mark.parametrize("tail", FLOAT_TAILS)
+def test_float_transcendentals_match_exact(tail, order):
+    exact = series_from_tail(tail, order)
+    flt = series_from_tail([float(c) for c in tail], order, "float")
+    assert_float_close_to_exact(flt.exp(), exact.exp())
+    unit_e = TruncatedSeries.one(order) + exact
+    unit_f = TruncatedSeries.one(order, "float") + flt
+    assert_float_close_to_exact(unit_f.log1(), unit_e.log1())
+    for alpha in (F(1, 2), F(-3, 2)):
+        assert_float_close_to_exact(unit_f.pow_scalar(float(alpha)), unit_e.pow_scalar(alpha))
