@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 from .laguerre import (
@@ -19,7 +20,7 @@ from .laguerre import (
     frac_laguerre,
     laguerre_ode_residual,
 )
-from .operators import first_discrepancy
+from .operators import column_discrepancy, first_discrepancy
 from .polynomials import Polynomial
 from .scalars import EXACT, FLOAT, format_scalar, parse_scalar, scalar_to_json
 from .series import DEFAULT_ORDER, PreconditionError, TruncatedSeries, series_from_tail
@@ -206,7 +207,12 @@ def cmd_laguerre(args) -> int:
             poly = degenerate_laguerre_explicit(args.p, i, alpha, mode)
             if args.check:
                 other = degenerate_laguerre_operator(args.p, i, alpha, mode)
-                if other != poly or not laguerre_ode_residual(args.p, i, alpha, mode).is_zero():
+                resid = laguerre_ode_residual(args.p, i, alpha, mode)
+                biggest = max((abs(c) for c in poly.coeffs), default=0)
+                if (
+                    column_discrepancy(poly, other) is not None
+                    or column_discrepancy(resid, Polynomial.zero(mode), biggest) is not None
+                ):
                     check_fail = True
         else:
             if alpha != 0:
@@ -309,10 +315,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# argparse reads "-1,1" or "-1/2" after a flag as another flag; these options
+# take scalar values, so such a token is joined to its flag as --flag=value
+_SCALAR_FLAGS = ("--f", "--g", "--s", "--alpha")
+_NEGATIVE_VALUE = re.compile(r"-[0-9.]")
+
+
+def _join_negative_values(argv):
+    out = []
+    for tok in argv:
+        if out and out[-1] in _SCALAR_FLAGS and _NEGATIVE_VALUE.match(tok):
+            out[-1] = f"{out[-1]}={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_negative_values(argv))
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

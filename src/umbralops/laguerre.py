@@ -14,12 +14,14 @@ from dataclasses import dataclass
 
 from .bivariate import biv_sub, expand_in_x_plus_y, product_x_y
 from .operators import (
+    NormalForm,
     OperatorMatrix,
     apply_op,
     compose_ops,
     exp_loc_nilpotent,
     first_discrepancy,
     op_from_D_series,
+    op_from_normal_form,
 )
 from .polynomials import Polynomial
 from .scalars import EXACT, FLOAT, coerce, gbinom
@@ -41,13 +43,6 @@ class LaguerreParams:
             raise PreconditionError("degeneracy order p must be >= 1")
         if self.n < 0:
             raise PreconditionError("polynomial index n must be >= 0")
-
-
-def _falling(n: int, k: int) -> int:
-    acc = 1
-    for i in range(k):
-        acc *= n - i
-    return acc
 
 
 def _unit_plus_tp(order: int, p: int, c, mode: str) -> TruncatedSeries:
@@ -75,15 +70,8 @@ def laguerre_delta_series(p: int, order: int = DEFAULT_ORDER, mode: str = EXACT)
 
 def _lag_field_op(p: int, alpha, n_in: int, mode: str = EXACT) -> OperatorMatrix:
     """The operator -x D^{p+1} - alpha D^p as an exact matrix."""
-    alpha = coerce(alpha, mode)
-    cols = []
-    for n in range(n_in + 1):
-        if n < p:
-            cols.append(Polynomial.zero(mode))
-            continue
-        c = -coerce(_falling(n, p + 1), mode) - alpha * _falling(n, p)
-        cols.append(Polynomial.monomial(n - p, c, mode))
-    return OperatorMatrix(cols, n_in, n_in, n_in, True, mode)
+    nf = NormalForm({(1, p + 1): -1, (0, p): -alpha}, mode)
+    return op_from_normal_form(nf, n_in, n_in)
 
 
 def laguerre_operator_paths(p: int, alpha, n_in: int, mode: str = EXACT):

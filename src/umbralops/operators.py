@@ -33,7 +33,7 @@ class WindowUnderflowError(ValueError):
     """An operation left no columns that can be certified exact."""
 
 
-# Float-mode first_discrepancy tolerance, relative to the column's largest
+# Float-mode column_discrepancy tolerance, relative to the column's largest
 # coefficient magnitude (at least 1); exact mode compares at zero tolerance.
 FLOAT_COLUMN_TOL = 1e-9
 
@@ -82,15 +82,6 @@ class OperatorMatrix:
         )
 
     # -- structural predicates (within the window) ----------------------
-
-    def degree_raise(self) -> int:
-        """Max of deg(col n) - n over nonzero window columns (0 if none)."""
-        raises = [
-            self.cols[n].degree - n
-            for n in range(self.window + 1)
-            if not self.cols[n].is_zero()
-        ]
-        return max(raises, default=0)
 
     def is_val_nondecreasing(self) -> bool:
         for n in range(self.window + 1):
@@ -196,12 +187,9 @@ def op_from_D_series(g: TruncatedSeries, n_in: int, max_out: int | None = None) 
     cols = []
     for n in range(n_in + 1):
         coeffs = [coerce(0, g.mode)] * (n + 1)
-        falling = 1
-        for k in range(0, n + 1):
-            if k > 0:
-                falling *= n - k + 1
-            if k <= g.order and g[k] != 0:
-                coeffs[n - k] += g[k] * falling
+        for k in range(min(n, g.order) + 1):
+            if g[k] != 0:
+                coeffs[n - k] = g[k] * math.perm(n, k)
         cols.append(Polynomial(coeffs, g.mode))
     window = min(n_in, g.order)
     return OperatorMatrix(cols, n_in, max_out, window, True, g.mode)
@@ -378,28 +366,39 @@ def op_inverse(U: OperatorMatrix) -> OperatorMatrix:
     return OperatorMatrix(cols, U.n_in, U.max_out, U.window, U.complete, U.mode)
 
 
-def first_discrepancy(U: OperatorMatrix, V: OperatorMatrix):
-    """First (column, coefficient) where U and V differ on the common window.
+def column_discrepancy(a: Polynomial, b: Polynomial, magnitude=0):
+    """First coefficient index where the columns a and b differ, or None.
 
-    Float columns differ where a coefficient pair is further apart than
-    FLOAT_COLUMN_TOL times the largest magnitude (at least 1) in the pair of
-    columns; exact columns must be equal.
+    Float coefficients differ where they are further apart than
+    FLOAT_COLUMN_TOL times the largest of 1, ``magnitude`` and every
+    coefficient magnitude in the two columns; exact columns must be equal.
     """
-    mode = common_mode(U.mode, V.mode)
+    mode = common_mode(a.mode, b.mode)
+    if a == b:
+        return None
+    pairs = [(a.coeff(k), b.coeff(k)) for k in range(max(a.degree, b.degree) + 1)]
+    tol = 0
+    if mode == FLOAT:
+        tol = FLOAT_COLUMN_TOL * max([1.0, magnitude] + [abs(c) for pair in pairs for c in pair])
+    for k, (x, y) in enumerate(pairs):
+        if not abs(x - y) <= tol:
+            return k
+    return None
+
+
+def first_discrepancy(U: OperatorMatrix, V: OperatorMatrix):
+    """First (column, coefficient) where U and V differ on the common window,
+    comparing columns with :func:`column_discrepancy`."""
+    common_mode(U.mode, V.mode)
     window = min(U.window, V.window)
     cap = None if (U.complete and V.complete) else min(U.max_out, V.max_out)
     for n in range(window + 1):
         a, b = U.cols[n], V.cols[n]
         if cap is not None:
             a, b = a.truncate(cap), b.truncate(cap)
-        if a != b:
-            pairs = [(a.coeff(k), b.coeff(k)) for k in range(max(a.degree, b.degree) + 1)]
-            tol = 0
-            if mode == FLOAT:
-                tol = FLOAT_COLUMN_TOL * max([1.0] + [abs(c) for pair in pairs for c in pair])
-            for k, (x, y) in enumerate(pairs):
-                if not abs(x - y) <= tol:
-                    return (n, k)
+        k = column_discrepancy(a, b)
+        if k is not None:
+            return (n, k)
     return None
 
 
@@ -604,13 +603,10 @@ def op_from_normal_form(nf: NormalForm, n_in: int, max_out: int | None = None) -
         for (j, k), c in nf.table.items():
             if k > n:
                 continue
-            falling = 1
-            for i in range(k):
-                falling *= n - i
             deg = n - k + j
             if deg > max_out:
                 raise PreconditionError("output degree overflow in normal-form rebuild")
-            acc = acc + Polynomial.monomial(deg, 1, nf.mode).scale(c * falling)
+            acc = acc + Polynomial.monomial(deg, 1, nf.mode).scale(c * math.perm(n, k))
         cols.append(acc)
     return OperatorMatrix(cols, n_in, max_out, n_in, True, nf.mode)
 

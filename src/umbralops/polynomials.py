@@ -144,11 +144,6 @@ class Polynomial:
             acc = acc * other + Polynomial([c], self.mode)
         return acc
 
-    def as_series(self, order: int) -> TruncatedSeries:
-        if self.degree > order:
-            raise ValueError("polynomial degree exceeds the requested order")
-        return TruncatedSeries(list(self.coeffs), order, self.mode)
-
 
 def poly_from_series(f: TruncatedSeries) -> Polynomial:
     """The polynomial truncation underlying a series (coefficients as-is)."""

@@ -271,7 +271,7 @@ def suite_kernel(corpus, order, seed=None):
     for n in range(5):
         dn = d_power_op(n, n0)
         lhs = compose_ops(op_from_x_poly(Polynomial.monomial(n, 1), n0), dn)
-        falling = [math.prod(range(m, m - n, -1)) for m in range(n0 + 1)]
+        falling = [math.perm(m, n) for m in range(n0 + 1)]
         rhs = diag_op(falling, n0)
         d = first_discrepancy(lhs, rhs)
         items.append(_item("kernel", "degree-falling-factorial", f"n={n}", n0, d is None, d))
@@ -412,16 +412,14 @@ def suite_float(corpus, order):
     items = []
     demo = laguerre_p0_float_demo()
     items.append(
-        {
-            "suite": "float",
-            "identity": demo["identity"],
-            "case": "f=t/e",
-            "window": 8,
-            "status": "exact-pass" if demo["status"] == "pass" else "fail",
-            "first_discrepancy": None
-            if demo["status"] == "pass"
-            else {"max_abs_error": demo["max_abs_error"]},
-        }
+        _item(
+            "float",
+            demo["identity"],
+            "f=t/e",
+            8,
+            demo["status"] == "pass",
+            {"max_abs_error": demo["max_abs_error"]},
+        )
     )
     f = TruncatedSeries([0.0, 2.0], order, FLOAT)
     v = itlog(f)

@@ -175,3 +175,23 @@ def test_missing_corpus_is_exit_2(capsys, tmp_path):
     assert code == 2
     assert err.startswith("error:")
     assert "Traceback" not in err
+
+
+def test_values_may_start_with_minus(capsys):
+    code, joined, _ = run_cli(capsys, "series", "invert", "--f=-1,1")
+    assert code == 0
+    assert run_cli(capsys, "series", "invert", "--f", "-1,1") == (0, joined, "")
+    code, out, _ = run_cli(capsys, "series", "iterate", "--f", "1,1", "--s", "-1/2")
+    assert code == 0
+    assert out.startswith("order 12: 0, 1, -1/2, 3/4")
+    code, out, _ = run_cli(capsys, "laguerre", "--p", "1", "--n", "3", "--alpha", "-1/2")
+    assert code == 0
+    assert "L_1 = x + 1/2" in out
+
+
+def test_float_laguerre_check_uses_column_tolerance(capsys):
+    code, out, _ = run_cli(
+        capsys, "--mode", "float", "laguerre", "--p", "1", "--n", "8", "--alpha", "0.3", "--check"
+    )
+    assert code == 0
+    assert "identity grid: pass" in out

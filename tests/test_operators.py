@@ -41,9 +41,9 @@ from umbralops.operators import (
     zero_op,
 )
 from umbralops.polynomials import Polynomial
-from umbralops.scalars import FLOAT
+from umbralops.scalars import EXACT, FLOAT
 from umbralops.series import TruncatedSeries, series_from_tail
-from umbralops.umbral import UmbralSpec, umbral_bucc
+from umbralops.umbral import UmbralSpec, _x_times_D_series, umbral_bucc
 
 F = Fraction
 
@@ -306,3 +306,19 @@ def test_float_log_exp_match_exact(tail, order):
             scale = max([1.0] + [abs(float(c)) for c in w.coeffs])
             top = max(g.degree, w.degree)
             assert all(abs(g.coeff(k) - float(w.coeff(k))) <= 1e-9 * scale for k in range(top + 1))
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+@pytest.mark.parametrize(
+    "coeffs",
+    ([F(2), F(1), F(1, 2), F(-1, 3)], [F(0), F(0), F(3, 4), F(-2), F(5, 7), F(1)]),
+)
+def test_normal_form_rows_match_kernels(coeffs, mode):
+    # the D-row {(0, k): g_k} is g(D); the x-row {(1, k): v_k} is x v(D)
+    n = 7
+    g = TruncatedSeries([float(c) if mode == FLOAT else c for c in coeffs], n, mode)
+    row0 = op_from_normal_form(NormalForm({(0, k): c for k, c in enumerate(g)}, mode), n)
+    assert row0.cols == op_from_D_series(g, n).cols
+    v = g - TruncatedSeries.one(n, mode).scale(g[0])
+    row1 = op_from_normal_form(NormalForm({(1, k): c for k, c in enumerate(v)}, mode), n, n)
+    assert row1.cols == _x_times_D_series(v, n).cols

@@ -12,6 +12,7 @@ from umbralops.operators import (
     identity_op,
 )
 from umbralops.polynomials import Polynomial
+from umbralops.scalars import FLOAT
 from umbralops.series import PreconditionError, TruncatedSeries
 from umbralops.umbral import (
     CONSTRUCTIONS,
@@ -264,3 +265,9 @@ def test_float_itlog_scaling():
     v = itlog(f)
     assert abs(v[1] - math.log(2.0)) < 1e-12
     assert all(abs(c) < 1e-12 for c in v.coeffs[2:])
+
+
+def test_float_flow_reports_divergence():
+    # the terms 900^k / k! overflow before k! stops fitting a float
+    with pytest.raises(PreconditionError, match="did not converge"):
+        flow(TruncatedSeries([0.0, 900.0], 4, FLOAT), 1.0)

@@ -1,5 +1,6 @@
 """Corpus loading and the verify runner."""
 
+import hashlib
 import json
 
 import pytest
@@ -70,3 +71,16 @@ def test_all_suite_names_runnable():
         "laguerre",
         "float",
     }
+
+
+def test_verify_all_report_digest():
+    # every item of the seed-7 report; the same digest is verify-default.all
+    # in perfbench/reference.json
+    items = run_verify("all", 7, order=12)["items"]
+    items = sorted(items, key=lambda it: (it["suite"], it["identity"], it["case"]))
+    blob = json.dumps(items, sort_keys=True, separators=(",", ":"))
+    assert len(items) == 332
+    assert (
+        hashlib.sha256(blob.encode()).hexdigest()
+        == "db959c70527b15f34d7edf0bd9ef2542a244b8526b239629a3a782c3865619c3"
+    )
