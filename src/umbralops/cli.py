@@ -1,9 +1,10 @@
 """Command-line front end: construct, compare, tabulate, and verify.
 
-Exit codes: 0 success / all identities pass, 1 identity failure, 2 usage,
-parse or file error.  Rationals cross the boundary as "num/den" strings in
-exact mode; generator series are given as tail coefficients "c1,c2,..." of
-t^1, t^2, ... (the constant term is always zero).
+Exit codes: 0 success / all identities pass, 1 identity failure or a failed
+internal cross-check, 2 usage, parse, precondition or file error.  Rationals
+cross the boundary as "num/den" strings in exact mode; generator series are
+given as tail coefficients "c1,c2,..." of t^1, t^2, ... (the constant term is
+always zero).
 """
 
 from __future__ import annotations
@@ -194,7 +195,10 @@ def cmd_umbral(args) -> int:
 def cmd_laguerre(args) -> int:
     mode = args.mode
     if args.p < 1:
-        raise UsageError("laguerre requires --p >= 1 (p = 0 is float-only, see docs)")
+        raise UsageError(
+            "laguerre requires --p >= 1 (the p = 0 member is a float scaling demo, "
+            "run by verify --suite float)"
+        )
     alpha = parse_scalar(args.alpha, mode)
     s = parse_scalar(args.s, mode)
     n = args.n
@@ -348,6 +352,9 @@ def main(argv=None) -> int:
     except (UsageError, PreconditionError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except AssertionError as exc:
+        print(f"error: internal cross-check failed: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -13,6 +13,7 @@ from functools import cached_property
 
 from .bivariate import biv_sub, expand_in_x_plus_y, product_x_y
 from .operators import (
+    FLOAT_COLUMN_TOL,
     OperatorMatrix,
     NormalForm,
     apply_op,
@@ -50,9 +51,15 @@ def itlog(f: TruncatedSeries) -> TruncatedSeries:
     """Iterative logarithm: the generator V of the fractional-iteration flow
     of f, i.e. the unique series with C_f = e^{V(x)D} on truncations.
 
-    Exact mode requires multiplier f'(0) = 1 (the tangent-to-identity case);
-    float mode additionally handles other multipliers via the linearizing
-    coordinate.
+    For multiplier f'(0) = 1, V is the x-column of log(C_f), computed as one
+    vector: V = sum_k (-1)^{k+1}/k Delta^k x with Delta p = C_f p - p
+    truncated at N = f.order.  Delta raises the valuation by at least one,
+    so at most N steps of O(N^2) each give V in O(N^3) scalar operations.
+
+    Exact mode requires multiplier 1 (the tangent-to-identity case); float
+    mode additionally handles other multipliers via the linearizing
+    coordinate, and raises PreconditionError when V fails the Julia equation
+    by more than FLOAT_COLUMN_TOL times max(1, max |V_n|).
     """
     if f.order < 1 or f[0] != 0:
         raise PreconditionError("itlog requires f(0) = 0")
@@ -60,20 +67,33 @@ def itlog(f: TruncatedSeries) -> TruncatedSeries:
     one = coerce(1, f.mode)
     if q == one:
         cf = composition_operator(f, f.order, f.order)
-        log_cf = log_unipotent(cf)
-        v_poly = apply_op(log_cf, Polynomial.x(f.mode))
+        delta = Polynomial.x(f.mode)
+        v_poly = Polynomial.zero(f.mode)
+        for k in range(1, f.order + 1):
+            delta = apply_op(cf, delta) - delta
+            if delta.is_zero():
+                break
+            v_poly = v_poly + delta.scale(one / k * (1 if k % 2 else -1))
         out = TruncatedSeries(list(v_poly.coeffs), f.order, f.mode)
         if out.order >= 1 and (out[0] != 0 or out[1] != 0):
             raise AssertionError("iterative logarithm must vanish to second order")
-        return out
-    if f.mode == EXACT:
+    elif f.mode == EXACT:
         raise PreconditionError("exact itlog requires multiplier f'(0) = 1")
-    if q == 0:
+    elif q == 0:
         raise PreconditionError("itlog requires f'(0) != 0")
-    psi = koenigs_coordinate(f)
-    num = psi
-    den = psi.derivative().pad(f.order)
-    return (num * den.unit_inverse()).scale(math.log(q))
+    else:
+        psi = koenigs_coordinate(f)
+        den = psi.derivative().pad(f.order)
+        out = (psi * den.unit_inverse()).scale(math.log(q))
+    if f.mode == FLOAT:
+        tol = FLOAT_COLUMN_TOL * max([1.0] + [abs(c) for c in out.coeffs])
+        resid = julia_residual(f, out)
+        if not all(abs(c) <= tol for c in resid.coeffs):
+            worst = max(abs(c) for c in resid.coeffs)
+            raise PreconditionError(
+                f"float itlog lost precision: Julia residual {worst:.3g} exceeds {tol:.3g}"
+            )
+    return out
 
 
 def koenigs_coordinate(f: TruncatedSeries) -> TruncatedSeries:
@@ -195,6 +215,14 @@ class UmbralSpec:
     @cached_property
     def itlog_series(self) -> TruncatedSeries:
         return itlog(self.f)
+
+    def iterate(self, s) -> TruncatedSeries:
+        """fractional_iterate(f, s), reusing the cached iterative logarithm
+        where that takes the flow route (non-integer s, multiplier 1)."""
+        s = coerce(s, self.mode)
+        if not _is_integer(s) and self.q == coerce(1, self.mode):
+            return flow(self.itlog_series, s)
+        return fractional_iterate(self.f, s)
 
     def default_n_max(self) -> int:
         # leave headroom: some constructions consume derivative/inverse
@@ -369,7 +397,7 @@ def delta_operator(spec: UmbralSpec, s=1, n_in: int | None = None) -> OperatorMa
     if s == coerce(1, spec.mode):
         g = spec.f_inverse
     else:
-        g = fractional_iterate(spec.f, -s)
+        g = spec.iterate(-s)
     if g.order > n_in:
         g = g.truncate(n_in)
     return op_from_D_series(g, n_in)
@@ -540,10 +568,10 @@ def group_law_checks(spec: UmbralSpec, s, t, n_max: int | None = None) -> dict:
     items.append(
         _check_item("delta-conjugation", min(lhs.window, rhs.window), first_discrepancy(lhs, rhs))
     )
-    fm_s = fractional_iterate(spec.f, -s)
-    fm_t = fractional_iterate(spec.f, -t)
+    fm_s = spec.iterate(-s)
+    fm_t = spec.iterate(-t)
     diamond = fm_s.compose(fm_t)
-    direct = fractional_iterate(spec.f, -s - t)
+    direct = spec.iterate(-s - t)
     ok = diamond == direct
     items.append(
         {

@@ -195,3 +195,32 @@ def test_float_laguerre_check_uses_column_tolerance(capsys):
     )
     assert code == 0
     assert "identity grid: pass" in out
+
+
+def test_float_itlog_lost_precision_is_exit_2(capsys):
+    code, out, err = run_cli(
+        capsys, "--order", "40", "--mode", "float", "series", "itlog", "--f", "1,900"
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: float itlog lost precision")
+
+
+def test_laguerre_p0_message_names_the_float_demo(capsys):
+    code, _, err = run_cli(capsys, "--mode", "float", "laguerre", "--p", "0", "--n", "3", "--alpha", "0.5")
+    assert code == 2
+    assert "p >= 1" in err
+    assert "verify --suite float" in err
+
+
+def test_internal_cross_check_failure_is_exit_1(capsys, monkeypatch):
+    from umbralops import umbral
+
+    def broken(spec, n_max=None):
+        raise AssertionError("compositional inverse failed its round trip")
+
+    monkeypatch.setitem(umbral.CONSTRUCTIONS, "bucc", broken)
+    code, out, err = run_cli(capsys, "umbral", "--f", "1,1", "--formulas", "garsia,bucc")
+    assert code == 1
+    assert out == ""
+    assert err == "error: internal cross-check failed: compositional inverse failed its round trip\n"

@@ -4,12 +4,17 @@ from fractions import Fraction
 
 import pytest
 
+import umbralops.umbral as umbral_module
+from umbralops.corpus import load_corpus, random_generators, split_by_multiplier
 from umbralops.operators import (
     apply_op,
+    column_discrepancy,
+    composition_operator,
     compose_ops,
     exp_loc_nilpotent,
     first_discrepancy,
     identity_op,
+    log_unipotent,
 )
 from umbralops.polynomials import Polynomial
 from umbralops.scalars import FLOAT
@@ -271,3 +276,72 @@ def test_float_flow_reports_divergence():
     # the terms 900^k / k! overflow before k! stops fitting a float
     with pytest.raises(PreconditionError, match="did not converge"):
         flow(TruncatedSeries([0.0, 900.0], 4, FLOAT), 1.0)
+
+
+def _matrix_log_itlog(f):
+    """The x-column of the full matrix logarithm of C_f, as a polynomial."""
+    return apply_op(log_unipotent(composition_operator(f, f.order, f.order)), Polynomial.x(f.mode))
+
+
+@pytest.mark.parametrize("order", [12, 16, 20])
+def test_itlog_equals_matrix_logarithm_column(order):
+    tangent, general = split_by_multiplier(
+        load_corpus(order=order) + random_generators(7, 3, order)
+    )
+    for name, f in tangent:
+        assert Polynomial(itlog(f).coeffs) == _matrix_log_itlog(f), name
+    for name, f in general:
+        with pytest.raises(PreconditionError):
+            itlog(f)
+
+
+@pytest.mark.parametrize("order", [8, 12])
+def test_float_itlog_matches_matrix_logarithm_column(order):
+    tangent, _ = split_by_multiplier(load_corpus())
+    for name, exact in tangent:
+        f = TruncatedSeries([float(c) for c in exact.truncate(order).coeffs], order, FLOAT)
+        v = itlog(f)
+        assert all(type(c) is float for c in v.coeffs)
+        assert column_discrepancy(Polynomial(v.coeffs, FLOAT), _matrix_log_itlog(f)) is None, name
+
+
+def test_group_law_checks_compute_itlog_once(monkeypatch):
+    calls = []
+
+    def counting_itlog(f):
+        calls.append(f)
+        return itlog(f)
+
+    monkeypatch.setattr(umbral_module, "itlog", counting_itlog)
+    spec = UmbralSpec(TruncatedSeries([0, 1, 1, F(-1, 3), 2], 12))
+    for s, t in ((F(1, 2), F(1, 2)), (F(1, 2), F(1, 3)), (F(-1), F(1, 2))):
+        assert group_law_checks(spec, s, t)["passed"]
+    assert len(calls) == 1
+
+
+def test_spec_iterate_matches_fractional_iterate():
+    spec = UmbralSpec(TruncatedSeries([0, 1, 1, F(-1, 3), 2], 10))
+    for s in (F(1, 2), F(-2, 3), 2, -1, 0):
+        assert spec.iterate(s) == fractional_iterate(spec.f, s)
+    fspec = UmbralSpec(TruncatedSeries([0.0, 2.0, 1.0], 10, FLOAT))
+    assert fspec.iterate(0.5) == fractional_iterate(fspec.f, 0.5)
+
+
+def test_float_itlog_reports_lost_precision():
+    f = TruncatedSeries([0.0, 1.0, 900.0] + [0.0] * 38, 40, FLOAT)
+    with pytest.raises(PreconditionError, match="lost precision"):
+        itlog(f)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("order", [16, 20, 24])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_seeded_sweep_above_default_order(seed, order):
+    for name, f in random_generators(seed, 2, order):
+        spec = UmbralSpec(f)
+        v = spec.itlog_series
+        assert julia_residual(f, v).is_zero(), name
+        assert flow(v, 1) == f, name
+        half = frac_power(spec, F(1, 2)).matrix
+        whole = frac_power(spec, 1).matrix
+        assert first_discrepancy(compose_ops(half, half), whole) is None, name
