@@ -336,15 +336,6 @@ def compose_ops(U: OperatorMatrix, V: OperatorMatrix) -> OperatorMatrix:
     return OperatorMatrix(cols, n_in, max_out, window, complete, mode)
 
 
-def op_pow(U: OperatorMatrix, k: int) -> OperatorMatrix:
-    if k < 0:
-        return op_pow(op_inverse(U), -k)
-    acc = identity_op(U.n_in, U.max_out, U.mode)
-    for _ in range(k):
-        acc = compose_ops(U, acc)
-    return acc
-
-
 def op_inverse(U: OperatorMatrix) -> OperatorMatrix:
     """Inverse of a degree-preserving triangular operator, by back-substitution."""
     cols = []

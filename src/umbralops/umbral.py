@@ -29,7 +29,6 @@ from .operators import (
     op_from_D_series,
     op_from_normal_form,
     op_inverse,
-    op_pow,
     op_sub,
     pincherle_derivative,
     x_op,
@@ -273,6 +272,8 @@ def umbral_garsia(spec: UmbralSpec, n_max: int | None = None) -> UmbralOperator:
     if n_max is None:
         n_max = spec.default_n_max()
     f = spec.f
+    if n_max > f.order:
+        raise PreconditionError("series order too small for the requested matrix")
     power = TruncatedSeries.one(f.order, f.mode)
     coeff_rows = [list(power.coeffs)]
     for _ in range(n_max):
@@ -404,25 +405,19 @@ def delta_operator(spec: UmbralSpec, s=1, n_in: int | None = None) -> OperatorMa
 
 
 def frac_power(spec: UmbralSpec, s, n_max: int | None = None) -> UmbralOperator:
-    """phi^s = exp(s x itlog(f)(D)); integer s for any multiplier, rational s
-    for multiplier 1 in exact mode."""
-    if n_max is None:
-        n_max = spec.default_n_max()
+    """phi^s as the umbral operator of the iterate f^[s].
+
+    The umbral operator of f o g is the product of the umbral operators of f
+    and g (Roman, The Umbral Calculus, 1984, ch. 3; Garsia, "An expose of the
+    Mullin-Rota theory of polynomials of binomial type", 1973), so phi^s is
+    garsia's construction on spec.iterate(s).  Integer s works for any
+    multiplier; non-integer s needs multiplier 1 in exact mode, where
+    spec.iterate raises otherwise.  The paper's formula exp(s x V(D)) with
+    V = itlog(f) is kept as the test oracle.
+    """
     s = coerce(s, spec.mode)
-    one = coerce(1, spec.mode)
-    if spec.q == one:
-        v = spec.itlog_series.scale(s)
-        matrix = exp_loc_nilpotent(_x_times_D_series(v, n_max))
-        return UmbralOperator(spec, matrix, f"fractional[{s}]")
-    if _is_integer(s):
-        base = umbral_bucc(spec, n_max).matrix
-        return UmbralOperator(spec, op_pow(base, int(s)), f"fractional[{s}]")
-    if spec.mode == FLOAT:
-        fs = fractional_iterate(spec.f, s)
-        return UmbralOperator(spec, umbral_bucc(UmbralSpec(fs), n_max).matrix, f"fractional[{s}]")
-    raise PreconditionError(
-        "exact fractional powers need multiplier 1 or an integer exponent"
-    )
+    matrix = umbral_garsia(UmbralSpec(spec.iterate(s)), n_max).matrix
+    return UmbralOperator(spec, matrix, f"fractional[{s}]")
 
 
 def extract_generator_field(U: UmbralOperator) -> TruncatedSeries:

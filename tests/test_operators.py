@@ -30,7 +30,6 @@ from umbralops.operators import (
     op_from_x_poly,
     op_from_x_series,
     op_inverse,
-    op_pow,
     op_scale,
     op_sub,
     ops_equal,
@@ -243,11 +242,6 @@ def test_op_inverse():
     C = exp_loc_nilpotent(A)
     inv = op_inverse(C)
     assert first_discrepancy(compose_ops(inv, C), identity_op(6)) is None
-
-
-def test_op_pow():
-    D = d_op(6)
-    assert first_discrepancy(op_pow(D, 2), d_power_op(2, 6)) is None
 
 
 def test_km_single_term_identity():

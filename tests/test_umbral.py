@@ -15,10 +15,11 @@ from umbralops.operators import (
     first_discrepancy,
     identity_op,
     log_unipotent,
+    op_inverse,
 )
 from umbralops.polynomials import Polynomial
 from umbralops.scalars import FLOAT
-from umbralops.series import PreconditionError, TruncatedSeries
+from umbralops.series import PreconditionError, TruncatedSeries, series_from_tail
 from umbralops.umbral import (
     CONSTRUCTIONS,
     UmbralSpec,
@@ -248,6 +249,67 @@ def test_frac_power_integer_general_multiplier():
     sq = frac_power(spec, 2).matrix
     direct = umbral_bucc(UmbralSpec(spec.f.compose(spec.f))).matrix
     assert first_discrepancy(sq, direct) is None
+
+
+def _exp_of_scaled_itlog(spec, s, n_max):
+    """The paper's formula for phi^s: exp(s x V(D)) with V = itlog(f)."""
+    return exp_loc_nilpotent(_x_times_D_series(spec.itlog_series.scale(s), n_max))
+
+
+@pytest.mark.parametrize("order", [12, 16, pytest.param(20, marks=pytest.mark.slow)])
+def test_frac_power_equals_exp_of_scaled_itlog(order):
+    tangent, general = split_by_multiplier(
+        load_corpus(order=order) + random_generators(7, 3, order)
+    )
+    for name, f in tangent:
+        spec = UmbralSpec(f)
+        for s in (F(1, 2), F(-1, 3), 2, -1):
+            want = _exp_of_scaled_itlog(spec, s, spec.default_n_max())
+            assert frac_power(spec, s).matrix.to_json() == want.to_json(), (name, s)
+    for name, f in general:
+        spec = UmbralSpec(f)
+        base = umbral_bucc(spec).matrix
+        square = compose_ops(base, base)
+        for s, want in ((2, square), (3, compose_ops(base, square)), (-1, op_inverse(base))):
+            got = frac_power(spec, s).matrix
+            assert got.window == want.window, (name, s)
+            assert first_discrepancy(got, want) is None, (name, s)
+
+
+def test_exact_nonint_frac_power_needs_multiplier_one():
+    with pytest.raises(PreconditionError, match="multiplier 1"):
+        frac_power(UmbralSpec(TruncatedSeries([0, 2, 1], 12)), F(1, 2))
+
+
+def test_frac_power_beyond_the_generator_order_is_refused():
+    spec = UmbralSpec(TruncatedSeries([0, 1, 1], 8))
+    with pytest.raises(PreconditionError, match="order too small"):
+        frac_power(spec, F(1, 2), 9)
+    with pytest.raises(PreconditionError, match="order too small"):
+        umbral_garsia(spec, 9)
+
+
+@pytest.mark.parametrize("order", [8, 12])
+def test_float_frac_power_matches_exact(order):
+    for tail in ([1, F(1, 2)], [1, 1, F(-1, 3), 2]):
+        exact = series_from_tail(tail, order)
+        f = TruncatedSeries([float(c) for c in exact.coeffs], order, FLOAT)
+        for s in (F(1, 2), 2, -1):
+            want = frac_power(UmbralSpec(exact), s).matrix
+            got = frac_power(UmbralSpec(f), float(s)).matrix
+            assert got.window == want.window, (tail, s)
+            for n in range(want.window + 1):
+                col = Polynomial([float(c) for c in want.col(n).coeffs], FLOAT)
+                assert column_discrepancy(got.col(n), col) is None, (tail, s, n)
+
+
+def test_float_frac_power_half_squares_to_whole_at_multiplier_two():
+    spec = UmbralSpec(TruncatedSeries([0.0, 2.0, 1.0], 12, FLOAT))
+    half = frac_power(spec, 0.5).matrix
+    whole = frac_power(spec, 1.0).matrix
+    square = compose_ops(half, half)
+    assert square.window == whole.window
+    assert first_discrepancy(square, whole) is None
 
 
 def test_coeff_identity_scan():
