@@ -190,7 +190,7 @@ def op_from_D_series(g: TruncatedSeries, n_in: int, max_out: int | None = None) 
         for k in range(min(n, g.order) + 1):
             if g[k] != 0:
                 coeffs[n - k] = g[k] * math.perm(n, k)
-        cols.append(Polynomial(coeffs, g.mode))
+        cols.append(Polynomial._raw(coeffs, g.mode))
     window = min(n_in, g.order)
     return OperatorMatrix(cols, n_in, max_out, window, True, g.mode)
 
@@ -227,12 +227,21 @@ def composition_operator(g: TruncatedSeries, n_in: int, max_out: int | None = No
 # -- application and algebra --------------------------------------------
 
 
+def _accumulate(out: list, c, col: Polynomial, shift: int = 0) -> None:
+    """out[shift + i] += c * col_i for every nonzero coefficient of col, on
+    a list long enough to hold them; c and out must be in col's mode."""
+    for i, a in enumerate(col.coeffs, shift):
+        if a:
+            out[i] += c * a
+
+
 def _apply_raw(U: OperatorMatrix, p: Polynomial) -> Polynomial:
-    acc = Polynomial.zero(U.mode)
-    for d, c in enumerate(p.coeffs):
-        if c != 0 and d <= U.n_in:
-            acc = acc + U.cols[d].scale(c)
-    return acc
+    """sum_d p_d U(x^d) over d <= U.n_in, accumulated in one coefficient list."""
+    out = [coerce(0, U.mode)] * (U.max_out + 1)
+    for d, c in enumerate(p.coeffs[: U.n_in + 1]):
+        if c:
+            _accumulate(out, c, U.cols[d])
+    return Polynomial._raw(out, U.mode)
 
 
 def apply_op(U: OperatorMatrix, p: Polynomial) -> Polynomial:
@@ -338,22 +347,30 @@ def compose_ops(U: OperatorMatrix, V: OperatorMatrix) -> OperatorMatrix:
 
 def op_inverse(U: OperatorMatrix) -> OperatorMatrix:
     """Inverse of a degree-preserving triangular operator, by back-substitution."""
+    zero = coerce(0, U.mode)
+    size = max(U.n_in, U.max_out) + 1
     cols = []
     for n in range(U.n_in + 1):
-        target = Polynomial.monomial(n, 1, U.mode)
-        w = Polynomial.zero(U.mode)
-        r = target
-        while not r.is_zero():
-            d = r.degree
+        # w accumulates the preimage of x^n; r is what is left to reach
+        w = [zero] * size
+        r = [zero] * size
+        r[n] = coerce(1, U.mode)
+        d = n
+        while True:
+            while d >= 0 and not r[d]:
+                d -= 1
+            if d < 0:
+                break
             if d > U.window:
                 raise WindowUnderflowError("inverse needs columns beyond the window")
             lead = U.cols[d].coeff(d)
             if lead == 0:
                 raise PreconditionError("operator is not invertibly triangular")
-            c = r.coeffs[d] / lead
-            w = w + Polynomial.monomial(d, 1, U.mode).scale(c)
-            r = r - U.cols[d].scale(c)
-        cols.append(w)
+            c = r[d] / lead
+            w[d] += c
+            _accumulate(r, -c, U.cols[d])
+            d = max(d, U.cols[d].degree)
+        cols.append(Polynomial._raw(w, U.mode))
     return OperatorMatrix(cols, U.n_in, U.max_out, U.window, U.complete, U.mode)
 
 
@@ -573,12 +590,12 @@ def normal_form(U: OperatorMatrix, k_max: int | None = None, j_max: int | None =
     for k in range(k_max + 1):
         if k > 0:
             fact *= k
-        inner = Polynomial.zero(U.mode)
+        inner = [coerce(0, U.mode)] * (U.max_out + k + 1)
         for j in range(k + 1):
             sign = (-1) ** (k - j)
-            inner = inner + U.cols[j].shift(k - j).scale(sign * math.comb(k, j))
-        for j, c in enumerate(inner.coeffs):
-            if c != 0 and j <= j_max:
+            _accumulate(inner, coerce(sign * math.comb(k, j), U.mode), U.cols[j], k - j)
+        for j, c in enumerate(inner[: j_max + 1]):
+            if c:
                 table[(j, k)] = c / fact
     return NormalForm(table, U.mode)
 
@@ -590,15 +607,15 @@ def op_from_normal_form(nf: NormalForm, n_in: int, max_out: int | None = None) -
         max_out = n_in + max(shift, 0)
     cols = []
     for n in range(n_in + 1):
-        acc = Polynomial.zero(nf.mode)
+        acc = [coerce(0, nf.mode)] * (max_out + 1)
         for (j, k), c in nf.table.items():
             if k > n:
                 continue
             deg = n - k + j
             if deg > max_out:
                 raise PreconditionError("output degree overflow in normal-form rebuild")
-            acc = acc + Polynomial.monomial(deg, 1, nf.mode).scale(c * math.perm(n, k))
-        cols.append(acc)
+            acc[deg] += c * math.perm(n, k)
+        cols.append(Polynomial._raw(acc, nf.mode))
     return OperatorMatrix(cols, n_in, max_out, n_in, True, nf.mode)
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from itertools import zip_longest
 from typing import Sequence
 
 from .scalars import EXACT, check_mode, coerce, common_mode, scalar_from_json, scalar_to_json
@@ -18,6 +19,22 @@ class Polynomial:
             coeffs.pop()
         object.__setattr__(self, "coeffs", tuple(coeffs))
         object.__setattr__(self, "mode", mode)
+
+    @classmethod
+    def _raw(cls, coeffs: Sequence, mode: str) -> "Polynomial":
+        """Trusted internal constructor: trims trailing zeros but neither
+        checks ``mode`` nor coerces.  Every coefficient must already be
+        canonical for ``mode`` (``Fraction`` in exact mode, ``float`` in float
+        mode), e.g. the result of arithmetic on coefficients of same-mode
+        polynomials or ``coerce(0, mode)`` padding."""
+        coeffs = tuple(coeffs)
+        n = len(coeffs)
+        while n and coeffs[n - 1] == 0:
+            n -= 1
+        self = object.__new__(cls)
+        object.__setattr__(self, "coeffs", coeffs[:n])
+        object.__setattr__(self, "mode", mode)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -78,23 +95,23 @@ class Polynomial:
     def __add__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
-        common_mode(self.mode, other.mode)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Polynomial([self.coeff(k) + other.coeff(k) for k in range(n)], self.mode)
+        zero = coerce(0, common_mode(self.mode, other.mode))
+        pairs = zip_longest(self.coeffs, other.coeffs, fillvalue=zero)
+        return Polynomial._raw([x + y for x, y in pairs], self.mode)
 
     def __sub__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
-        common_mode(self.mode, other.mode)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Polynomial([self.coeff(k) - other.coeff(k) for k in range(n)], self.mode)
+        zero = coerce(0, common_mode(self.mode, other.mode))
+        pairs = zip_longest(self.coeffs, other.coeffs, fillvalue=zero)
+        return Polynomial._raw([x - y for x, y in pairs], self.mode)
 
     def __neg__(self):
-        return Polynomial([-c for c in self.coeffs], self.mode)
+        return Polynomial._raw([-c for c in self.coeffs], self.mode)
 
     def scale(self, c) -> "Polynomial":
         c = coerce(c, self.mode)
-        return Polynomial([c * a for a in self.coeffs], self.mode)
+        return Polynomial._raw([c * a for a in self.coeffs], self.mode)
 
     def __mul__(self, other):
         if isinstance(other, Polynomial):
@@ -108,7 +125,7 @@ class Polynomial:
                 for j, b in enumerate(other.coeffs):
                     if b != 0:
                         out[i + j] += a * b
-            return Polynomial(out, self.mode)
+            return Polynomial._raw(out, self.mode)
         try:
             return self.scale(other)
         except TypeError:
@@ -120,15 +137,15 @@ class Polynomial:
         """Multiply by x^k."""
         if k < 0:
             raise ValueError("shift requires k >= 0")
-        return Polynomial([coerce(0, self.mode)] * k + list(self.coeffs), self.mode)
+        return Polynomial._raw([coerce(0, self.mode)] * k + list(self.coeffs), self.mode)
 
     def truncate(self, max_degree: int) -> "Polynomial":
-        return Polynomial(self.coeffs[: max_degree + 1], self.mode)
+        return Polynomial._raw(self.coeffs[: max_degree + 1], self.mode)
 
     def derivative(self, times: int = 1) -> "Polynomial":
         p = self
         for _ in range(times):
-            p = Polynomial([i * c for i, c in enumerate(p.coeffs)][1:], p.mode)
+            p = Polynomial._raw([i * c for i, c in enumerate(p.coeffs)][1:], p.mode)
         return p
 
     def __call__(self, value):

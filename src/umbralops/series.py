@@ -49,6 +49,19 @@ class TruncatedSeries:
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "mode", mode)
 
+    @classmethod
+    def _raw(cls, coeffs: Sequence, order: int, mode: str) -> "TruncatedSeries":
+        """Trusted internal constructor: neither checks ``mode`` nor coerces
+        nor pads.  ``coeffs`` must hold exactly ``order + 1`` coefficients,
+        each already canonical for ``mode`` (``Fraction`` in exact mode,
+        ``float`` in float mode), e.g. the result of arithmetic on
+        coefficients of same-mode series or ``coerce(0, mode)`` padding."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "coeffs", tuple(coeffs))
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "mode", mode)
+        return self
+
     def __setattr__(self, name, value):
         raise AttributeError("TruncatedSeries is immutable")
 
@@ -108,7 +121,7 @@ class TruncatedSeries:
     def truncate(self, order: int) -> "TruncatedSeries":
         if order > self.order:
             raise ValueError("truncate cannot extend the order")
-        return TruncatedSeries(self.coeffs[: order + 1], order, self.mode)
+        return TruncatedSeries._raw(self.coeffs[: order + 1], order, self.mode)
 
     def _peer(self, other: "TruncatedSeries") -> None:
         common_mode(self.mode, other.mode)
@@ -123,7 +136,7 @@ class TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         self._peer(other)
-        return TruncatedSeries(
+        return TruncatedSeries._raw(
             [a + b for a, b in zip(self.coeffs, other.coeffs)], self.order, self.mode
         )
 
@@ -131,16 +144,16 @@ class TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         self._peer(other)
-        return TruncatedSeries(
+        return TruncatedSeries._raw(
             [a - b for a, b in zip(self.coeffs, other.coeffs)], self.order, self.mode
         )
 
     def __neg__(self):
-        return TruncatedSeries([-c for c in self.coeffs], self.order, self.mode)
+        return TruncatedSeries._raw([-c for c in self.coeffs], self.order, self.mode)
 
     def scale(self, c) -> "TruncatedSeries":
         c = coerce(c, self.mode)
-        return TruncatedSeries([c * a for a in self.coeffs], self.order, self.mode)
+        return TruncatedSeries._raw([c * a for a in self.coeffs], self.order, self.mode)
 
     def __mul__(self, other):
         if isinstance(other, TruncatedSeries):
@@ -154,7 +167,7 @@ class TruncatedSeries:
                     b = other.coeffs[j]
                     if b != 0:
                         out[i + j] += a * b
-            return TruncatedSeries(out, n, self.mode)
+            return TruncatedSeries._raw(out, n, self.mode)
         try:
             return self.scale(other)
         except TypeError:
@@ -167,7 +180,7 @@ class TruncatedSeries:
         if k < 0:
             raise ValueError("shift requires k >= 0")
         zeros = [coerce(0, self.mode)] * k
-        return TruncatedSeries((zeros + list(self.coeffs))[: self.order + 1], self.order, self.mode)
+        return TruncatedSeries._raw((zeros + list(self.coeffs))[: self.order + 1], self.order, self.mode)
 
     def derivative(self) -> "TruncatedSeries":
         """Termwise derivative; the order drops by one (the top coefficient
@@ -175,14 +188,15 @@ class TruncatedSeries:
         if self.order == 0:
             return TruncatedSeries.zero(0, self.mode)
         out = [i * c for i, c in enumerate(self.coeffs)][1:]
-        return TruncatedSeries(out, self.order - 1, self.mode)
+        return TruncatedSeries._raw(out, self.order - 1, self.mode)
 
     def pad(self, order: int) -> "TruncatedSeries":
         """Extend with zero coefficients.  The caller asserts that the true
         coefficients in the padded range are zero (or irrelevant)."""
         if order < self.order:
             raise ValueError("pad cannot shrink the order")
-        return TruncatedSeries(list(self.coeffs), order, self.mode)
+        zeros = [coerce(0, self.mode)] * (order - self.order)
+        return TruncatedSeries._raw(list(self.coeffs) + zeros, order, self.mode)
 
     def shift_down(self, k: int) -> "TruncatedSeries":
         """Divide by t^k; requires valuation >= k.  The order drops by k."""
@@ -191,7 +205,7 @@ class TruncatedSeries:
             raise PreconditionError(f"series is not divisible by t^{k}")
         if self.order < k:
             raise ValueError("order too small")
-        return TruncatedSeries(self.coeffs[k:], self.order - k, self.mode)
+        return TruncatedSeries._raw(self.coeffs[k:], self.order - k, self.mode)
 
     # -- composition and inversion --------------------------------------
 

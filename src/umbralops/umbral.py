@@ -16,6 +16,7 @@ from .operators import (
     FLOAT_COLUMN_TOL,
     OperatorMatrix,
     NormalForm,
+    _accumulate,
     apply_op,
     compose_ops,
     composition_operator,
@@ -183,12 +184,13 @@ def fractional_iterate(f: TruncatedSeries, s) -> TruncatedSeries:
 
 class UmbralSpec:
     """A generator series f with f(0) = 0, f'(0) != 0, plus cached derived
-    series (compositional inverse, iterative logarithm)."""
+    series (compositional inverse, iterative logarithm, iterates)."""
 
     def __init__(self, f: TruncatedSeries):
         if f.order < 1 or f[0] != 0 or f[1] == 0:
             raise PreconditionError("umbral spec requires f(0) = 0 and f'(0) != 0")
         self.f = f
+        self._iterates = {}
 
     @property
     def q(self):
@@ -216,12 +218,16 @@ class UmbralSpec:
         return itlog(self.f)
 
     def iterate(self, s) -> TruncatedSeries:
-        """fractional_iterate(f, s), reusing the cached iterative logarithm
-        where that takes the flow route (non-integer s, multiplier 1)."""
+        """fractional_iterate(f, s), computed once per s, reusing the cached
+        iterative logarithm where that takes the flow route (non-integer s,
+        multiplier 1)."""
         s = coerce(s, self.mode)
-        if not _is_integer(s) and self.q == coerce(1, self.mode):
-            return flow(self.itlog_series, s)
-        return fractional_iterate(self.f, s)
+        if s not in self._iterates:
+            if not _is_integer(s) and self.q == coerce(1, self.mode):
+                self._iterates[s] = flow(self.itlog_series, s)
+            else:
+                self._iterates[s] = fractional_iterate(self.f, s)
+        return self._iterates[s]
 
     def default_n_max(self) -> int:
         # leave headroom: some constructions consume derivative/inverse
@@ -262,6 +268,13 @@ class UmbralOperator:
                 raise AssertionError(f"column {n} does not vanish at the origin")
 
 
+def _check_order(order: int, n_max: int) -> None:
+    """Refuse a matrix whose columns up to n_max need series coefficients
+    beyond ``order``."""
+    if n_max > order:
+        raise PreconditionError("series order too small for the requested matrix")
+
+
 def _square(cols, n_max, mode) -> OperatorMatrix:
     return OperatorMatrix(cols, n_max, n_max, n_max, True, mode)
 
@@ -272,8 +285,7 @@ def umbral_garsia(spec: UmbralSpec, n_max: int | None = None) -> UmbralOperator:
     if n_max is None:
         n_max = spec.default_n_max()
     f = spec.f
-    if n_max > f.order:
-        raise PreconditionError("series order too small for the requested matrix")
+    _check_order(f.order, n_max)
     power = TruncatedSeries.one(f.order, f.mode)
     coeff_rows = [list(power.coeffs)]
     for _ in range(n_max):
@@ -287,7 +299,7 @@ def umbral_garsia(spec: UmbralSpec, n_max: int | None = None) -> UmbralOperator:
             c = coeff_rows[k][n]
             if c != 0:
                 col[k] = c * nfact / math.factorial(k)
-        cols.append(Polynomial(col, f.mode))
+        cols.append(Polynomial._raw(col, f.mode))
     return UmbralOperator(spec, _square(cols, n_max, f.mode), "garsia")
 
 
@@ -295,6 +307,8 @@ def umbral_steffensen(spec: UmbralSpec, n_max: int | None = None) -> UmbralOpera
     """Construction 2: phi = Q' (D/Q)^{xD + 1} with Q = f^{-1}(D)."""
     if n_max is None:
         n_max = spec.default_n_max()
+    # Q' and D/Q lose one order against f
+    _check_order(spec.order - 1, n_max)
     finv = spec.f_inverse
     qprime = finv.derivative()
     base = finv.shift_down(1).unit_inverse()
@@ -311,6 +325,8 @@ def umbral_steffensen2(spec: UmbralSpec, n_max: int | None = None) -> UmbralOper
     plain series powers per column; column 0 is 1 by the axioms."""
     if n_max is None:
         n_max = spec.default_n_max()
+    # D/Q loses one order against f
+    _check_order(spec.order - 1, n_max)
     finv = spec.f_inverse
     base = finv.shift_down(1).unit_inverse().truncate(n_max)
     cols = [Polynomial.one(spec.mode)]
@@ -326,11 +342,14 @@ def umbral_bucc(spec: UmbralSpec, n_max: int | None = None) -> UmbralOperator:
     if n_max is None:
         n_max = spec.default_n_max()
     f = spec.f
-    order = min(n_max, f.order)
-    g = (f - TruncatedSeries.t(f.order, f.mode)).truncate(order)
-    gpow = TruncatedSeries.one(order, f.mode)
+    _check_order(f.order, n_max)
+    g = (f - TruncatedSeries.t(f.order, f.mode)).truncate(n_max)
+    gpow = TruncatedSeries.one(n_max, f.mode)
     one = coerce(1, f.mode)
-    cols = [Polynomial.zero(f.mode)] * (n_max + 1)
+    zero = coerce(0, f.mode)
+    # g(0) = 0, so column n of (f(D) - D)^k has degree at most n - k and
+    # its x^k shift stays within degree n
+    cols = [[zero] * (n_max + 1) for _ in range(n_max + 1)]
     for k in range(n_max + 1):
         if k:
             gpow = gpow * g
@@ -338,8 +357,8 @@ def umbral_bucc(spec: UmbralSpec, n_max: int | None = None) -> UmbralOperator:
         gk = op_from_D_series(gpow, n_max)
         inv_fact = one / math.factorial(k)
         for n in range(k, n_max + 1):
-            cols[n] = cols[n] + gk.col(n).shift(k).scale(inv_fact)
-    cols = [c.truncate(n_max) for c in cols]
+            _accumulate(cols[n], inv_fact, gk.col(n), k)
+    cols = [Polynomial._raw(c, f.mode) for c in cols]
     return UmbralOperator(spec, _square(cols, n_max, f.mode), "bucc")
 
 
@@ -368,8 +387,7 @@ def umbral_exp_itlog(spec: UmbralSpec, n_max: int | None = None) -> UmbralOperat
 def _x_times_D_series(v: TruncatedSeries, n_max: int) -> OperatorMatrix:
     """The operator x * v(D) as a square matrix; strictly lowers degree when
     ord(v) >= 2."""
-    if v.order < n_max:
-        raise PreconditionError("series order too small for the requested matrix")
+    _check_order(v.order, n_max)
     vD = op_from_D_series(v.truncate(n_max), n_max)
     cols = [c.shift(1).truncate(n_max) for c in vD.cols]
     return _square(cols, n_max, v.mode)

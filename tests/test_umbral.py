@@ -289,6 +289,26 @@ def test_frac_power_beyond_the_generator_order_is_refused():
         umbral_garsia(spec, 9)
 
 
+BEYOND_ORDER_GENERATORS = (
+    TruncatedSeries([0, 1, 1, -1], 8),
+    TruncatedSeries([0, 2, 1], 8),
+)
+
+
+@pytest.mark.parametrize("name", sorted(CONSTRUCTIONS))
+def test_constructions_refuse_columns_beyond_the_generator_order(name):
+    build = CONSTRUCTIONS[name]
+    for f in BEYOND_ORDER_GENERATORS:
+        spec = UmbralSpec(f)
+        with pytest.raises(PreconditionError, match="order too small"):
+            build(spec, f.order + 1)
+        # no over-refusal one column below the order
+        got = build(spec, f.order - 1).matrix
+        want = umbral_garsia(spec, f.order - 1).matrix
+        assert got.window == want.window, f
+        assert first_discrepancy(got, want) is None, f
+
+
 @pytest.mark.parametrize("order", [8, 12])
 def test_float_frac_power_matches_exact(order):
     for tail in ([1, F(1, 2)], [1, 1, F(-1, 3), 2]):
@@ -379,6 +399,30 @@ def test_group_law_checks_compute_itlog_once(monkeypatch):
     for s, t in ((F(1, 2), F(1, 2)), (F(1, 2), F(1, 3)), (F(-1), F(1, 2))):
         assert group_law_checks(spec, s, t)["passed"]
     assert len(calls) == 1
+
+
+def test_group_law_checks_compute_each_iterate_once(monkeypatch):
+    exponents = []
+
+    def counting_flow(V, s):
+        exponents.append(s)
+        return flow(V, s)
+
+    monkeypatch.setattr(umbral_module, "flow", counting_flow)
+    spec = UmbralSpec(TruncatedSeries([0, 1, 1, F(-1, 3), 2], 12))
+    report = group_law_checks(spec, F(1, 2), F(1, 3))
+    # s, t, s + t, -t, t - s, -s, -s - t: -t is asked for twice
+    assert sorted(exponents) == sorted(
+        F(n, 6) for n in (3, 2, 5, -2, 1, -3, -5)
+    )
+    assert report == {
+        "items": [
+            {"identity": "power-additivity", "window": 10, "status": "exact-pass", "first_discrepancy": None},
+            {"identity": "delta-conjugation", "window": 10, "status": "exact-pass", "first_discrepancy": None},
+            {"identity": "delta-diamond-law", "window": 12, "status": "exact-pass", "first_discrepancy": None},
+        ],
+        "passed": True,
+    }
 
 
 def test_spec_iterate_matches_fractional_iterate():
