@@ -152,6 +152,8 @@ def cmd_umbral(args) -> int:
     if not names:
         raise UsageError("--formulas must select at least one construction")
     n = args.n if args.n is not None else spec.default_n_max()
+    if n < 0:
+        raise UsageError("--n must be >= 0")
     if n > spec.default_n_max():
         raise UsageError(
             f"--n {n} exceeds the certified window {spec.default_n_max()} at order {order}"
@@ -199,9 +201,16 @@ def cmd_laguerre(args) -> int:
             "laguerre requires --p >= 1 (the p = 0 member is a float scaling demo, "
             "run by verify --suite float)"
         )
+    n = args.n
+    if n < 0:
+        raise UsageError("--n must be >= 0")
     alpha = parse_scalar(args.alpha, mode)
     s = parse_scalar(args.s, mode)
-    n = args.n
+    if args.check and s != 1:
+        raise UsageError(
+            "--check covers the s = 1 family only; "
+            "verify --suite laguerre checks the fractional members"
+        )
     rows = []
     pretty = []
     csv_rows = []

@@ -87,17 +87,24 @@ def laguerre_operator_paths(p: int, alpha, n_in: int, mode: str = EXACT):
     return path1, path2
 
 
-def degenerate_laguerre_explicit(p: int, n: int, alpha=0, mode: str = EXACT) -> Polynomial:
-    """The closed-form coefficient sum for the associated polynomial of
-    index n: a degree-n polynomial, exact for rational alpha."""
-    LaguerreParams(p, alpha, 1, n)
+def _laguerre_sum(p: int, n: int, alpha, s, mode: str) -> Polynomial:
+    """The coefficient sum of index n: sum over k of
+    binom((n + alpha)/p - 1, k) n! (-s p)^k / (n - p k)! x^(n - p k)."""
+    LaguerreParams(p, alpha, s, n)
     alpha = coerce(alpha, mode)
+    s = coerce(s, mode)
     top = (n + alpha) / p
     coeffs = [coerce(0, mode)] * (n + 1)
     for k in range(n // p + 1):
-        c = gbinom(top - 1, k) * math.factorial(n) * (-p) ** k
+        c = gbinom(top - 1, k) * math.factorial(n) * (-s * p) ** k
         coeffs[n - p * k] = coerce(c, mode) / math.factorial(n - p * k)
     return Polynomial(coeffs, mode)
+
+
+def degenerate_laguerre_explicit(p: int, n: int, alpha=0, mode: str = EXACT) -> Polynomial:
+    """The closed-form coefficient sum for the associated polynomial of
+    index n: a degree-n polynomial, exact for rational alpha."""
+    return _laguerre_sum(p, n, alpha, 1, mode)
 
 
 def degenerate_laguerre_operator(p: int, n: int, alpha=0, mode: str = EXACT) -> Polynomial:
@@ -114,14 +121,7 @@ def degenerate_laguerre_operator(p: int, n: int, alpha=0, mode: str = EXACT) -> 
 def frac_laguerre(p: int, n: int, s, mode: str = EXACT) -> Polynomial:
     """The fractional family member: the alpha = 0 coefficient sum with the
     power (-p)^k replaced by (-s p)^k."""
-    LaguerreParams(p, 0, s, n)
-    s = coerce(s, mode)
-    top = coerce(n, mode) / p
-    coeffs = [coerce(0, mode)] * (n + 1)
-    for k in range(n // p + 1):
-        c = gbinom(top - 1, k) * math.factorial(n) * (-s * p) ** k
-        coeffs[n - p * k] = c / math.factorial(n - p * k)
-    return Polynomial(coeffs, mode)
+    return _laguerre_sum(p, n, 0, s, mode)
 
 
 def laguerre_ode_residual(p: int, n: int, alpha=0, mode: str = EXACT) -> Polynomial:

@@ -1,6 +1,8 @@
 """Identity verification suites over the fixed corpus.
 
-Each suite returns a list of report items; an item names the identity being
+A per-case suite takes one corpus entry, its name and its UmbralSpec; a
+corpus-wide suite takes every (name, spec) case with the order and the seed.
+Each returns a list of report items; an item names the identity being
 checked, the case (corpus entry or parameter point), the exactness window on
 which it was certified, a pass/fail status, and the first discrepancy when
 one exists.  Identity failures are report content, never exceptions.
@@ -12,7 +14,7 @@ import math
 import random
 from fractions import Fraction
 
-from .corpus import load_corpus, random_generators, split_by_multiplier
+from .corpus import load_corpus, random_generators
 from .laguerre import (
     cross_sequence_check,
     degenerate_laguerre_explicit,
@@ -91,114 +93,85 @@ def _from_report(suite, case, report):
     return out
 
 
-def suite_formulas(corpus, order):
-    items = []
-    for name, f in corpus:
-        spec = UmbralSpec(f)
-        base = umbral_garsia(spec)
-        for cname, builder in CONSTRUCTIONS.items():
-            if cname == "garsia":
-                continue
-            other = builder(spec)
-            d = first_discrepancy(base.matrix, other.matrix)
-            w = min(base.matrix.window, other.matrix.window)
-            items.append(
-                _item("formulas", f"cross-formula:{cname}", name, w, d is None, d)
-            )
-    return items
+def _compare(suite, identity, case, lhs, rhs):
+    d = first_discrepancy(lhs, rhs)
+    return _item(suite, identity, case, min(lhs.window, rhs.window), d is None, d)
 
 
-def suite_duality(corpus, order):
+def suite_formulas(name, spec):
+    base = umbral_garsia(spec).matrix
     return [
-        _from_report("duality", name, duality_check(UmbralSpec(f)))
-        for name, f in corpus
+        _compare("formulas", f"cross-formula:{cname}", name, base, builder(spec).matrix)
+        for cname, builder in CONSTRUCTIONS.items()
+        if cname != "garsia"
     ]
 
 
-def suite_itlog(corpus, order):
+def suite_duality(name, spec):
+    return [_from_report("duality", name, duality_check(spec))]
+
+
+def suite_itlog(name, spec):
+    if spec.q != 1:
+        return []
+    v = spec.itlog_series
+    extracted = extract_generator_field(umbral_exp_itlog(spec))
+    resid = julia_residual(spec.f, v)
+    return [
+        _item("itlog", "field-extraction", name, extracted.order, extracted == v.truncate(extracted.order)),
+        _item(
+            "itlog",
+            "julia-equation",
+            name,
+            resid.order,
+            resid.is_zero(),
+            None if resid.is_zero() else {"coeff": resid.valuation()},
+        ),
+    ]
+
+
+def suite_ode(name, spec):
+    resid = pincherle_ode_residual(umbral_bucc(spec))
+    return [_item("ode", "derivation-equation", name, resid.window, resid.is_window_zero())]
+
+
+def suite_genfun(name, spec):
+    rep = genfun_check(umbral_bucc(spec), min(8, spec.order - 2))
+    return [_from_report("genfun", name, rep)]
+
+
+_TANGENT_GROUP_PAIRS = (
+    (Fraction(1, 2), Fraction(1, 2)),
+    (Fraction(1, 2), Fraction(1, 3)),
+    (Fraction(-1, 1), Fraction(1, 2)),
+)
+
+
+def suite_group(name, spec):
+    pairs = _TANGENT_GROUP_PAIRS if spec.q == 1 else ((2, 3),)
+    return [
+        _from_report("group", f"{name}[s={s},t={t}]", it)
+        for s, t in pairs
+        for it in group_law_checks(spec, s, t)["items"]
+    ]
+
+
+def suite_coeff(name, spec):
+    n_max = min(8, spec.order - 2)
+    exponents = (Fraction(1, 2), Fraction(2), Fraction(-1)) if spec.q == 1 else (2, 3)
     items = []
-    tangent, _ = split_by_multiplier(corpus)
-    for name, f in tangent:
-        spec = UmbralSpec(f)
-        v = spec.itlog_series
-        extracted = extract_generator_field(umbral_exp_itlog(spec))
-        ok = extracted == v.truncate(extracted.order)
-        items.append(_item("itlog", "field-extraction", name, extracted.order, ok))
-        resid = julia_residual(f, v)
+    for s in exponents:
+        bad = coeff_identity_scan(spec, s, n_max)
         items.append(
             _item(
-                "itlog",
-                "julia-equation",
-                name,
-                resid.order,
-                resid.is_zero(),
-                None if resid.is_zero() else {"coeff": resid.valuation()},
+                "coeff",
+                "fractional-coefficient-identity",
+                f"{name}[s={s}]",
+                n_max,
+                bad is None,
+                None if bad is None else {"col": bad[0], "coeff": bad[1]},
             )
         )
-    return items
-
-
-def suite_ode(corpus, order):
-    items = []
-    for name, f in corpus:
-        spec = UmbralSpec(f)
-        resid = pincherle_ode_residual(umbral_bucc(spec))
-        ok = resid.is_window_zero()
-        items.append(_item("ode", "derivation-equation", name, resid.window, ok))
-    return items
-
-
-def suite_genfun(corpus, order):
-    items = []
-    t_order = min(8, order - 2)
-    for name, f in corpus:
-        spec = UmbralSpec(f)
-        rep = genfun_check(umbral_bucc(spec), t_order)
-        items.append(_from_report("genfun", name, rep))
-    return items
-
-
-def suite_group(corpus, order):
-    items = []
-    tangent, general = split_by_multiplier(corpus)
-    pairs = [
-        (Fraction(1, 2), Fraction(1, 2)),
-        (Fraction(1, 2), Fraction(1, 3)),
-        (Fraction(-1, 1), Fraction(1, 2)),
-    ]
-    for name, f in tangent:
-        spec = UmbralSpec(f)
-        for s, t in pairs:
-            rep = group_law_checks(spec, s, t)
-            for it in rep["items"]:
-                items.append(_from_report("group", f"{name}[s={s},t={t}]", it))
-    for name, f in general:
-        spec = UmbralSpec(f)
-        rep = group_law_checks(spec, 2, 3)
-        for it in rep["items"]:
-            items.append(_from_report("group", f"{name}[s=2,t=3]", it))
-    return items
-
-
-def suite_coeff(corpus, order):
-    items = []
-    tangent, general = split_by_multiplier(corpus)
-    n_max = min(8, order - 2)
-    for entries, exponents in ((tangent, (Fraction(1, 2), Fraction(2), Fraction(-1))), (general, (2, 3))):
-        for name, f in entries:
-            spec = UmbralSpec(f)
-            for s in exponents:
-                bad = coeff_identity_scan(spec, s, n_max)
-                items.append(
-                    _item(
-                        "coeff",
-                        "fractional-coefficient-identity",
-                        f"{name}[s={s}]",
-                        n_max,
-                        bad is None,
-                        None if bad is None else {"col": bad[0], "coeff": bad[1]},
-                    )
-                )
     return items
 
 
@@ -215,7 +188,7 @@ def _random_poly(rng, deg=3) -> Polynomial:
     return Polynomial([Fraction(rng.randint(-3, 3)) for _ in range(deg + 1)])
 
 
-def suite_kernel(corpus, order, seed=None):
+def suite_kernel(cases, order, seed):
     items = []
     rng = random.Random(0 if seed is None else seed)
     n0 = 6
@@ -240,10 +213,7 @@ def suite_kernel(corpus, order, seed=None):
                 continue
             term = compose_ops(op_from_x_poly(pk, Uk.max_out), compose_ops(Uk, identity_op(n0)))
             rhs = term if rhs is None else op_add(rhs, term)
-        d = first_discrepancy(lhs, rhs)
-        items.append(
-            _item("kernel", "operator-leibniz-rule", f"random-{i}", min(lhs.window, rhs.window), d is None, d)
-        )
+        items.append(_compare("kernel", "operator-leibniz-rule", f"random-{i}", lhs, rhs))
 
     for i in range(10):
         A = op_from_normal_form(_random_normal_form(rng), n0 + 6, n0 + 9)
@@ -253,10 +223,7 @@ def suite_kernel(corpus, order, seed=None):
             compose_ops(pincherle_derivative(A), B),
             compose_ops(A, pincherle_derivative(B)),
         )
-        d = first_discrepancy(lhs, rhs)
-        items.append(
-            _item("kernel", "derivative-is-derivation", f"random-{i}", min(lhs.window, rhs.window), d is None, d)
-        )
+        items.append(_compare("kernel", "derivative-is-derivation", f"random-{i}", lhs, rhs))
 
     # both iterated-derivative paths agree (nth_pincherle cross-checks internally)
     try:
@@ -286,17 +253,15 @@ def suite_kernel(corpus, order, seed=None):
         [Fraction(1, math.factorial(k)) for k in range(n_max + 1)], n_max
     )
     eU = op_from_x_series(exp_x, n_max, n_max)
-    lhs = gen_pow(eU, V)
-    rhs = umbral_bucc(spec, n_max).matrix
-    d = first_discrepancy(lhs, rhs)
     items.append(
-        _item("kernel", "exponentiation-identity", "f=t+t^2", min(lhs.window, rhs.window), d is None, d)
+        _compare("kernel", "exponentiation-identity", "f=t+t^2", gen_pow(eU, V), umbral_bucc(spec, n_max).matrix)
     )
 
     # exp / log inversion on the corpus umbral matrices
-    tangent, _ = split_by_multiplier(corpus)
-    for name, g in tangent:
-        U = umbral_bucc(UmbralSpec(g)).matrix
+    for name, g_spec in cases:
+        if g_spec.q != 1:
+            continue
+        U = umbral_bucc(g_spec).matrix
         back = exp_loc_nilpotent(log_unipotent(U))
         d = first_discrepancy(U, back)
         items.append(_item("kernel", "exp-log-roundtrip", name, U.window, d is None, d))
@@ -321,11 +286,7 @@ def suite_kernel(corpus, order, seed=None):
         lhs = op_from_normal_form(prod_nf.l_transform(), n0, n0 + 12)
         LA = op_from_normal_form(nfa.l_transform(), n0 + 4, n0 + 8)
         LB = op_from_normal_form(nfb.l_transform(), n0 + 8, n0 + 12)
-        rhs = compose_ops(LB, LA)
-        d = first_discrepancy(lhs, rhs)
-        items.append(
-            _item("kernel", "swap-anti-multiplicative", f"random-{i}", min(lhs.window, rhs.window), d is None, d)
-        )
+        items.append(_compare("kernel", "swap-anti-multiplicative", f"random-{i}", lhs, compose_ops(LB, LA)))
 
     # two-sided expansion in x-series and delta-operator series rebuilding
     # the direct construction
@@ -366,7 +327,7 @@ def suite_kernel(corpus, order, seed=None):
     return items
 
 
-def suite_laguerre(corpus, order):
+def suite_laguerre(cases, order, seed):
     items = []
     for p in (1, 2, 3):
         for alpha in (-1, 0, 1, 2):
@@ -408,7 +369,7 @@ def suite_laguerre(corpus, order):
     return items
 
 
-def suite_float(corpus, order):
+def suite_float(cases, order, seed):
     items = []
     demo = laguerre_p0_float_demo()
     items.append(
@@ -432,6 +393,7 @@ def suite_float(corpus, order):
     return items
 
 
+_CORPUS_WIDE = ("kernel", "laguerre", "float")
 SUITES = {
     "formulas": suite_formulas,
     "duality": suite_duality,
@@ -454,24 +416,29 @@ def run_verify(
 ) -> dict:
     """Run the requested suites and assemble the versioned report."""
     if suites == "all":
-        names = list(SUITES)
+        suites = SUITES
     elif isinstance(suites, str):
-        names = [s.strip() for s in suites.split(",") if s.strip()]
-    else:
-        names = list(suites)
+        suites = [s.strip() for s in suites.split(",") if s.strip()]
+    names = list(dict.fromkeys(suites))
+    if not names:
+        raise ValueError("no suite selected")
     for name in names:
         if name not in SUITES:
             raise ValueError(f"unknown suite: {name}")
     corpus = load_corpus(corpus_path, order)
     if seed is not None:
         corpus = corpus + random_generators(seed, count=3, order=order)
+    # every generator is checked here, whichever suites run, and its spec is
+    # shared so each derived series is computed once per generator
+    cases = [(name, UmbralSpec(f)) for name, f in corpus]
     items = []
     for name in names:
         fn = SUITES[name]
-        if name == "kernel":
-            items.extend(fn(corpus, order, seed=seed))
+        if name in _CORPUS_WIDE:
+            items.extend(fn(cases, order, seed))
         else:
-            items.extend(fn(corpus, order))
+            for case in cases:
+                items.extend(fn(*case))
     items.sort(key=lambda it: (it["suite"], it["identity"], it["case"]))
     passed = all(it["status"] == "exact-pass" for it in items)
     return {

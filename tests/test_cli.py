@@ -224,3 +224,44 @@ def test_internal_cross_check_failure_is_exit_1(capsys, monkeypatch):
     assert code == 1
     assert out == ""
     assert err == "error: internal cross-check failed: compositional inverse failed its round trip\n"
+
+
+def test_laguerre_check_refuses_fractional_s(capsys):
+    code, out, err = run_cli(capsys, "laguerre", "--p", "1", "--n", "3", "--s", "1/2", "--check")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert "verify --suite laguerre" in err
+    code, out, _ = run_cli(capsys, "laguerre", "--p", "1", "--n", "3", "--s", "1/2")
+    assert code == 0
+    assert "L_3" in out
+
+
+def test_negative_n_is_usage_error(capsys):
+    for argv in (("umbral", "--f", "1,1", "--n", "-1"), ("laguerre", "--p", "1", "--n", "-1")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "--n must be >= 0" in err
+
+
+def test_verify_suite_selection_is_deduplicated_and_nonempty(capsys):
+    code, out, err = run_cli(capsys, "verify", "--suite", ",")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    code, out, _ = run_cli(capsys, "verify", "--suite", "float,float", "--format", "json")
+    assert code == 0
+    report = json.loads(out)
+    assert report["suites"] == ["float"]
+    assert len(report["items"]) == 2
+
+
+def test_manifest_with_zero_multiplier_is_refused_for_every_suite(capsys, tmp_path):
+    manifest = tmp_path / "bad.json"
+    manifest.write_text(json.dumps([{"name": "flat", "coeffs": ["0", "1"]}]))
+    code, out, err = run_cli(capsys, "verify", "--suite", "kernel", "--corpus", str(manifest))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert "Traceback" not in err

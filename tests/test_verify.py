@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from umbralops import umbral, verify
 from umbralops.corpus import load_corpus, random_generators, split_by_multiplier
 from umbralops.verify import SUITES, run_verify
 
@@ -84,3 +85,34 @@ def test_verify_all_report_digest():
         hashlib.sha256(blob.encode()).hexdigest()
         == "db959c70527b15f34d7edf0bd9ef2542a244b8526b239629a3a782c3865619c3"
     )
+
+
+def test_run_verify_deduplicates_suites_and_refuses_empty_selection():
+    report = run_verify("float,duality,float")
+    assert report["suites"] == ["float", "duality"]
+    once = run_verify("float")["items"] + run_verify("duality")["items"]
+    assert sorted(map(json.dumps, report["items"])) == sorted(map(json.dumps, once))
+    for empty in (",", " , ", []):
+        with pytest.raises(ValueError):
+            run_verify(empty)
+
+
+def test_run_verify_computes_itlog_once_per_generator(monkeypatch):
+    # 5 tangent corpus generators, plus one reduced spec per general-multiplier
+    # generator inside umbral_exp_itlog (formulas' expitlog construction)
+    calls = []
+    real = umbral.itlog
+
+    def counted(f):
+        calls.append(f)
+        return real(f)
+
+    monkeypatch.setattr(umbral, "itlog", counted)
+    assert run_verify("formulas,itlog,group,coeff")["passed"]
+    assert len(calls) == 8
+
+
+def test_suite_registry_matches_function_names():
+    # the benchmark tracer keys verify.suite.<name>.s on these names
+    for name, fn in SUITES.items():
+        assert getattr(verify, f"suite_{name}") is fn
