@@ -1,10 +1,10 @@
 """Command-line front end: construct, compare, tabulate, and verify.
 
 Exit codes: 0 success / all identities pass, 1 identity failure or a failed
-internal cross-check, 2 usage, parse, precondition or file error.  Rationals
-cross the boundary as "num/den" strings in exact mode; generator series are
-given as tail coefficients "c1,c2,..." of t^1, t^2, ... (the constant term is
-always zero).
+internal cross-check, 2 usage, parse, precondition or file error, or a float
+result out of range.  Rationals cross the boundary as "num/den" strings in
+exact mode; generator series are given as tail coefficients "c1,c2,..." of
+t^1, t^2, ... (the constant term is always zero).
 """
 
 from __future__ import annotations
@@ -358,7 +358,7 @@ def main(argv=None) -> int:
         if args.order < 2:
             raise UsageError("--order must be >= 2")
         return args.fn(args)
-    except (UsageError, PreconditionError, ValueError, OSError) as exc:
+    except (UsageError, PreconditionError, ValueError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except AssertionError as exc:

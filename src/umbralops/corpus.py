@@ -18,17 +18,33 @@ from .series import DEFAULT_ORDER, TruncatedSeries, series_from_tail
 
 
 def load_corpus(path: str | None = None, order: int = DEFAULT_ORDER, mode: str = EXACT):
-    """Load the corpus manifest as a list of (name, TruncatedSeries) pairs."""
+    """Load the corpus manifest as a list of (name, TruncatedSeries) pairs.
+
+    Raises ValueError, naming the entry, unless the manifest is a non-empty
+    list of {"name": str, "coeffs": [str, ...]} objects whose coefficients
+    parse and fit the order.
+    """
     if path is None:
         text = resources.files("umbralops").joinpath("data/corpus.json").read_text()
     else:
         with open(path) as fh:
             text = fh.read()
     entries = json.loads(text)
+    if not isinstance(entries, list) or not entries:
+        raise ValueError("corpus manifest must be a non-empty JSON list")
     out = []
-    for entry in entries:
-        tail = [parse_scalar(c, mode) for c in entry["coeffs"]]
-        out.append((entry["name"], series_from_tail(tail, order, mode)))
+    for i, entry in enumerate(entries, 1):
+        if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
+            raise ValueError(f'corpus entry {i} is not an object with a string "name"')
+        where = f"corpus entry {i} ({entry['name']!r})"
+        coeffs = entry.get("coeffs")
+        if not isinstance(coeffs, list) or not coeffs or not all(isinstance(c, str) for c in coeffs):
+            raise ValueError(f'{where}: "coeffs" must be a non-empty list of strings')
+        try:
+            f = series_from_tail([parse_scalar(c, mode) for c in coeffs], order, mode)
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from exc
+        out.append((entry["name"], f))
     return out
 
 

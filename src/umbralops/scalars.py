@@ -60,7 +60,8 @@ def common_mode(a: str, b: str) -> str:
 
 
 def parse_scalar(text: str, mode: str = EXACT):
-    """Parse ``"p/q"`` / integer strings (exact) or decimal strings (float)."""
+    """Parse ``"p/q"`` / integer strings (exact) or finite decimal strings
+    (float; ``inf``, ``nan`` and values beyond the float range are refused)."""
     check_mode(mode)
     text = text.strip()
     if mode == EXACT:
@@ -68,7 +69,10 @@ def parse_scalar(text: str, mode: str = EXACT):
             return Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"invalid rational {text!r}") from exc
-    return float(text)
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite float {text!r}")
+    return value
 
 
 def format_scalar(value) -> str:

@@ -9,6 +9,7 @@ the same; the cross-construction comparison is the engine's core check.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from functools import cached_property
 
 from .bivariate import biv_sub, expand_in_x_plus_y, product_x_y
@@ -55,6 +56,8 @@ def itlog(f: TruncatedSeries) -> TruncatedSeries:
     vector: V = sum_k (-1)^{k+1}/k Delta^k x with Delta p = C_f p - p
     truncated at N = f.order.  Delta raises the valuation by at least one,
     so at most N steps of O(N^2) each give V in O(N^3) scalar operations.
+    This V is rational in f, so a float f runs it on its exact value and
+    rounds each coefficient once.
 
     Exact mode requires multiplier 1 (the tangent-to-identity case); float
     mode additionally handles other multipliers via the linearizing
@@ -64,34 +67,34 @@ def itlog(f: TruncatedSeries) -> TruncatedSeries:
     if f.order < 1 or f[0] != 0:
         raise PreconditionError("itlog requires f(0) = 0")
     q = f[1]
-    one = coerce(1, f.mode)
-    if q == one:
+    if q != 1:
+        if f.mode == EXACT:
+            raise PreconditionError("exact itlog requires multiplier f'(0) = 1")
+        if q == 0:
+            raise PreconditionError("itlog requires f'(0) != 0")
+        psi = koenigs_coordinate(f)
+        den = psi.derivative().pad(f.order)
+        out = (psi * den.unit_inverse()).scale(math.log(q))
+    elif f.mode == FLOAT:
+        out = _rounded(itlog(_exact(f)))
+    else:
         cf = composition_operator(f, f.order, f.order)
-        delta = Polynomial.x(f.mode)
-        v_poly = Polynomial.zero(f.mode)
+        delta = Polynomial.x(EXACT)
+        v_poly = Polynomial.zero(EXACT)
         for k in range(1, f.order + 1):
             delta = apply_op(cf, delta) - delta
             if delta.is_zero():
                 break
-            v_poly = v_poly + delta.scale(one / k * (1 if k % 2 else -1))
-        out = TruncatedSeries(list(v_poly.coeffs), f.order, f.mode)
-        if out.order >= 1 and (out[0] != 0 or out[1] != 0):
+            v_poly = v_poly + delta.scale(Fraction(1 if k % 2 else -1, k))
+        out = TruncatedSeries(list(v_poly.coeffs), f.order, EXACT)
+        if any(out.coeffs[:2]):
             raise AssertionError("iterative logarithm must vanish to second order")
-    elif f.mode == EXACT:
-        raise PreconditionError("exact itlog requires multiplier f'(0) = 1")
-    elif q == 0:
-        raise PreconditionError("itlog requires f'(0) != 0")
-    else:
-        psi = koenigs_coordinate(f)
-        den = psi.derivative().pad(f.order)
-        out = (psi * den.unit_inverse()).scale(math.log(q))
     if f.mode == FLOAT:
         tol = FLOAT_COLUMN_TOL * max([1.0] + [abs(c) for c in out.coeffs])
-        resid = julia_residual(f, out)
-        if not all(abs(c) <= tol for c in resid.coeffs):
-            worst = max(abs(c) for c in resid.coeffs)
+        resid = [abs(c) for c in julia_residual(f, out).coeffs]
+        if not all(c <= tol for c in resid):
             raise PreconditionError(
-                f"float itlog lost precision: Julia residual {worst:.3g} exceeds {tol:.3g}"
+                f"float itlog lost precision: Julia residual {max(resid):.3g} exceeds {tol:.3g}"
             )
     return out
 
@@ -116,40 +119,38 @@ def koenigs_coordinate(f: TruncatedSeries) -> TruncatedSeries:
 
 def flow(V: TruncatedSeries, s) -> TruncatedSeries:
     """Time-s flow of the vector field V(x) d/dx applied to the identity:
-    the series g^s with g^s o g^r = g^{s+r} and itlog(g^1) = V."""
-    if V[0] != 0:
-        raise PreconditionError("flow requires V(0) = 0")
+    the series g^s with g^s o g^r = g^{s+r} and itlog(g^1) = V.
+
+    g^s = sum_k s^k/k! (V D)^k t, and V D raises the valuation by one when
+    ord(V) >= 2 (required in both modes), so N = V.order terms are exact.
+    Float mode runs on the exact values of V and s and rounds once.
+    """
     s = coerce(s, V.mode)
-    exact = V.mode == EXACT
-    if exact:
-        v = V.valuation()
-        if v is not None and v < 2:
-            raise PreconditionError("exact flow requires ord(V) >= 2")
-    g = TruncatedSeries.t(V.order, V.mode)
-    cur = g
-    k = 0
-    spow = coerce(1, V.mode)
-    fact = 1
-    while True:
-        k += 1
+    if V.mode == FLOAT:
+        return _rounded(flow(_exact(V), _exact_scalar(s)))
+    if any(V.coeffs[:2]):
+        raise PreconditionError("flow requires ord(V) >= 2")
+    g = cur = TruncatedSeries.t(V.order, EXACT)
+    for k in range(1, V.order):
         cur = V * cur.derivative().pad(V.order)
-        if cur.is_zero():
-            break
-        spow *= s
-        fact *= k
-        try:
-            term = cur.scale(spow / fact)
-        except OverflowError:
-            # float mode only: k! no longer fits a float (k = 171)
-            raise PreconditionError("flow series did not converge") from None
-        g = g + term
-        if not exact:
-            scale = max(abs(c) for c in g.coeffs)
-            if k > V.order and max(abs(c) for c in term.coeffs) < 1e-16 * max(scale, 1.0):
-                break
-        if k > 4 * (V.order + 2) and exact:
-            raise PreconditionError("flow series did not terminate")
+        g = g + cur.scale(s**k / math.factorial(k))
     return g
+
+
+def _exact_scalar(x: float) -> Fraction:
+    """Every finite float is a dyadic rational, so Fraction(x) is exact."""
+    if not math.isfinite(x):
+        raise PreconditionError(f"non-finite float {x!r} has no exact value")
+    return Fraction(x)
+
+
+def _exact(f: TruncatedSeries) -> TruncatedSeries:
+    return TruncatedSeries._raw([_exact_scalar(c) for c in f.coeffs], f.order, EXACT)
+
+
+def _rounded(f: TruncatedSeries) -> TruncatedSeries:
+    # float(Fraction) divides int by int, which Python rounds correctly
+    return TruncatedSeries._raw([float(c) for c in f.coeffs], f.order, FLOAT)
 
 
 def fractional_iterate(f: TruncatedSeries, s) -> TruncatedSeries:
@@ -167,8 +168,7 @@ def fractional_iterate(f: TruncatedSeries, s) -> TruncatedSeries:
         for _ in range(abs(k)):
             acc = base.compose(acc)
         return acc
-    one = coerce(1, f.mode)
-    if f[1] == one:
+    if f[1] == 1:
         return flow(itlog(f), s)
     if f.mode == EXACT:
         raise PreconditionError(
@@ -223,7 +223,7 @@ class UmbralSpec:
         multiplier 1)."""
         s = coerce(s, self.mode)
         if s not in self._iterates:
-            if not _is_integer(s) and self.q == coerce(1, self.mode):
+            if not _is_integer(s) and self.q == 1:
                 self._iterates[s] = flow(self.itlog_series, s)
             else:
                 self._iterates[s] = fractional_iterate(self.f, s)
@@ -372,12 +372,10 @@ def umbral_exp_itlog(spec: UmbralSpec, n_max: int | None = None) -> UmbralOperat
     if n_max is None:
         n_max = spec.default_n_max()
     q = spec.q
-    one = coerce(1, spec.mode)
-    if q == one:
-        v = spec.itlog_series
-        matrix = exp_loc_nilpotent(_x_times_D_series(v, n_max))
+    if q == 1:
+        matrix = exp_loc_nilpotent(_x_times_D_series(spec.itlog_series, n_max))
         return UmbralOperator(spec, matrix, "expitlog")
-    reduced = UmbralSpec(spec.f.scale(one / q))
+    reduced = UmbralSpec(spec.f.scale(1 / q))
     inner = umbral_exp_itlog(reduced, n_max).matrix
     qpow = [q**n for n in range(n_max + 1)]
     matrix = compose_ops(diag_op(qpow, n_max, mode=spec.mode), inner)

@@ -1,6 +1,9 @@
 """Command-line interface: formats, exit codes, determinism."""
 
 import json
+from fractions import Fraction
+
+import pytest
 
 from umbralops.cli import main
 
@@ -198,12 +201,45 @@ def test_float_laguerre_check_uses_column_tolerance(capsys):
 
 
 def test_float_itlog_lost_precision_is_exit_2(capsys):
-    code, out, err = run_cli(
-        capsys, "--order", "40", "--mode", "float", "series", "itlog", "--f", "1,900"
-    )
+    # multiplier 1.001 takes the Koenigs route, whose V fails the Julia equation
+    code, out, err = run_cli(capsys, "--mode", "float", "series", "itlog", "--f", "1.001,1")
     assert code == 2
     assert out == ""
     assert err.startswith("error: float itlog lost precision")
+
+
+def test_float_itlog_at_multiplier_one_rounds_the_exact_itlog(capsys):
+    argv = ("--order", "40", "series", "itlog", "--f", "1,900", "--format", "json")
+    code, out, _ = run_cli(capsys, "--mode", "float", *argv)
+    assert code == 0
+    got = json.loads(out)["series"]["coeffs"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert got == [float(Fraction(c)) for c in json.loads(out)["series"]["coeffs"]]
+
+
+def test_non_finite_float_values_are_usage_errors(capsys):
+    for argv in (
+        ("series", "iterate", "--f", "1,1", "--s", "inf"),
+        ("series", "itlog", "--f", "1,inf"),
+        ("series", "invert", "--f", "1,nan"),
+        ("laguerre", "--p", "1", "--n", "3", "--alpha", "1e999"),
+    ):
+        code, out, err = run_cli(capsys, "--mode", "float", *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert err.startswith("error:") and "non-finite float" in err, argv
+
+
+def test_float_overflow_is_exit_2(capsys):
+    for argv in (
+        ("series", "iterate", "--f", "1e308,1e308", "--s", "0.5"),
+        ("laguerre", "--p", "1", "--n", "3", "--s", "1e308"),
+    ):
+        code, out, err = run_cli(capsys, "--mode", "float", *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert err.startswith("error:"), argv
 
 
 def test_laguerre_p0_message_names_the_float_demo(capsys):
@@ -265,3 +301,27 @@ def test_manifest_with_zero_multiplier_is_refused_for_every_suite(capsys, tmp_pa
     assert out == ""
     assert err.startswith("error:")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "manifest",
+    [
+        [{"name": "x"}],
+        {"name": "x", "coeffs": ["1"]},
+        [{"name": "x", "coeffs": [1, 2]}],
+        [["x"]],
+        [{"coeffs": ["1", "1"]}],
+        None,
+        [{"name": 3, "coeffs": ["1", "1"]}],
+        [{"name": "x", "coeffs": "11"}],
+        [],
+        [{"name": "x", "coeffs": ["1", "one"]}],
+    ],
+)
+def test_malformed_manifest_is_usage_error(capsys, tmp_path, manifest):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(manifest))
+    code, out, err = run_cli(capsys, "verify", "--suite", "duality", "--corpus", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: corpus")

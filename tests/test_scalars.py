@@ -54,6 +54,12 @@ def test_parse_rejects_garbage():
         parse_scalar("one half", EXACT)
 
 
+@pytest.mark.parametrize("text", ["inf", "-inf", "nan", "1e999"])
+def test_parse_float_rejects_non_finite(text):
+    with pytest.raises(ValueError, match="non-finite"):
+        parse_scalar(text, FLOAT)
+
+
 def test_scalar_json_exact_is_string():
     assert scalar_to_json(Fraction(1, 3)) == "1/3"
     assert scalar_from_json("1/3", EXACT) == Fraction(1, 3)

@@ -1,5 +1,6 @@
 """Umbral constructions, iteration theory, fractional powers, identities."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,7 @@ from umbralops.operators import (
     op_inverse,
 )
 from umbralops.polynomials import Polynomial
-from umbralops.scalars import FLOAT
+from umbralops.scalars import EXACT, FLOAT
 from umbralops.series import PreconditionError, TruncatedSeries, series_from_tail
 from umbralops.umbral import (
     CONSTRUCTIONS,
@@ -354,10 +355,13 @@ def test_float_itlog_scaling():
     assert all(abs(c) < 1e-12 for c in v.coeffs[2:])
 
 
-def test_float_flow_reports_divergence():
-    # the terms 900^k / k! overflow before k! stops fitting a float
-    with pytest.raises(PreconditionError, match="did not converge"):
-        flow(TruncatedSeries([0.0, 900.0], 4, FLOAT), 1.0)
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+def test_flow_requires_field_of_order_two(mode):
+    # the series sum_k s^k/k! (V D)^k t terminates only when V D raises the
+    # valuation, so fields with a constant or linear term are refused
+    for coeffs in ([0, 900], [1], [1, 0, 1], [0, -1, 1]):
+        with pytest.raises(PreconditionError, match=r"ord\(V\) >= 2"):
+            flow(TruncatedSeries(coeffs, 4, mode), 1)
 
 
 def _matrix_log_itlog(f):
@@ -434,9 +438,45 @@ def test_spec_iterate_matches_fractional_iterate():
 
 
 def test_float_itlog_reports_lost_precision():
-    f = TruncatedSeries([0.0, 1.0, 900.0] + [0.0] * 38, 40, FLOAT)
+    # near multiplier 1 the Koenigs route divides by q - q^m, about (1 - m)/1000,
+    # so its V fails the Julia equation by far more than the tolerance
+    f = TruncatedSeries([0.0, 1.001, 1.0], 12, FLOAT)
     with pytest.raises(PreconditionError, match="lost precision"):
         itlog(f)
+
+
+def _exact_value(f):
+    return TruncatedSeries([Fraction(c) for c in f.coeffs], f.order)
+
+
+def _rounded(f):
+    return tuple(float(c) for c in f.coeffs)
+
+
+@pytest.mark.parametrize("order", [20, 28, 40])
+def test_float_itlog_at_multiplier_one_is_the_rounded_exact_itlog(order):
+    # each call also passes the Julia-residual guard, which raises otherwise
+    for tail in ([1.0, 1.0], [1.0, 0.5], [1.0, 1.0, -1 / 3, 2.0], [1.0, 900.0]):
+        f = series_from_tail(tail, order, FLOAT)
+        assert itlog(f).coeffs == _rounded(itlog(_exact_value(f))), tail
+
+
+def test_float_flow_is_the_rounded_exact_flow():
+    v = itlog(series_from_tail([1, F(1, 2), F(-1, 3)], 16))
+    fv = TruncatedSeries([float(c) for c in v.coeffs], 16, FLOAT)
+    for s in (0.5, -1 / 3, 2.0, 1e-3):
+        assert flow(fv, s).coeffs == _rounded(flow(_exact_value(fv), Fraction(s))), s
+
+
+def test_exact_value_of_non_finite_floats_is_refused():
+    f = TruncatedSeries([0.0, 1.0, math.inf], 4, FLOAT)
+    with pytest.raises(PreconditionError, match="non-finite"):
+        itlog(f)
+    v = TruncatedSeries([0.0, 0.0, math.nan], 4, FLOAT)
+    with pytest.raises(PreconditionError, match="non-finite"):
+        flow(v, 0.5)
+    with pytest.raises(PreconditionError, match="non-finite"):
+        flow(TruncatedSeries([0.0, 0.0, 1.0], 4, FLOAT), math.inf)
 
 
 @pytest.mark.slow
@@ -451,3 +491,20 @@ def test_seeded_sweep_above_default_order(seed, order):
         half = frac_power(spec, F(1, 2)).matrix
         whole = frac_power(spec, 1).matrix
         assert first_discrepancy(compose_ops(half, half), whole) is None, name
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("order", [16, 20, 24])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_seeded_float_sweep_is_exact_then_rounded(seed, order):
+    for name, exact in random_generators(seed, 2, order):
+        f = TruncatedSeries([float(c) for c in exact.coeffs], order, FLOAT)
+        value = _exact_value(f)
+        assert itlog(f).coeffs == _rounded(itlog(value)), name
+        want = fractional_iterate(value, F(1, 2))
+        got = fractional_iterate(f, 0.5)
+        for n, c in enumerate(want.coeffs):
+            if c:
+                assert abs(got[n] - c) <= 1e-12 * abs(c), (name, n)
+            else:
+                assert got[n] == 0, (name, n)
