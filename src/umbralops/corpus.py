@@ -20,9 +20,11 @@ from .series import DEFAULT_ORDER, TruncatedSeries, series_from_tail
 def load_corpus(path: str | None = None, order: int = DEFAULT_ORDER, mode: str = EXACT):
     """Load the corpus manifest as a list of (name, TruncatedSeries) pairs.
 
-    Raises ValueError, naming the entry, unless the manifest is a non-empty
-    list of {"name": str, "coeffs": [str, ...]} objects whose coefficients
-    parse and fit the order.
+    The built-in manifest (``path`` None) is truncated to ``order``: the
+    truncation of a generator is the same generator at a lower order.  A
+    user manifest is not: it raises ValueError, naming the entry, unless it
+    is a non-empty list of {"name": str, "coeffs": [str, ...]} objects whose
+    coefficients parse and fit the order.
     """
     if path is None:
         text = resources.files("umbralops").joinpath("data/corpus.json").read_text()
@@ -40,6 +42,8 @@ def load_corpus(path: str | None = None, order: int = DEFAULT_ORDER, mode: str =
         coeffs = entry.get("coeffs")
         if not isinstance(coeffs, list) or not coeffs or not all(isinstance(c, str) for c in coeffs):
             raise ValueError(f'{where}: "coeffs" must be a non-empty list of strings')
+        if path is None:
+            coeffs = coeffs[:order]
         try:
             f = series_from_tail([parse_scalar(c, mode) for c in coeffs], order, mode)
         except ValueError as exc:

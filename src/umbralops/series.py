@@ -223,17 +223,18 @@ class TruncatedSeries:
         return acc
 
     def comp_inverse(self) -> "TruncatedSeries":
-        """Compositional inverse g with f(g) = g(f) = t, by triangular solve."""
+        """Compositional inverse g with f(g) = g(f) = t, by Lagrange inversion:
+        with f = t h, [t^n] g = [t^(n-1)] h^(-n) / n.  One unit inverse and
+        order - 1 series products, O(N^3)."""
         if self.coeffs[0] != 0 or self.order < 1 or self.coeffs[1] == 0:
             raise PreconditionError("comp_inverse requires f(0) = 0 and f'(0) != 0")
-        n = self.order
-        g = [coerce(0, self.mode)] * (n + 1)
-        g[1] = coerce(1, self.mode) / self.coeffs[1]
-        for m in range(2, n + 1):
-            partial = TruncatedSeries(g[: m + 1], m, self.mode)
-            resid = self.truncate(m).compose(partial)
-            g[m] = -resid.coeffs[m] / self.coeffs[1]
-        return TruncatedSeries(g, n, self.mode)
+        hinv = self.shift_down(1).unit_inverse()
+        power = TruncatedSeries.one(hinv.order, self.mode)
+        g = [coerce(0, self.mode)]
+        for n in range(1, self.order + 1):
+            power = power * hinv
+            g.append(power.coeffs[n - 1] / n)
+        return TruncatedSeries._raw(g, self.order, self.mode)
 
     def unit_inverse(self) -> "TruncatedSeries":
         """Multiplicative inverse of a series with nonzero constant term."""

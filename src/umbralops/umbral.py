@@ -24,7 +24,6 @@ from .operators import (
     diag_op,
     exp_loc_nilpotent,
     first_discrepancy,
-    gen_pow,
     identity_op,
     log_unipotent,
     normal_form,
@@ -34,7 +33,6 @@ from .operators import (
     op_sub,
     pincherle_derivative,
     x_op,
-    xD_op,
 )
 from .polynomials import Polynomial
 from .scalars import EXACT, FLOAT, coerce, qbinom
@@ -304,17 +302,36 @@ def umbral_garsia(spec: UmbralSpec, n_max: int | None = None) -> UmbralOperator:
 
 
 def umbral_steffensen(spec: UmbralSpec, n_max: int | None = None) -> UmbralOperator:
-    """Construction 2: phi = Q' (D/Q)^{xD + 1} with Q = f^{-1}(D)."""
+    """Construction 2: phi = Q' (D/Q)^{xD + 1} with Q = f^{-1}(D).
+
+    The generalized power U^V = sum_m (U - 1)^m binom(V, m) is summed on
+    series: U = b(D) with b = D/Q is shift-invariant, so (U - 1)^m is
+    (b - 1)^m(D), and V = xD + 1 is diagonal, so binom(V, m) scales column
+    n by binom(n + 1, m).  Column n takes the terms m <= n + 1, one power
+    of b - 1 alive at a time: O(N^3) in place of N + 1 matrix products.
+    b(0) = f'(0), so b - 1 is not nilpotent unless the multiplier is 1.
+    """
     if n_max is None:
         n_max = spec.default_n_max()
     # Q' and D/Q lose one order against f
     _check_order(spec.order - 1, n_max)
     finv = spec.f_inverse
     qprime = finv.derivative()
-    base = finv.shift_down(1).unit_inverse()
-    base_op = op_from_D_series(base.truncate(n_max), n_max)
-    exponent = xD_op(n_max, shift=1, mode=spec.mode)
-    powered = gen_pow(base_op, exponent, term_bound=n_max + 2)
+    u = finv.shift_down(1).unit_inverse().truncate(n_max) - TruncatedSeries.one(n_max, spec.mode)
+    upow = TruncatedSeries.one(n_max, spec.mode)
+    zero = coerce(0, spec.mode)
+    cols = [[zero] * (n + 1) for n in range(n_max + 1)]
+    for m in range(n_max + 2):
+        if m:
+            upow = upow * u
+            if upow.is_zero():
+                break
+        # u^m(D) x^n has u^m_k (n)_k at x^(n-k); binom(n + 1, m) = 0 for n < m - 1
+        for k, a in enumerate(upow.coeffs):
+            if a:
+                for n in range(max(m - 1, k), n_max + 1):
+                    cols[n][n - k] += a * (math.perm(n, k) * math.comb(n + 1, m))
+    powered = _square([Polynomial._raw(c, spec.mode) for c in cols], n_max, spec.mode)
     qprime_op = op_from_D_series(qprime.truncate(n_max), n_max)
     matrix = compose_ops(qprime_op, powered)
     return UmbralOperator(spec, matrix, "steffensen")

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from umbralops.cli import main
+from umbralops.verify import SUITES
 
 
 def run_cli(capsys, *argv):
@@ -155,7 +156,8 @@ def test_float_umbral_agrees_within_column_tolerance(capsys):
 
 
 def test_float_umbral_reports_ill_conditioning(capsys):
-    # at order 16 expitlog and steffensen drift far beyond the tolerance
+    # at order 16 steffensen alone drifts beyond the tolerance (column 14);
+    # its binomial sum cancels, the other constructions agree
     code, out, _ = run_cli(
         capsys, "--mode", "float", "--order", "16", "umbral", "--f", "1,0.5", "--formulas", "all"
     )
@@ -325,3 +327,18 @@ def test_malformed_manifest_is_usage_error(capsys, tmp_path, manifest):
     assert code == 2
     assert out == ""
     assert err.startswith("error: corpus")
+
+
+@pytest.mark.parametrize("suite", sorted(SUITES))
+def test_builtin_corpus_runs_below_the_default_order(capsys, suite):
+    code, out, err = run_cli(capsys, "--order", "8", "verify", "--suite", suite)
+    assert (code, err) == (0, "")
+    assert out.strip().startswith("[")
+
+
+def test_user_manifest_is_not_truncated_to_the_order(capsys, tmp_path):
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps([{"name": "x", "coeffs": ["1"] * 12}]))
+    code, out, err = run_cli(capsys, "--order", "8", "verify", "--suite", "duality", "--corpus", str(path))
+    assert code == 2
+    assert err.startswith("error: corpus entry 1 ('x')")

@@ -1,10 +1,13 @@
 """Truncated series arithmetic, composition, inversion, transcendentals."""
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from umbralops.corpus import load_corpus
+from umbralops.scalars import FLOAT
 from umbralops.series import PreconditionError, TruncatedSeries, series_from_tail
 
 F = Fraction
@@ -83,6 +86,41 @@ def test_comp_inverse_catalan_signs():
     inv = f.comp_inverse()
     assert inv.coeffs[:6] == (F(0), F(1), F(-1), F(2), F(-5), F(14))
     assert f.compose(inv) == TruncatedSeries.t(6)
+
+
+def _comp_inverse_by_triangular_solve(f):
+    """g[m] from the t^m coefficient of f(g) truncated at order m."""
+    n = f.order
+    g = [f[0]] * (n + 1)  # f(0) = 0
+    g[1] = 1 / f[1]
+    for m in range(2, n + 1):
+        resid = f.truncate(m).compose(TruncatedSeries(g[: m + 1], m, f.mode))
+        g[m] = -resid[m] / f[1]
+    return TruncatedSeries(g, n, f.mode)
+
+
+def _dense_generators(seed, order):
+    """Three degree-8 generators with every tail coefficient nonzero, of
+    multiplier 1, 2 and -1/2."""
+    rng = random.Random(seed)
+    out = []
+    for q in (F(1), F(2), F(-1, 2)):
+        tail = [q] + [F(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 4)) for _ in range(7)]
+        out.append(series_from_tail(tail, order))
+    return out
+
+
+@pytest.mark.parametrize("order", [12, 20, pytest.param(28, marks=pytest.mark.slow)])
+def test_comp_inverse_equals_triangular_solve(order):
+    gens = [f for _, f in load_corpus(order=order)] + _dense_generators(order, order)
+    for f in gens:
+        got = f.comp_inverse()
+        assert got == _comp_inverse_by_triangular_solve(f)
+        flt = TruncatedSeries([float(c) for c in f.coeffs], order, FLOAT).comp_inverse()
+        # within 1e-12 of the exact inverse of the float input's exact value
+        exact = TruncatedSeries([F(float(c)) for c in f.coeffs], order).comp_inverse()
+        assert all(type(c) is float for c in flt.coeffs)
+        assert all(abs(a - float(b)) <= 1e-12 * abs(float(b)) for a, b in zip(flt.coeffs, exact.coeffs))
 
 
 def test_unit_inverse():

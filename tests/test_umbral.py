@@ -14,9 +14,12 @@ from umbralops.operators import (
     compose_ops,
     exp_loc_nilpotent,
     first_discrepancy,
+    gen_pow,
     identity_op,
     log_unipotent,
+    op_from_D_series,
     op_inverse,
+    xD_op,
 )
 from umbralops.polynomials import Polynomial
 from umbralops.scalars import EXACT, FLOAT
@@ -41,6 +44,7 @@ from umbralops.umbral import (
     umbral_bucc,
     umbral_garsia,
     umbral_inverse,
+    umbral_steffensen,
 )
 
 F = Fraction
@@ -250,6 +254,25 @@ def test_frac_power_integer_general_multiplier():
     sq = frac_power(spec, 2).matrix
     direct = umbral_bucc(UmbralSpec(spec.f.compose(spec.f))).matrix
     assert first_discrepancy(sq, direct) is None
+
+
+def _steffensen_by_gen_pow(spec, n_max):
+    """The paper's generalized power Q' (D/Q)^{xD + 1} as operator products."""
+    finv = spec.f_inverse
+    qprime = op_from_D_series(finv.derivative().truncate(n_max), n_max)
+    base = op_from_D_series(finv.shift_down(1).unit_inverse().truncate(n_max), n_max)
+    powered = gen_pow(base, xD_op(n_max, shift=1), term_bound=n_max + 2)
+    return compose_ops(qprime, powered)
+
+
+@pytest.mark.parametrize("order", [12, 16])
+def test_steffensen_equals_operator_generalized_power(order):
+    cases = load_corpus(order=order) + random_generators(7, 3, order)
+    assert {"doubling", "doubling-quadratic", "third-quadratic"} <= {name for name, _ in cases}
+    for name, f in cases:
+        spec = UmbralSpec(f)
+        want = _steffensen_by_gen_pow(spec, spec.default_n_max())
+        assert umbral_steffensen(spec).matrix.to_json() == want.to_json(), name
 
 
 def _exp_of_scaled_itlog(spec, s, n_max):

@@ -23,6 +23,14 @@ def test_corpus_shape():
         assert f[1] != 0
 
 
+@pytest.mark.parametrize("order", [4, 8, 11])
+def test_builtin_corpus_truncates_to_the_order(order):
+    full = load_corpus()
+    short = load_corpus(order=order)
+    assert [name for name, _ in short] == [name for name, _ in full]
+    assert [f for _, f in short] == [f.truncate(order) for _, f in full]
+
+
 def test_corpus_from_explicit_path(tmp_path):
     manifest = tmp_path / "c.json"
     manifest.write_text(json.dumps([{"name": "x", "coeffs": ["1", "1/2"]}]))
