@@ -15,8 +15,8 @@ tracked:
 
 Composition bookkeeping: the composed window is the largest ``w`` such that
 every column of the right factor up to ``w`` has degree within the left
-factor's window, and completeness survives only when no output degree
-overflows ``max_out``.
+factor's window.  With a complete right factor the product keeps the left
+factor's ``max_out``, which no image can exceed, and its completeness.
 """
 
 from __future__ import annotations
@@ -25,7 +25,17 @@ import math
 from typing import Sequence
 
 from .polynomials import Polynomial, poly_from_series
-from .scalars import EXACT, FLOAT, check_mode, coerce, common_mode, scalar_from_json, scalar_to_json
+from .scalars import (
+    EXACT,
+    FLOAT,
+    _from_ints,
+    _to_ints,
+    check_mode,
+    coerce,
+    common_mode,
+    scalar_from_json,
+    scalar_to_json,
+)
 from .series import PreconditionError, TruncatedSeries
 
 
@@ -235,13 +245,35 @@ def _accumulate(out: list, c, col: Polynomial, shift: int = 0) -> None:
             out[i] += c * a
 
 
-def _apply_raw(U: OperatorMatrix, p: Polynomial) -> Polynomial:
-    """sum_d p_d U(x^d) over d <= U.n_in, accumulated in one coefficient list."""
-    out = [coerce(0, U.mode)] * (U.max_out + 1)
-    for d, c in enumerate(p.coeffs[: U.n_in + 1]):
-        if c:
-            _accumulate(out, c, U.cols[d])
-    return Polynomial._raw(out, U.mode)
+def _int_cols(U: OperatorMatrix) -> list:
+    """U's columns in the integer view of ``scalars._to_ints``: one
+    ``(nums, d)`` pair per column."""
+    return [_to_ints(c.coeffs, U.mode) for c in U.cols]
+
+
+def _apply_raw(U: OperatorMatrix, p: Polynomial, ucols: list | None = None) -> Polynomial:
+    """sum_d p_d U(x^d) over d <= U.n_in, in the integer view.
+
+    With p = P / e and column d = C_d / c_d, the image is
+    sum_d P_d (L / c_d) C_d over e L, where L is the lcm of the c_d in use:
+    one int list, then one ``Fraction`` per output coefficient.  ``ucols`` is
+    ``_int_cols(U)`` when the caller applies U more than once; without it the
+    columns in use are converted here.  Float mode runs the same loop on the
+    floats (every denominator is 1)."""
+    nums, e = _to_ints(p.coeffs[: U.n_in + 1], U.mode)
+    terms = [
+        (x, ucols[d] if ucols is not None else _to_ints(U.cols[d].coeffs, U.mode))
+        for d, x in enumerate(nums)
+        if x
+    ]
+    lcm = math.lcm(*[c for _, (_, c) in terms])
+    out = [0] * max([len(col) for _, (col, _) in terms], default=0)
+    for x, (col, c) in terms:
+        x *= lcm // c
+        for i, y in enumerate(col):
+            if y:
+                out[i] += x * y
+    return Polynomial._raw(_from_ints(out, e * lcm, U.mode), U.mode)
 
 
 def apply_op(U: OperatorMatrix, p: Polynomial) -> Polynomial:
@@ -288,7 +320,10 @@ def op_scale(U: OperatorMatrix, c) -> OperatorMatrix:
 
 
 def compose_ops(U: OperatorMatrix, V: OperatorMatrix) -> OperatorMatrix:
-    """Operator product U V (V acts first)."""
+    """Operator product U V (V acts first).
+
+    U is converted to the integer view once (``_int_cols``) and every column
+    of V is applied to it by ``_apply_raw``."""
     mode = common_mode(U.mode, V.mode)
     n_in = V.n_in
 
@@ -306,11 +341,13 @@ def compose_ops(U: OperatorMatrix, V: OperatorMatrix) -> OperatorMatrix:
                 "left factor window does not cover the truncated columns"
             )
         max_out = min(U.max_out, V.max_out)
-        window = V.window
-        cols = [_apply_raw(U, c).truncate(max_out) for c in V.cols]
-        return OperatorMatrix(cols, n_in, max_out, window, False, mode)
+        ucols = _int_cols(U)
+        cols = [_apply_raw(U, c, ucols).truncate(max_out) for c in V.cols]
+        return OperatorMatrix(cols, n_in, max_out, V.window, False, mode)
 
-    # V complete: certify column n when its image degrees stay inside U's window.
+    # V complete: certify column n when its image degrees stay inside U's
+    # window.  Every column of U has degree at most U.max_out, so no image
+    # overflows it and U's completeness carries over.
     window = -1
     for n in range(V.window + 1):
         if V.cols[n].degree <= U.window:
@@ -319,30 +356,9 @@ def compose_ops(U: OperatorMatrix, V: OperatorMatrix) -> OperatorMatrix:
             break
     if window < 0:
         raise WindowUnderflowError("composition left no certified columns")
-
-    max_out = U.max_out
-    raw = []
-    overflow = False
-    for n in range(n_in + 1):
-        img = _apply_raw(U, V.cols[n])
-        if n <= window and img.degree > max_out:
-            overflow = True
-        raw.append(img)
-
-    if overflow and not U.is_val_nondecreasing():
-        # high-degree output of a degree-lowering operator cannot be dropped
-        # safely; shrink the window instead
-        w = window
-        while w >= 0 and raw[w].degree > max_out:
-            w -= 1
-        if w < 0:
-            raise WindowUnderflowError("all composed columns overflow max_out")
-        window = w
-        overflow = False
-
-    complete = U.complete and not overflow
-    cols = [img.truncate(max_out) for img in raw]
-    return OperatorMatrix(cols, n_in, max_out, window, complete, mode)
+    ucols = _int_cols(U)
+    cols = [_apply_raw(U, c, ucols) for c in V.cols]
+    return OperatorMatrix(cols, n_in, U.max_out, window, U.complete, mode)
 
 
 def op_inverse(U: OperatorMatrix) -> OperatorMatrix:

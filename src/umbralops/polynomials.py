@@ -5,7 +5,16 @@ from __future__ import annotations
 from itertools import zip_longest
 from typing import Sequence
 
-from .scalars import EXACT, check_mode, coerce, common_mode, scalar_from_json, scalar_to_json
+from .scalars import (
+    EXACT,
+    _from_ints,
+    _to_ints,
+    check_mode,
+    coerce,
+    common_mode,
+    scalar_from_json,
+    scalar_to_json,
+)
 from .series import TruncatedSeries
 
 
@@ -114,18 +123,24 @@ class Polynomial:
         return Polynomial._raw([c * a for a in self.coeffs], self.mode)
 
     def __mul__(self, other):
+        """Polynomial product, or scaling by a scalar.
+
+        The product is an int convolution in the integer view of
+        ``scalars._to_ints``, with one ``Fraction`` per output coefficient;
+        float mode runs the same loop on the floats."""
         if isinstance(other, Polynomial):
             common_mode(self.mode, other.mode)
             if self.is_zero() or other.is_zero():
                 return Polynomial.zero(self.mode)
-            out = [coerce(0, self.mode)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                if a == 0:
-                    continue
-                for j, b in enumerate(other.coeffs):
-                    if b != 0:
-                        out[i + j] += a * b
-            return Polynomial._raw(out, self.mode)
+            a, da = _to_ints(self.coeffs, self.mode)
+            b, db = _to_ints(other.coeffs, self.mode)
+            out = [0] * (len(a) + len(b) - 1)
+            for i, x in enumerate(a):
+                if x:
+                    for j, y in enumerate(b, i):
+                        if y:
+                            out[j] += x * y
+            return Polynomial._raw(_from_ints(out, da * db, self.mode), self.mode)
         try:
             return self.scale(other)
         except TypeError:

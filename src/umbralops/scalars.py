@@ -9,6 +9,7 @@ reject operands of different modes.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 EXACT = "exact"
@@ -51,6 +52,45 @@ def coerce(value, mode: str):
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         return float(value)
     raise ModeMismatchError(f"{value!r} is not a float scalar")
+
+
+_ZERO = Fraction(0)
+
+
+def _to_ints(coeffs, mode: str):
+    """Integer view of a coefficient list, the idiom of FLINT's ``fmpq_poly``:
+    ``(nums, d)`` with ``coeffs[i] == nums[i] / d``, ``nums`` the numerators
+    over ``d``, the least common denominator.  Float mode passes the values
+    through with ``d = 1``, so a loop over the view runs the float field
+    arithmetic unchanged."""
+    if mode == FLOAT:
+        return list(coeffs), 1
+    dens = [c.denominator for c in coeffs]
+    d = math.lcm(*dens)
+    if d == 1:
+        return [c.numerator for c in coeffs], 1
+    return [c.numerator * (d // q) for c, q in zip(coeffs, dens)], d
+
+
+def _from_ints(nums, d, mode: str) -> list:
+    """Canonical coefficients ``nums[i] / d`` from an integer view (``d`` any
+    nonzero integer): one public ``Fraction(n, d)`` per nonzero entry and one
+    shared ``Fraction(0)`` for every zero.  Float mode returns the values as
+    floats (a zero entry that no product reached becomes ``0.0``)."""
+    if mode == FLOAT:
+        return [float(v) for v in nums]
+    return [Fraction(v, d) if v else _ZERO for v in nums]
+
+
+def _int_pivot(a0, n: int, mode: str):
+    """For a fraction-free triangular solve in the integer view with pivot
+    ``a0`` over ``n + 1`` unknowns: the solution's common denominator
+    ``a0^(n+1)``, over which every step's quotient by ``a0`` is an exact
+    integer division, and that division.  Float mode solves in the field:
+    denominator 1 and true division, the plain recurrence's rounding."""
+    if mode == FLOAT:
+        return 1, operator.truediv
+    return a0 ** (n + 1), operator.floordiv
 
 
 def common_mode(a: str, b: str) -> str:

@@ -15,6 +15,9 @@ from typing import Iterable, Sequence
 from .scalars import (
     EXACT,
     FLOAT,
+    _from_ints,
+    _int_pivot,
+    _to_ints,
     check_mode,
     coerce,
     common_mode,
@@ -156,18 +159,24 @@ class TruncatedSeries:
         return TruncatedSeries._raw([c * a for a in self.coeffs], self.order, self.mode)
 
     def __mul__(self, other):
+        """Series product truncated at the order, or scaling by a scalar.
+
+        The product is an int convolution in the integer view of
+        ``scalars._to_ints`` (numerators over one common denominator per
+        operand), with one ``Fraction`` per output coefficient; float mode
+        runs the same loop on the floats."""
         if isinstance(other, TruncatedSeries):
             self._peer(other)
             n = self.order
-            out = [coerce(0, self.mode)] * (n + 1)
-            for i, a in enumerate(self.coeffs):
-                if a == 0:
-                    continue
-                for j in range(0, n + 1 - i):
-                    b = other.coeffs[j]
-                    if b != 0:
-                        out[i + j] += a * b
-            return TruncatedSeries._raw(out, n, self.mode)
+            a, da = _to_ints(self.coeffs, self.mode)
+            b, db = _to_ints(other.coeffs, self.mode)
+            out = [0] * (n + 1)
+            for i, x in enumerate(a):
+                if x:
+                    for j, y in enumerate(b[: n + 1 - i], i):
+                        if y:
+                            out[j] += x * y
+            return TruncatedSeries._raw(_from_ints(out, da * db, self.mode), n, self.mode)
         try:
             return self.scale(other)
         except TypeError:
@@ -237,18 +246,24 @@ class TruncatedSeries:
         return TruncatedSeries._raw(g, self.order, self.mode)
 
     def unit_inverse(self) -> "TruncatedSeries":
-        """Multiplicative inverse of a series with nonzero constant term."""
+        """Multiplicative inverse of a series with nonzero constant term.
+
+        Fraction-free in the integer view of ``scalars._to_ints``: with
+        self = a / d, the inverse is d b / a_0^(N+1) for the integers
+        b_0 = a_0^N, b_m = -(sum_k a_k b_(m-k)) / a_0, each quotient exact.
+        Float mode runs the same recurrence in the field (b_0 = 1 / a_0)."""
         if self.coeffs[0] == 0:
             raise PreconditionError("unit_inverse requires f(0) != 0")
         n = self.order
-        out = [coerce(0, self.mode)] * (n + 1)
-        out[0] = coerce(1, self.mode) / self.coeffs[0]
+        a, d = _to_ints(self.coeffs, self.mode)
+        den, quo = _int_pivot(a[0], n, self.mode)
+        b = [quo(den, a[0])]
         for m in range(1, n + 1):
-            s = coerce(0, self.mode)
+            s = 0
             for k in range(1, m + 1):
-                s += self.coeffs[k] * out[m - k]
-            out[m] = -s / self.coeffs[0]
-        return TruncatedSeries(out, n, self.mode)
+                s += a[k] * b[m - k]
+            b.append(quo(-s, a[0]))
+        return TruncatedSeries._raw(_from_ints([d * v for v in b], den, self.mode), n, self.mode)
 
     # -- transcendental expansions ---------------------------------------
 

@@ -394,6 +394,10 @@ def suite_float(cases, order, seed):
 
 
 _CORPUS_WIDE = ("kernel", "laguerre", "float")
+# Lowest truncation order each suite can run at: kernel's exponentiation
+# identity builds the series t^2 at the default window order - 2, and
+# laguerre's flow generators are -t^(p+2) for p up to 3.
+_MIN_ORDER = {"kernel": 4, "laguerre": 4}
 SUITES = {
     "formulas": suite_formulas,
     "duality": suite_duality,
@@ -425,6 +429,8 @@ def run_verify(
     for name in names:
         if name not in SUITES:
             raise ValueError(f"unknown suite: {name}")
+        if order < _MIN_ORDER.get(name, 0):
+            raise ValueError(f"suite {name} needs order >= {_MIN_ORDER[name]}, got {order}")
     corpus = load_corpus(corpus_path, order)
     if seed is not None:
         corpus = corpus + random_generators(seed, count=3, order=order)

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from umbralops import verify
 from umbralops.cli import main
 from umbralops.verify import SUITES
 
@@ -342,3 +343,21 @@ def test_user_manifest_is_not_truncated_to_the_order(capsys, tmp_path):
     code, out, err = run_cli(capsys, "--order", "8", "verify", "--suite", "duality", "--corpus", str(path))
     assert code == 2
     assert err.startswith("error: corpus entry 1 ('x')")
+
+
+@pytest.mark.parametrize("order", ["2", "3"])
+@pytest.mark.parametrize("suite, refused", [("kernel", "kernel"), ("laguerre", "laguerre"), ("all", "kernel")])
+def test_verify_below_the_minimum_order_names_it(capsys, monkeypatch, order, suite, refused):
+    # refused before any generator is loaded
+    monkeypatch.setattr(verify, "load_corpus", None)
+    code, out, err = run_cli(capsys, "--order", order, "verify", "--suite", suite)
+    assert (code, out) == (2, "")
+    assert err == f"error: suite {refused} needs order >= 4, got {order}\n"
+
+
+def test_verify_all_passes_at_the_minimum_order(capsys):
+    code, out, err = run_cli(capsys, "--order", "4", "verify", "--suite", "all", "--format", "json")
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["passed"] is True
+    assert {it["suite"] for it in report["items"]} == set(SUITES)

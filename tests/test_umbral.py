@@ -531,3 +531,24 @@ def test_seeded_float_sweep_is_exact_then_rounded(seed, order):
                 assert abs(got[n] - c) <= 1e-12 * abs(c), (name, n)
             else:
                 assert got[n] == 0, (name, n)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name", ["roadmap", "geometric-alternating", "cubic-exp-prefix"])
+def test_constructions_half_power_and_group_laws_at_order_40(name):
+    order = 40
+    if name == "roadmap":
+        f = series_from_tail([1, 1, F(-1, 3), 2], order)
+    else:
+        f = dict(load_corpus(order=order))[name]
+    spec = UmbralSpec(f)
+    ops = {key: build(spec).matrix for key, build in CONSTRUCTIONS.items()}
+    garsia = ops["garsia"]
+    for key, op in ops.items():
+        assert op.window == spec.default_n_max(), key
+        assert first_discrepancy(garsia, op) is None, key
+    half = frac_power(spec, F(1, 2)).matrix
+    square = compose_ops(half, half)
+    assert square.window >= garsia.window
+    assert first_discrepancy(square, garsia) is None
+    assert group_law_checks(spec, F(1, 2), F(1, 3))["passed"]
