@@ -22,25 +22,21 @@ def biv_sub(a: dict, b: dict) -> dict:
     return _clean(out)
 
 
-def expand_in_x_plus_y(p: Polynomial) -> dict:
-    """p(x + y) as a bivariate polynomial."""
+def binomial_convolution_residual(p: Polynomial, a, b, n: int) -> dict:
+    """p(x + y) - sum_k binom(n, k) a(k)(x) b(n - k)(y), where ``a`` and
+    ``b`` map an index to its polynomial; zero for a sequence of binomial
+    type (a = b) or a cross-sequence pair."""
     out: dict = {}
     for m, c in enumerate(p.coeffs):
-        if c == 0:
-            continue
-        for i in range(m + 1):
-            key = (i, m - i)
-            out[key] = out.get(key, 0) + c * math.comb(m, i)
-    return _clean(out)
-
-
-def product_x_y(px: Polynomial, py: Polynomial) -> dict:
-    """px(x) * py(y)."""
-    out: dict = {}
-    for i, a in enumerate(px.coeffs):
-        if a == 0:
-            continue
-        for j, b in enumerate(py.coeffs):
-            if b != 0:
-                out[(i, j)] = out.get((i, j), 0) + a * b
+        if c != 0:
+            for i in range(m + 1):
+                out[(i, m - i)] = out.get((i, m - i), 0) + c * math.comb(m, i)
+    for k in range(n + 1):
+        px = a(k).scale(math.comb(n, k))
+        py = b(n - k)
+        for i, u in enumerate(px.coeffs):
+            if u != 0:
+                for j, v in enumerate(py.coeffs):
+                    if v != 0:
+                        out[(i, j)] = out.get((i, j), 0) - u * v
     return _clean(out)

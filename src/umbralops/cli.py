@@ -96,6 +96,17 @@ def _poly_text(p: Polynomial) -> str:
     return out
 
 
+def _poly_table(label: str, polys):
+    """JSON rows, pretty lines and CSV rows of a table whose row i is the
+    degree-i polynomial ``polys[i]``, printed as ``<label>_i``."""
+    rows, pretty, csv_rows = [], [], []
+    for i, poly in enumerate(polys):
+        rows.append([scalar_to_json(poly.coeff(k)) for k in range(i + 1)])
+        pretty.append(f"{label}_{i} = {_poly_text(poly)}")
+        csv_rows.extend([i, k, format_scalar(poly.coeff(k))] for k in range(i + 1))
+    return rows, pretty, csv_rows
+
+
 def _emit(payload: dict, fmt: str, csv_rows=None) -> None:
     if fmt == "json":
         print(json.dumps(payload, indent=2))
@@ -164,15 +175,7 @@ def cmd_umbral(args) -> int:
     diffs = {}
     for name in names[1:]:
         diffs[name] = first_discrepancy(base.matrix, ops[name].matrix)
-    table = []
-    pretty = []
-    csv_rows = []
-    for i in range(n + 1):
-        col = base.matrix.col(i)
-        table.append([scalar_to_json(col.coeff(k)) for k in range(i + 1)])
-        pretty.append(f"phi_{i} = {_poly_text(col)}")
-        for k in range(i + 1):
-            csv_rows.append([i, k, format_scalar(col.coeff(k))])
+    table, pretty, csv_rows = _poly_table("phi", base.matrix.cols[: n + 1])
     agreement = {
         name: None if d is None else {"col": d[0], "coeff": d[1]}
         for name, d in diffs.items()
@@ -211,9 +214,9 @@ def cmd_laguerre(args) -> int:
             "--check covers the s = 1 family only; "
             "verify --suite laguerre checks the fractional members"
         )
-    rows = []
-    pretty = []
-    csv_rows = []
+    if s != 1 and alpha != 0:
+        raise UsageError("fractional --s requires --alpha 0")
+    polys = []
     check_fail = False
     for i in range(n + 1):
         if s == 1:
@@ -228,13 +231,9 @@ def cmd_laguerre(args) -> int:
                 ):
                     check_fail = True
         else:
-            if alpha != 0:
-                raise UsageError("fractional --s requires --alpha 0")
             poly = frac_laguerre(args.p, i, s, mode)
-        rows.append([scalar_to_json(poly.coeff(k)) for k in range(i + 1)])
-        pretty.append(f"L_{i} = {_poly_text(poly)}")
-        for k in range(i + 1):
-            csv_rows.append([i, k, format_scalar(poly.coeff(k))])
+        polys.append(poly)
+    rows, pretty, csv_rows = _poly_table("L", polys)
     if args.check:
         pretty.append("identity grid: " + ("FAIL" if check_fail else "pass"))
     payload = {

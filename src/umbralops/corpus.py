@@ -13,11 +13,11 @@ import random
 from fractions import Fraction
 from importlib import resources
 
-from .scalars import EXACT, parse_scalar
-from .series import DEFAULT_ORDER, TruncatedSeries, series_from_tail
+from .scalars import parse_scalar
+from .series import DEFAULT_ORDER, series_from_tail
 
 
-def load_corpus(path: str | None = None, order: int = DEFAULT_ORDER, mode: str = EXACT):
+def load_corpus(path: str | None = None, order: int = DEFAULT_ORDER):
     """Load the corpus manifest as a list of (name, TruncatedSeries) pairs.
 
     The built-in manifest (``path`` None) is truncated to ``order``: the
@@ -45,7 +45,7 @@ def load_corpus(path: str | None = None, order: int = DEFAULT_ORDER, mode: str =
         if path is None:
             coeffs = coeffs[:order]
         try:
-            f = series_from_tail([parse_scalar(c, mode) for c in coeffs], order, mode)
+            f = series_from_tail([parse_scalar(c) for c in coeffs], order)
         except ValueError as exc:
             raise ValueError(f"{where}: {exc}") from exc
         out.append((entry["name"], f))

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .bivariate import biv_sub, expand_in_x_plus_y, product_x_y
+from .bivariate import binomial_convolution_residual, biv_sub
 from .operators import (
     NormalForm,
     OperatorMatrix,
@@ -146,54 +146,52 @@ def _biv_report(identity: str, resid: dict) -> dict:
     }
 
 
-def cross_sequence_check(p: int, n: int, alpha, beta, mode: str = EXACT) -> dict:
+def cross_sequence_check(p: int, n: int, alpha, beta) -> dict:
     """Two-variable convolution identity of the associated family: the
     (alpha+beta)-member at x+y equals the binomial convolution of the
     alpha-member in x with the beta-member in y."""
-    lhs = expand_in_x_plus_y(degenerate_laguerre_explicit(p, n, coerce(alpha, mode) + coerce(beta, mode), mode))
-    rhs: dict = {}
-    for k in range(n + 1):
-        px = degenerate_laguerre_explicit(p, k, alpha, mode).scale(math.comb(n, k))
-        py = degenerate_laguerre_explicit(p, n - k, beta, mode)
-        for key, v in product_x_y(px, py).items():
-            rhs[key] = rhs.get(key, 0) + v
-    rhs = {k: v for k, v in rhs.items() if v != 0}
-    return _biv_report("laguerre-cross-sequence", biv_sub(lhs, rhs))
+    resid = binomial_convolution_residual(
+        degenerate_laguerre_explicit(p, n, alpha + beta),
+        lambda k: degenerate_laguerre_explicit(p, k, alpha),
+        lambda k: degenerate_laguerre_explicit(p, k, beta),
+        n,
+    )
+    return _biv_report("laguerre-cross-sequence", resid)
 
 
-def laguerre_genfun_check(p: int, alpha, t_order: int, mode: str = EXACT) -> dict:
+def laguerre_genfun_check(p: int, alpha, t_order: int) -> dict:
     """Exponential generating function check: sum_n L_n(x) t^n/n! against
     (1 + p t^p)^{-alpha/p} exp(x t / (1 + p t^p)^{1/p}), both expanded as
     exact bivariate polynomials through degree t_order in t."""
-    alpha = coerce(alpha, mode)
+    alpha = coerce(alpha, EXACT)
     lhs: dict = {}
     for n in range(t_order + 1):
-        L = degenerate_laguerre_explicit(p, n, alpha, mode)
-        inv = coerce(1, mode) / math.factorial(n)
+        L = degenerate_laguerre_explicit(p, n, alpha)
+        inv = coerce(1, EXACT) / math.factorial(n)
         for i, c in enumerate(L.coeffs):
             if c != 0:
                 lhs[(i, n)] = lhs.get((i, n), 0) + c * inv
-    u = _unit_plus_tp(t_order, p, p, mode)
+    u = _unit_plus_tp(t_order, p, p, EXACT)
     pre = u.pow_scalar(-alpha / p)
-    inner = u.pow_scalar(coerce(-1, mode) / p).shift(1)
+    inner = u.pow_scalar(coerce(-1, EXACT) / p).shift(1)
     rhs: dict = {}
     term = pre
     for m in range(t_order + 1):
         if m > 0:
-            term = (term * inner).scale(coerce(1, mode) / m)
+            term = (term * inner).scale(coerce(1, EXACT) / m)
         for j, c in enumerate(term.coeffs):
             if c != 0:
                 rhs[(m, j)] = rhs.get((m, j), 0) + c
-    lhs = {k: v for k, v in lhs.items() if v != 0}
-    rhs = {k: v for k, v in rhs.items() if v != 0}
     return _biv_report("laguerre-genfun", biv_sub(lhs, rhs))
 
 
-def laguerre_p0_float_demo(n_max: int = 8, tol: float = 1e-12) -> dict:
+def laguerre_p0_float_demo() -> dict:
     """Float-mode p = 0 member: the generator t/e produces the pure scaling
-    operator with columns e^{-n} x^n.  Returns the worst absolute error."""
+    operator with columns e^{-n} x^n on the window 8, passing at absolute
+    error 1e-12.  Returns the worst absolute error."""
     from .umbral import UmbralSpec, umbral_bucc
 
+    n_max = 8
     order = n_max + 2
     f = TruncatedSeries.t(order, FLOAT).scale(1.0 / math.e)
     U = umbral_bucc(UmbralSpec(f), n_max)
@@ -205,6 +203,6 @@ def laguerre_p0_float_demo(n_max: int = 8, tol: float = 1e-12) -> dict:
             worst = max(worst, abs(float(col.coeff(k)) - want))
     return {
         "identity": "p0-scaling-demo",
-        "status": "pass" if worst <= tol else "fail",
+        "status": "pass" if worst <= 1e-12 else "fail",
         "max_abs_error": worst,
     }

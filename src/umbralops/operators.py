@@ -33,8 +33,6 @@ from .scalars import (
     check_mode,
     coerce,
     common_mode,
-    scalar_from_json,
-    scalar_to_json,
 )
 from .series import PreconditionError, TruncatedSeries
 
@@ -575,22 +573,9 @@ class NormalForm:
     def __repr__(self):
         return f"NormalForm({self.table!r})"
 
-    def entry(self, j: int, k: int):
-        return self.table.get((j, k), coerce(0, self.mode))
-
     def l_transform(self) -> "NormalForm":
         """The x/D swap: x^j D^k -> x^k D^j (an anti-multiplicative involution)."""
         return NormalForm({(k, j): c for (j, k), c in self.table.items()}, self.mode)
-
-    def to_json(self):
-        return [
-            [j, k, scalar_to_json(c)]
-            for (j, k), c in sorted(self.table.items())
-        ]
-
-    @classmethod
-    def from_json(cls, obj, mode: str = EXACT) -> "NormalForm":
-        return cls({(j, k): scalar_from_json(c, mode) for j, k, c in obj}, mode)
 
 
 def normal_form(U: OperatorMatrix, k_max: int | None = None, j_max: int | None = None) -> NormalForm:

@@ -7,8 +7,7 @@ from typing import Sequence
 
 from .scalars import (
     EXACT,
-    _from_ints,
-    _to_ints,
+    _convolve,
     check_mode,
     coerce,
     common_mode,
@@ -123,24 +122,13 @@ class Polynomial:
         return Polynomial._raw([c * a for a in self.coeffs], self.mode)
 
     def __mul__(self, other):
-        """Polynomial product, or scaling by a scalar.
-
-        The product is an int convolution in the integer view of
-        ``scalars._to_ints``, with one ``Fraction`` per output coefficient;
-        float mode runs the same loop on the floats."""
+        """Polynomial product (``scalars._convolve``), or scaling by a scalar."""
         if isinstance(other, Polynomial):
             common_mode(self.mode, other.mode)
             if self.is_zero() or other.is_zero():
                 return Polynomial.zero(self.mode)
-            a, da = _to_ints(self.coeffs, self.mode)
-            b, db = _to_ints(other.coeffs, self.mode)
-            out = [0] * (len(a) + len(b) - 1)
-            for i, x in enumerate(a):
-                if x:
-                    for j, y in enumerate(b, i):
-                        if y:
-                            out[j] += x * y
-            return Polynomial._raw(_from_ints(out, da * db, self.mode), self.mode)
+            size = len(self.coeffs) + len(other.coeffs) - 1
+            return Polynomial._raw(_convolve(self.coeffs, other.coeffs, size, self.mode), self.mode)
         try:
             return self.scale(other)
         except TypeError:
@@ -162,19 +150,6 @@ class Polynomial:
         for _ in range(times):
             p = Polynomial._raw([i * c for i, c in enumerate(p.coeffs)][1:], p.mode)
         return p
-
-    def __call__(self, value):
-        acc = coerce(0, self.mode)
-        for c in reversed(self.coeffs):
-            acc = acc * value + c
-        return acc
-
-    def compose(self, other: "Polynomial") -> "Polynomial":
-        common_mode(self.mode, other.mode)
-        acc = Polynomial.zero(self.mode)
-        for c in reversed(self.coeffs):
-            acc = acc * other + Polynomial([c], self.mode)
-        return acc
 
 
 def poly_from_series(f: TruncatedSeries) -> Polynomial:

@@ -82,6 +82,22 @@ def _from_ints(nums, d, mode: str) -> list:
     return [Fraction(v, d) if v else _ZERO for v in nums]
 
 
+def _convolve(a, b, size: int, mode: str) -> list:
+    """The first ``size`` coefficients of the product of the coefficient
+    lists ``a`` and ``b``: an int convolution in the integer view, with one
+    ``Fraction`` per output coefficient; float mode runs the same loop on
+    the floats."""
+    a, da = _to_ints(a, mode)
+    b, db = _to_ints(b, mode)
+    out = [0] * size
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b[: size - i], i):
+                if y:
+                    out[j] += x * y
+    return _from_ints(out, da * db, mode)
+
+
 def _int_pivot(a0, n: int, mode: str):
     """For a fraction-free triangular solve in the integer view with pivot
     ``a0`` over ``n + 1`` unknowns: the solution's common denominator

@@ -15,6 +15,7 @@ from typing import Iterable, Sequence
 from .scalars import (
     EXACT,
     FLOAT,
+    _convolve,
     _from_ints,
     _int_pivot,
     _to_ints,
@@ -159,24 +160,12 @@ class TruncatedSeries:
         return TruncatedSeries._raw([c * a for a in self.coeffs], self.order, self.mode)
 
     def __mul__(self, other):
-        """Series product truncated at the order, or scaling by a scalar.
-
-        The product is an int convolution in the integer view of
-        ``scalars._to_ints`` (numerators over one common denominator per
-        operand), with one ``Fraction`` per output coefficient; float mode
-        runs the same loop on the floats."""
+        """Series product truncated at the order (``scalars._convolve``), or
+        scaling by a scalar."""
         if isinstance(other, TruncatedSeries):
             self._peer(other)
             n = self.order
-            a, da = _to_ints(self.coeffs, self.mode)
-            b, db = _to_ints(other.coeffs, self.mode)
-            out = [0] * (n + 1)
-            for i, x in enumerate(a):
-                if x:
-                    for j, y in enumerate(b[: n + 1 - i], i):
-                        if y:
-                            out[j] += x * y
-            return TruncatedSeries._raw(_from_ints(out, da * db, self.mode), n, self.mode)
+            return TruncatedSeries._raw(_convolve(self.coeffs, other.coeffs, n + 1, self.mode), n, self.mode)
         try:
             return self.scale(other)
         except TypeError:

@@ -8,6 +8,7 @@ import pytest
 import umbralops.umbral as umbral_module
 from umbralops.corpus import load_corpus, random_generators, split_by_multiplier
 from umbralops.operators import (
+    OperatorMatrix,
     apply_op,
     column_discrepancy,
     composition_operator,
@@ -26,6 +27,7 @@ from umbralops.scalars import EXACT, FLOAT
 from umbralops.series import PreconditionError, TruncatedSeries, series_from_tail
 from umbralops.umbral import (
     CONSTRUCTIONS,
+    UmbralOperator,
     UmbralSpec,
     _x_times_D_series,
     coeff_identity_scan,
@@ -228,6 +230,18 @@ def test_binomial_type_identity():
 def test_genfun_check_passes_and_detects():
     spec = UmbralSpec(TruncatedSeries([0, 1, 1], 12))
     assert genfun_check(umbral_bucc(spec), 8)["status"] == "exact-pass"
+
+
+def test_genfun_check_reports_a_perturbed_coefficient():
+    spec = UmbralSpec(TruncatedSeries([0, 1, 1], 12))
+    m = umbral_bucc(spec).matrix
+    cols = list(m.cols)
+    cols[5] = cols[5] + Polynomial.monomial(3, F(1, 7))
+    bad = UmbralOperator(spec, OperatorMatrix(cols, m.n_in, m.max_out, m.window, m.complete), "bucc")
+    rep = genfun_check(bad, 8)
+    assert rep["status"] == "fail"
+    assert rep["first_discrepancy"] == {"col": 5, "coeff": 3}
+    assert rep["window"] == 8
 
 
 def test_pincherle_ode_residual_zero():
@@ -489,6 +503,20 @@ def test_float_flow_is_the_rounded_exact_flow():
     fv = TruncatedSeries([float(c) for c in v.coeffs], 16, FLOAT)
     for s in (0.5, -1 / 3, 2.0, 1e-3):
         assert flow(fv, s).coeffs == _rounded(flow(_exact_value(fv), Fraction(s))), s
+
+
+@pytest.mark.parametrize("order", [12, 16, pytest.param(20, marks=pytest.mark.slow)])
+def test_float_iterate_at_multiplier_one_is_the_rounded_exact_iterate(order):
+    # integer s included: composing in float rounds at every step
+    for seed in (1, 2, 3, 4):
+        for name, exact in random_generators(seed, 2, order):
+            coeffs = [float(c) * (1.1 if n > 1 else 1) for n, c in enumerate(exact.coeffs)]
+            f = TruncatedSeries(coeffs, order, FLOAT)
+            spec = UmbralSpec(f)
+            for s in (0.5, 2.0, -1.0, -1 / 3):
+                want = _rounded(fractional_iterate(_exact_value(f), Fraction(s)))
+                assert fractional_iterate(f, s).coeffs == want, (name, s)
+                assert spec.iterate(s).coeffs == want, (name, s)
 
 
 def test_exact_value_of_non_finite_floats_is_refused():

@@ -6,7 +6,11 @@ import json
 import pytest
 
 from umbralops import umbral, verify
+from umbralops import laguerre
 from umbralops.corpus import load_corpus, random_generators, split_by_multiplier
+from umbralops.operators import OperatorMatrix
+from umbralops.polynomials import Polynomial
+from umbralops.series import PreconditionError
 from umbralops.verify import SUITES, run_verify
 
 
@@ -93,6 +97,50 @@ def test_verify_all_report_digest():
         hashlib.sha256(blob.encode()).hexdigest()
         == "db959c70527b15f34d7edf0bd9ef2542a244b8526b239629a3a782c3865619c3"
     )
+
+
+@pytest.mark.slow
+def test_verify_all_report_digest_at_order_20():
+    items = run_verify("all", 7, order=20)["items"]
+    items = sorted(items, key=lambda it: (it["suite"], it["identity"], it["case"]))
+    blob = json.dumps(items, sort_keys=True, separators=(",", ":"))
+    assert len(items) == 332
+    assert (
+        hashlib.sha256(blob.encode()).hexdigest()
+        == "27f849b09f09b27f01a46e694ccb8fcfed8e4cdd3a1eaab7fad6cf884215779c"
+    )
+
+
+def test_laguerre_path_disagreement_is_a_failed_item(monkeypatch):
+    real = laguerre.laguerre_operator_paths
+
+    def skewed(*args):
+        path1, path2 = real(*args)
+        cols = list(path2.cols)
+        if len(cols) > 3:
+            cols[3] = cols[3] + Polynomial.one()
+        return path1, OperatorMatrix(cols, path2.n_in, path2.max_out, path2.window, path2.complete)
+
+    # in both modules: degenerate_laguerre_operator builds the paths too
+    for module in (laguerre, verify):
+        monkeypatch.setattr(module, "laguerre_operator_paths", skewed, raising=False)
+    report = run_verify("laguerre")
+    assert not report["passed"]
+    failed = [it for it in report["items"] if it["status"] == "fail"]
+    assert {it["identity"] for it in failed} == {"explicit-vs-operator"}
+    assert len(failed) == 12
+    assert all(it["first_discrepancy"] == {"n": 3} for it in failed)
+
+
+def test_field_extraction_precondition_is_a_failed_item(monkeypatch):
+    def off_row(U):
+        raise PreconditionError("logarithm has support off the linear row at x^2 D^3")
+
+    monkeypatch.setattr(verify, "extract_generator_field", off_row)
+    report = run_verify("itlog")
+    assert not report["passed"]
+    statuses = {(it["identity"], it["status"]) for it in report["items"]}
+    assert statuses == {("field-extraction", "fail"), ("julia-equation", "exact-pass")}
 
 
 def test_run_verify_deduplicates_suites_and_refuses_empty_selection():
