@@ -27,16 +27,13 @@ def binomial_convolution_residual(p: Polynomial, a, b, n: int) -> dict:
     ``b`` map an index to its polynomial; zero for a sequence of binomial
     type (a = b) or a cross-sequence pair."""
     out: dict = {}
-    for m, c in enumerate(p.coeffs):
-        if c != 0:
-            for i in range(m + 1):
-                out[(i, m - i)] = out.get((i, m - i), 0) + c * math.comb(m, i)
+    for m, c in p.terms():
+        for i in range(m + 1):
+            out[(i, m - i)] = out.get((i, m - i), 0) + c * math.comb(m, i)
     for k in range(n + 1):
         px = a(k).scale(math.comb(n, k))
-        py = b(n - k)
-        for i, u in enumerate(px.coeffs):
-            if u != 0:
-                for j, v in enumerate(py.coeffs):
-                    if v != 0:
-                        out[(i, j)] = out.get((i, j), 0) - u * v
+        py = b(n - k).terms()
+        for i, u in px.terms():
+            for j, v in py:
+                out[(i, j)] = out.get((i, j), 0) - u * v
     return _clean(out)

@@ -17,9 +17,9 @@ import sys
 
 from .laguerre import (
     degenerate_laguerre_explicit,
-    degenerate_laguerre_operator,
     frac_laguerre,
     laguerre_ode_residual,
+    laguerre_operator_paths,
 )
 from .operators import column_discrepancy, first_discrepancy
 from .polynomials import Polynomial
@@ -69,7 +69,7 @@ def _parse_tail(text: str, order: int, mode: str) -> TruncatedSeries:
 
 
 def _series_row(f: TruncatedSeries):
-    return [scalar_to_json(c) for c in f.coeffs]
+    return [scalar_to_json(c) for c in f]
 
 
 def _poly_text(p: Polynomial) -> str:
@@ -218,13 +218,19 @@ def cmd_laguerre(args) -> int:
         raise UsageError("fractional --s requires --alpha 0")
     polys = []
     check_fail = False
+    if args.check:
+        # the field operator lowers degree, so column i of each path is the
+        # index-i polynomial
+        path1, path2 = laguerre_operator_paths(args.p, alpha, n, mode)
+        if first_discrepancy(path1, path2) is not None:
+            raise AssertionError("the two operator constructions disagree")
     for i in range(n + 1):
         if s == 1:
             poly = degenerate_laguerre_explicit(args.p, i, alpha, mode)
             if args.check:
-                other = degenerate_laguerre_operator(args.p, i, alpha, mode)
+                other = path2.col(i)
                 resid = laguerre_ode_residual(args.p, i, alpha, mode)
-                biggest = max((abs(c) for c in poly.coeffs), default=0)
+                biggest = max((abs(c) for c in poly), default=0)
                 if (
                     column_discrepancy(poly, other) is not None
                     or column_discrepancy(resid, Polynomial.zero(mode), biggest) is not None

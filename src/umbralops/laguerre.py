@@ -168,9 +168,8 @@ def laguerre_genfun_check(p: int, alpha, t_order: int) -> dict:
     for n in range(t_order + 1):
         L = degenerate_laguerre_explicit(p, n, alpha)
         inv = coerce(1, EXACT) / math.factorial(n)
-        for i, c in enumerate(L.coeffs):
-            if c != 0:
-                lhs[(i, n)] = lhs.get((i, n), 0) + c * inv
+        for i, c in L.terms():
+            lhs[(i, n)] = lhs.get((i, n), 0) + c * inv
     u = _unit_plus_tp(t_order, p, p, EXACT)
     pre = u.pow_scalar(-alpha / p)
     inner = u.pow_scalar(coerce(-1, EXACT) / p).shift(1)
@@ -179,9 +178,8 @@ def laguerre_genfun_check(p: int, alpha, t_order: int) -> dict:
     for m in range(t_order + 1):
         if m > 0:
             term = (term * inner).scale(coerce(1, EXACT) / m)
-        for j, c in enumerate(term.coeffs):
-            if c != 0:
-                rhs[(m, j)] = rhs.get((m, j), 0) + c
+        for j, c in term.terms():
+            rhs[(m, j)] = rhs.get((m, j), 0) + c
     return _biv_report("laguerre-genfun", biv_sub(lhs, rhs))
 
 

@@ -22,14 +22,15 @@ factor's ``max_out``, which no image can exceed, and its completeness.
 from __future__ import annotations
 
 import math
+import operator
 from typing import Sequence
 
 from .polynomials import Polynomial, poly_from_series
 from .scalars import (
     EXACT,
     FLOAT,
+    _Frozen,
     _from_ints,
-    _to_ints,
     check_mode,
     coerce,
     common_mode,
@@ -46,7 +47,7 @@ class WindowUnderflowError(ValueError):
 FLOAT_COLUMN_TOL = 1e-9
 
 
-class OperatorMatrix:
+class OperatorMatrix(_Frozen):
     __slots__ = ("cols", "n_in", "max_out", "window", "complete", "mode")
 
     def __init__(
@@ -70,15 +71,9 @@ class OperatorMatrix:
                 raise ValueError("column mode mismatch")
             if c.degree > max_out:
                 raise ValueError("column degree exceeds max_out")
-        object.__setattr__(self, "cols", tuple(cols))
-        object.__setattr__(self, "n_in", n_in)
-        object.__setattr__(self, "max_out", max_out)
-        object.__setattr__(self, "window", window)
-        object.__setattr__(self, "complete", complete)
-        object.__setattr__(self, "mode", mode)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("OperatorMatrix is immutable")
+        self._init(
+            cols=tuple(cols), n_in=n_in, max_out=max_out, window=window, complete=complete, mode=mode
+        )
 
     def col(self, n: int) -> Polynomial:
         return self.cols[n]
@@ -138,25 +133,19 @@ class OperatorMatrix:
 # -- constructors -------------------------------------------------------
 
 
-def zero_op(n_in: int, max_out: int | None = None, mode: str = EXACT) -> OperatorMatrix:
-    if max_out is None:
-        max_out = n_in
-    cols = [Polynomial.zero(mode) for _ in range(n_in + 1)]
-    return OperatorMatrix(cols, n_in, max_out, n_in, True, mode)
-
-
-def identity_op(n_in: int, max_out: int | None = None, mode: str = EXACT) -> OperatorMatrix:
-    if max_out is None:
-        max_out = n_in
-    cols = [Polynomial.monomial(n, 1, mode) for n in range(n_in + 1)]
-    return OperatorMatrix(cols, n_in, max_out, n_in, True, mode)
-
-
 def diag_op(values: Sequence, n_in: int, max_out: int | None = None, mode: str = EXACT) -> OperatorMatrix:
     if max_out is None:
         max_out = n_in
     cols = [Polynomial.monomial(n, 1, mode).scale(values[n]) for n in range(n_in + 1)]
     return OperatorMatrix(cols, n_in, max_out, n_in, True, mode)
+
+
+def zero_op(n_in: int, max_out: int | None = None, mode: str = EXACT) -> OperatorMatrix:
+    return diag_op([0] * (n_in + 1), n_in, max_out, mode)
+
+
+def identity_op(n_in: int, max_out: int | None = None, mode: str = EXACT) -> OperatorMatrix:
+    return diag_op([1] * (n_in + 1), n_in, max_out, mode)
 
 
 def xD_op(n_in: int, shift: int = 0, mode: str = EXACT) -> OperatorMatrix:
@@ -238,15 +227,14 @@ def composition_operator(g: TruncatedSeries, n_in: int, max_out: int | None = No
 def _accumulate(out: list, c, col: Polynomial, shift: int = 0) -> None:
     """out[shift + i] += c * col_i for every nonzero coefficient of col, on
     a list long enough to hold them; c and out must be in col's mode."""
-    for i, a in enumerate(col.coeffs, shift):
-        if a:
-            out[i] += c * a
+    for i, a in col.terms():
+        out[shift + i] += c * a
 
 
 def _int_cols(U: OperatorMatrix) -> list:
     """U's columns in the integer view of ``scalars._to_ints``: one
     ``(nums, d)`` pair per column."""
-    return [_to_ints(c.coeffs, U.mode) for c in U.cols]
+    return [c.int_view() for c in U.cols]
 
 
 def _apply_raw(U: OperatorMatrix, p: Polynomial, ucols: list | None = None) -> Polynomial:
@@ -258,9 +246,9 @@ def _apply_raw(U: OperatorMatrix, p: Polynomial, ucols: list | None = None) -> P
     ``_int_cols(U)`` when the caller applies U more than once; without it the
     columns in use are converted here.  Float mode runs the same loop on the
     floats (every denominator is 1)."""
-    nums, e = _to_ints(p.coeffs[: U.n_in + 1], U.mode)
+    nums, e = p.int_view(U.n_in + 1)
     terms = [
-        (x, ucols[d] if ucols is not None else _to_ints(U.cols[d].coeffs, U.mode))
+        (x, ucols[d] if ucols is not None else U.cols[d].int_view())
         for d, x in enumerate(nums)
         if x
     ]
@@ -284,32 +272,29 @@ def apply_op(U: OperatorMatrix, p: Polynomial) -> Polynomial:
     return _apply_raw(U, p)
 
 
-def _aligned(U: OperatorMatrix, V: OperatorMatrix):
+def _columnwise(U: OperatorMatrix, V: OperatorMatrix, op) -> OperatorMatrix:
+    """op on the columns of U and V over their common input range; an
+    incomplete operand truncates both at the smaller max_out."""
     mode = common_mode(U.mode, V.mode)
     n_in = min(U.n_in, V.n_in)
     window = min(U.window, V.window, n_in)
     complete = U.complete and V.complete
+    pairs = zip(U.cols[: n_in + 1], V.cols[: n_in + 1])
     if complete:
         max_out = max(U.max_out, V.max_out)
-        ucols = U.cols[: n_in + 1]
-        vcols = V.cols[: n_in + 1]
+        cols = [op(a, b) for a, b in pairs]
     else:
         max_out = min(U.max_out, V.max_out)
-        ucols = [c.truncate(max_out) for c in U.cols[: n_in + 1]]
-        vcols = [c.truncate(max_out) for c in V.cols[: n_in + 1]]
-    return mode, n_in, max_out, window, complete, ucols, vcols
+        cols = [op(a.truncate(max_out), b.truncate(max_out)) for a, b in pairs]
+    return OperatorMatrix(cols, n_in, max_out, window, complete, mode)
 
 
 def op_add(U: OperatorMatrix, V: OperatorMatrix) -> OperatorMatrix:
-    mode, n_in, max_out, window, complete, uc, vc = _aligned(U, V)
-    cols = [a + b for a, b in zip(uc, vc)]
-    return OperatorMatrix(cols, n_in, max_out, window, complete, mode)
+    return _columnwise(U, V, operator.add)
 
 
 def op_sub(U: OperatorMatrix, V: OperatorMatrix) -> OperatorMatrix:
-    mode, n_in, max_out, window, complete, uc, vc = _aligned(U, V)
-    cols = [a - b for a, b in zip(uc, vc)]
-    return OperatorMatrix(cols, n_in, max_out, window, complete, mode)
+    return _columnwise(U, V, operator.sub)
 
 
 def op_scale(U: OperatorMatrix, c) -> OperatorMatrix:
@@ -544,7 +529,7 @@ def gen_pow(U: OperatorMatrix, V: OperatorMatrix, term_bound: int | None = None)
 # -- normal forms ----------------------------------------------------------
 
 
-class NormalForm:
+class NormalForm(_Frozen):
     """Normal-ordered coefficient table: entry (j, k) multiplies x^j D^k."""
 
     __slots__ = ("table", "mode")
@@ -556,11 +541,7 @@ class NormalForm:
             c = coerce(c, mode)
             if c != 0:
                 clean[(int(j), int(k))] = c
-        object.__setattr__(self, "table", clean)
-        object.__setattr__(self, "mode", mode)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("NormalForm is immutable")
+        self._init(table=clean, mode=mode)
 
     def __eq__(self, other):
         if not isinstance(other, NormalForm):

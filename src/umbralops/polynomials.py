@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
-from itertools import zip_longest
 from typing import Sequence
 
 from .scalars import (
     EXACT,
+    _ZEROS,
+    _Coeffs,
     _convolve,
     check_mode,
     coerce,
@@ -17,16 +18,15 @@ from .scalars import (
 from .series import TruncatedSeries
 
 
-class Polynomial:
-    __slots__ = ("coeffs", "mode")
+class Polynomial(_Coeffs):
+    __slots__ = ()
 
     def __init__(self, coeffs: Sequence = (), mode: str = EXACT):
         check_mode(mode)
         coeffs = [coerce(c, mode) for c in coeffs]
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
-        object.__setattr__(self, "coeffs", tuple(coeffs))
-        object.__setattr__(self, "mode", mode)
+        self._init(coeffs=tuple(coeffs), mode=mode)
 
     @classmethod
     def _raw(cls, coeffs: Sequence, mode: str) -> "Polynomial":
@@ -43,9 +43,6 @@ class Polynomial:
         object.__setattr__(self, "coeffs", coeffs[:n])
         object.__setattr__(self, "mode", mode)
         return self
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Polynomial is immutable")
 
     @classmethod
     def zero(cls, mode: str = EXACT) -> "Polynomial":
@@ -78,77 +75,44 @@ class Polynomial:
     def coeff(self, k: int):
         if 0 <= k < len(self.coeffs):
             return self.coeffs[k]
-        return coerce(0, self.mode)
-
-    def valuation(self) -> int | None:
-        for n, c in enumerate(self.coeffs):
-            if c != 0:
-                return n
-        return None
+        return _ZEROS[self.mode]
 
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self.mode == other.mode and self.coeffs == other.coeffs
+    def _key(self):
+        return (self.coeffs, self.mode)
 
-    def __hash__(self):
-        return hash((self.coeffs, self.mode))
+    def _like(self, coeffs) -> "Polynomial":
+        """A polynomial in this mode, trailing zeros of ``coeffs`` trimmed."""
+        return Polynomial._raw(coeffs, self.mode)
+
+    def _peer(self, other: "Polynomial") -> None:
+        common_mode(self.mode, other.mode)
 
     def __repr__(self):
         return f"Polynomial({list(self.coeffs)!r})"
 
-    def __add__(self, other):
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        zero = coerce(0, common_mode(self.mode, other.mode))
-        pairs = zip_longest(self.coeffs, other.coeffs, fillvalue=zero)
-        return Polynomial._raw([x + y for x, y in pairs], self.mode)
-
-    def __sub__(self, other):
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        zero = coerce(0, common_mode(self.mode, other.mode))
-        pairs = zip_longest(self.coeffs, other.coeffs, fillvalue=zero)
-        return Polynomial._raw([x - y for x, y in pairs], self.mode)
-
-    def __neg__(self):
-        return Polynomial._raw([-c for c in self.coeffs], self.mode)
-
-    def scale(self, c) -> "Polynomial":
-        c = coerce(c, self.mode)
-        return Polynomial._raw([c * a for a in self.coeffs], self.mode)
-
-    def __mul__(self, other):
-        """Polynomial product (``scalars._convolve``), or scaling by a scalar."""
-        if isinstance(other, Polynomial):
-            common_mode(self.mode, other.mode)
-            if self.is_zero() or other.is_zero():
-                return Polynomial.zero(self.mode)
-            size = len(self.coeffs) + len(other.coeffs) - 1
-            return Polynomial._raw(_convolve(self.coeffs, other.coeffs, size, self.mode), self.mode)
-        try:
-            return self.scale(other)
-        except TypeError:
-            return NotImplemented
-
-    __rmul__ = __mul__
+    def _product(self, other: "Polynomial") -> "Polynomial":
+        """Polynomial product (``scalars._convolve``)."""
+        if self.is_zero() or other.is_zero():
+            return Polynomial.zero(self.mode)
+        size = len(self.coeffs) + len(other.coeffs) - 1
+        return self._like(_convolve(self.coeffs, other.coeffs, size, self.mode))
 
     def shift(self, k: int) -> "Polynomial":
         """Multiply by x^k."""
         if k < 0:
             raise ValueError("shift requires k >= 0")
-        return Polynomial._raw([coerce(0, self.mode)] * k + list(self.coeffs), self.mode)
+        return self._like([_ZEROS[self.mode]] * k + list(self.coeffs))
 
     def truncate(self, max_degree: int) -> "Polynomial":
-        return Polynomial._raw(self.coeffs[: max_degree + 1], self.mode)
+        return self._like(self.coeffs[: max_degree + 1])
 
     def derivative(self, times: int = 1) -> "Polynomial":
         p = self
         for _ in range(times):
-            p = Polynomial._raw([i * c for i, c in enumerate(p.coeffs)][1:], p.mode)
+            p = p._like([i * c for i, c in enumerate(p.coeffs)][1:])
         return p
 
 

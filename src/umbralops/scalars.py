@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
+from itertools import zip_longest
 
 EXACT = "exact"
 FLOAT = "float"
@@ -96,6 +97,94 @@ def _convolve(a, b, size: int, mode: str) -> list:
                 if y:
                     out[j] += x * y
     return _from_ints(out, da * db, mode)
+
+
+_ZEROS = {EXACT: _ZERO, FLOAT: 0.0}
+
+
+class _Frozen:
+    """Base of the immutable value classes: constructors set the attributes
+    once (``_init``, or ``object.__setattr__`` on a hot path)."""
+
+    __slots__ = ()
+
+    def _init(self, **attrs) -> None:
+        for name, value in attrs.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class _Coeffs(_Frozen):
+    """The ring core shared by ``TruncatedSeries`` and ``Polynomial``: a
+    tuple ``coeffs`` of canonical coefficients in ``mode``.
+
+    A subclass supplies ``_key`` (what equality compares), ``_like`` (a
+    same-kind value from a coefficient list), ``_peer`` (the checks on a
+    same-kind operand) and ``_product`` (the same-kind product).  Operands of
+    another kind are ``NotImplemented``."""
+
+    __slots__ = ("coeffs", "mode")
+
+    def __iter__(self):
+        return iter(self.coeffs)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def valuation(self) -> int | None:
+        """Index of the first nonzero coefficient, or None for zero."""
+        for n, c in enumerate(self.coeffs):
+            if c != 0:
+                return n
+        return None
+
+    def terms(self) -> list:
+        """The (index, coefficient) pairs of the nonzero coefficients."""
+        return [(n, c) for n, c in enumerate(self.coeffs) if c]
+
+    def int_view(self, size: int | None = None):
+        """``_to_ints`` of the first ``size`` coefficients (all by default)."""
+        return _to_ints(self.coeffs if size is None else self.coeffs[:size], self.mode)
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        self._peer(other)
+        pairs = zip_longest(self.coeffs, other.coeffs, fillvalue=_ZEROS[self.mode])
+        return self._like([a + b for a, b in pairs])
+
+    def __sub__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        self._peer(other)
+        pairs = zip_longest(self.coeffs, other.coeffs, fillvalue=_ZEROS[self.mode])
+        return self._like([a - b for a, b in pairs])
+
+    def __neg__(self):
+        return self._like([-c for c in self.coeffs])
+
+    def scale(self, c):
+        c = coerce(c, self.mode)
+        return self._like([c * a for a in self.coeffs])
+
+    def __mul__(self, other):
+        """Same-kind product, or scaling by a scalar."""
+        if type(other) is type(self):
+            self._peer(other)
+            return self._product(other)
+        try:
+            return self.scale(other)
+        except TypeError:
+            return NotImplemented
+
+    __rmul__ = __mul__
 
 
 def _int_pivot(a0, n: int, mode: str):

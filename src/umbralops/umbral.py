@@ -35,7 +35,7 @@ from .operators import (
     x_op,
 )
 from .polynomials import Polynomial
-from .scalars import EXACT, FLOAT, coerce, qbinom
+from .scalars import EXACT, FLOAT, _Frozen, coerce, qbinom
 from .series import PreconditionError, TruncatedSeries
 
 
@@ -84,12 +84,12 @@ def itlog(f: TruncatedSeries) -> TruncatedSeries:
             if delta.is_zero():
                 break
             v_poly = v_poly + delta.scale(Fraction(1 if k % 2 else -1, k))
-        out = TruncatedSeries(list(v_poly.coeffs), f.order, EXACT)
-        if any(out.coeffs[:2]):
+        out = TruncatedSeries(list(v_poly), f.order, EXACT)
+        if any(out[:2]):
             raise AssertionError("iterative logarithm must vanish to second order")
     if f.mode == FLOAT:
-        tol = FLOAT_COLUMN_TOL * max([1.0] + [abs(c) for c in out.coeffs])
-        resid = [abs(c) for c in julia_residual(f, out).coeffs]
+        tol = FLOAT_COLUMN_TOL * max([1.0] + [abs(c) for c in out])
+        resid = [abs(c) for c in julia_residual(f, out)]
         if not all(c <= tol for c in resid):
             raise PreconditionError(
                 f"float itlog lost precision: Julia residual {max(resid):.3g} exceeds {tol:.3g}"
@@ -126,7 +126,7 @@ def flow(V: TruncatedSeries, s) -> TruncatedSeries:
     s = coerce(s, V.mode)
     if V.mode == FLOAT:
         return _rounded(flow(_exact(V), _exact_scalar(s)))
-    if any(V.coeffs[:2]):
+    if any(V[:2]):
         raise PreconditionError("flow requires ord(V) >= 2")
     g = cur = TruncatedSeries.t(V.order, EXACT)
     for k in range(1, V.order):
@@ -143,12 +143,12 @@ def _exact_scalar(x: float) -> Fraction:
 
 
 def _exact(f: TruncatedSeries) -> TruncatedSeries:
-    return TruncatedSeries._raw([_exact_scalar(c) for c in f.coeffs], f.order, EXACT)
+    return TruncatedSeries._raw([_exact_scalar(c) for c in f], f.order, EXACT)
 
 
 def _rounded(f: TruncatedSeries) -> TruncatedSeries:
     # float(Fraction) divides int by int, which Python rounds correctly
-    return TruncatedSeries._raw([float(c) for c in f.coeffs], f.order, FLOAT)
+    return TruncatedSeries._raw([float(c) for c in f], f.order, FLOAT)
 
 
 def fractional_iterate(f: TruncatedSeries, s) -> TruncatedSeries:
@@ -166,9 +166,15 @@ def fractional_iterate(f: TruncatedSeries, s) -> TruncatedSeries:
     if _is_integer(s):
         k = int(s)
         base = f if k >= 0 else f.comp_inverse()
+        k = abs(k)
+        # square-and-multiply under composition: O(log |s|) compositions
         acc = TruncatedSeries.t(f.order, f.mode)
-        for _ in range(abs(k)):
-            acc = base.compose(acc)
+        while k:
+            if k & 1:
+                acc = acc.compose(base)
+            k >>= 1
+            if k:
+                base = base.compose(base)
         return acc
     if f[1] == 1:
         return flow(itlog(f), s)
@@ -237,18 +243,13 @@ class UmbralSpec:
         return max(self.order - 2, 1)
 
 
-class UmbralOperator:
+class UmbralOperator(_Frozen):
     """An umbral operator matrix plus its UmbralSpec and the construction used."""
 
     __slots__ = ("spec", "matrix", "provenance")
 
     def __init__(self, spec: UmbralSpec, matrix: OperatorMatrix, provenance: str):
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "provenance", provenance)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("UmbralOperator is immutable")
+        self._init(spec=spec, matrix=matrix, provenance=provenance)
 
     def __repr__(self):
         return f"UmbralOperator({self.provenance}, window={self.matrix.window})"
@@ -289,10 +290,10 @@ def umbral_garsia(spec: UmbralSpec, n_max: int | None = None) -> UmbralOperator:
     f = spec.f
     _check_order(f.order, n_max)
     power = TruncatedSeries.one(f.order, f.mode)
-    coeff_rows = [list(power.coeffs)]
+    coeff_rows = [list(power)]
     for _ in range(n_max):
         power = power * f
-        coeff_rows.append(list(power.coeffs))
+        coeff_rows.append(list(power))
     cols = []
     for n in range(n_max + 1):
         nfact = math.factorial(n)
@@ -331,10 +332,9 @@ def umbral_steffensen(spec: UmbralSpec, n_max: int | None = None) -> UmbralOpera
             if upow.is_zero():
                 break
         # u^m(D) x^n has u^m_k (n)_k at x^(n-k); binom(n + 1, m) = 0 for n < m - 1
-        for k, a in enumerate(upow.coeffs):
-            if a:
-                for n in range(max(m - 1, k), n_max + 1):
-                    cols[n][n - k] += a * (math.perm(n, k) * math.comb(n + 1, m))
+        for k, a in upow.terms():
+            for n in range(max(m - 1, k), n_max + 1):
+                cols[n][n - k] += a * (math.perm(n, k) * math.comb(n + 1, m))
     powered = _square([Polynomial._raw(c, spec.mode) for c in cols], n_max, spec.mode)
     qprime_op = op_from_D_series(qprime.truncate(n_max), n_max)
     matrix = compose_ops(qprime_op, powered)

@@ -212,13 +212,18 @@ def suite_kernel(cases, order, seed):
         P = op_from_x_poly(p, n0)
         lhs = compose_ops(U, P)
         rhs = None
-        for k in range(p.degree + 1):
-            Uk = nth_pincherle(U, k)
-            pk = p.derivative(k).scale(Fraction(1, math.factorial(k)))
-            if pk.is_zero():
-                continue
-            term = compose_ops(op_from_x_poly(pk, Uk.max_out), compose_ops(Uk, identity_op(n0)))
-            rhs = term if rhs is None else op_add(rhs, term)
+        try:
+            for k in range(p.degree + 1):
+                Uk = nth_pincherle(U, k)
+                pk = p.derivative(k).scale(Fraction(1, math.factorial(k)))
+                if pk.is_zero():
+                    continue
+                term = compose_ops(op_from_x_poly(pk, Uk.max_out), compose_ops(Uk, identity_op(n0)))
+                rhs = term if rhs is None else op_add(rhs, term)
+        except AssertionError:
+            # the two n-th Pincherle derivative paths disagree
+            items.append(_item("kernel", "operator-leibniz-rule", f"random-{i}", lhs.window, False))
+            continue
         items.append(_compare("kernel", "operator-leibniz-rule", f"random-{i}", lhs, rhs))
 
     for i in range(10):

@@ -94,6 +94,48 @@ def test_laguerre_check_flag(capsys):
     assert "identity grid: pass" in out
 
 
+def test_laguerre_check_builds_the_operator_paths_once(capsys, monkeypatch):
+    from umbralops import laguerre
+
+    calls = []
+    real = laguerre.exp_loc_nilpotent
+
+    def counted(A):
+        calls.append(A)
+        return real(A)
+
+    monkeypatch.setattr(laguerre, "exp_loc_nilpotent", counted)
+    code, out, _ = run_cli(capsys, "laguerre", "--p", "2", "--n", "5", "--alpha", "1", "--check")
+    assert code == 0
+    assert "identity grid: pass" in out
+    assert len(calls) == 2
+
+
+def test_laguerre_check_path_disagreement_is_exit_1(capsys, monkeypatch):
+    from umbralops import cli
+    from umbralops.operators import op_scale
+
+    real = cli.laguerre_operator_paths
+
+    def skewed(*args):
+        path1, path2 = real(*args)
+        return path1, op_scale(path2, 2)
+
+    monkeypatch.setattr(cli, "laguerre_operator_paths", skewed)
+    code, out, err = run_cli(capsys, "laguerre", "--p", "1", "--n", "3", "--check")
+    assert code == 1
+    assert out == ""
+    assert err == "error: internal cross-check failed: the two operator constructions disagree\n"
+
+
+def test_integer_iterate_with_a_large_exponent_finishes(capsys):
+    code, out, _ = run_cli(
+        capsys, "series", "iterate", "--f", "1,1", "--s", "10000000", "--format", "json"
+    )
+    assert code == 0
+    assert json.loads(out)["series"]["coeffs"][2] == "10000000"
+
+
 def test_laguerre_rejects_p0(capsys):
     code, _, err = run_cli(capsys, "laguerre", "--p", "0", "--n", "2")
     assert code == 2

@@ -1,6 +1,7 @@
 """Scalar modes, parsing, and generalized/Gaussian binomials."""
 
 import math
+import operator
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,10 @@ from umbralops.scalars import (
     scalar_from_json,
     scalar_to_json,
 )
+from umbralops.operators import NormalForm, identity_op
+from umbralops.polynomials import Polynomial
+from umbralops.series import TruncatedSeries
+from umbralops.umbral import UmbralSpec, umbral_garsia
 
 
 def test_coerce_exact_accepts_ints_and_fractions():
@@ -123,3 +128,69 @@ def test_gbinom_falling_factorial_property(s, k):
     for i in range(k):
         prod *= s - i
     assert gbinom(s, k) == prod / math.factorial(k)
+
+
+# -- the coefficient containers' shared ring core ---------------------------
+
+CONTAINERS = {
+    "series": lambda coeffs, mode: TruncatedSeries(coeffs, 5, mode),
+    "polynomial": Polynomial,
+}
+RING_OPS = (operator.add, operator.sub, operator.mul)
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+@pytest.mark.parametrize("kind, other", [("series", "polynomial"), ("polynomial", "series")])
+def test_containers_share_one_ring_core(kind, other, mode):
+    make = CONTAINERS[kind]
+    a = make([0, 3, 0, -2], mode)
+    b = make([1, 0, 5], mode)
+    foreign = CONTAINERS[other]([0, 3, 0, -2], mode)
+    for op in RING_OPS:
+        with pytest.raises(TypeError):
+            op(a, foreign)
+        with pytest.raises(TypeError):
+            op(foreign, a)
+    assert (a == foreign) is False
+    assert (foreign == a) is False
+    other_mode = FLOAT if mode == EXACT else EXACT
+    for op in RING_OPS:
+        with pytest.raises(ModeMismatchError):
+            op(a, make([0, 1], other_mode))
+    assert a.terms() == [(1, coerce(3, mode)), (3, coerce(-2, mode))]
+    assert make([], mode).terms() == []
+    assert a.valuation() == 1 and make([], mode).valuation() is None
+    assert list(a + b) == list(make([1, 3, 5, -2], mode))
+    assert a - b == a + (-b) == a + b.scale(-1) == a + (-1) * b
+    assert 2 * a == a * 2 == a + a
+    assert a * b == make([0, 3, 0, 13, 0, -10], mode)
+    assert hash(a) == hash(make([0, 3, 0, -2], mode))
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+def test_series_of_different_orders_refuse_ring_operations(mode):
+    a = TruncatedSeries([0, 1, 1], 4, mode)
+    b = TruncatedSeries([0, 1, 1], 5, mode)
+    for op in RING_OPS:
+        with pytest.raises(ValueError, match="order mismatch"):
+            op(a, b)
+
+
+def _value_classes():
+    spec = UmbralSpec(TruncatedSeries([0, 1, 1], 4))
+    return [
+        TruncatedSeries.t(3),
+        Polynomial.x(),
+        identity_op(2),
+        NormalForm({(1, 1): 1}),
+        umbral_garsia(spec),
+    ]
+
+
+@pytest.mark.parametrize("value", _value_classes(), ids=lambda v: type(v).__name__)
+def test_value_classes_refuse_attribute_assignment(value):
+    name = type(value).__name__
+    with pytest.raises(AttributeError, match=f"^{name} is immutable$"):
+        value.mode = EXACT
+    with pytest.raises(AttributeError, match=f"^{name} is immutable$"):
+        value.extra = 1

@@ -160,6 +160,41 @@ def test_integer_iterates_any_multiplier():
     assert f.compose(gm1) == TruncatedSeries.t(10)
 
 
+def test_integer_iterate_composes_by_squaring(monkeypatch):
+    # square-and-multiply: at most 2 floor(log2 s) + 1 compositions (the
+    # repeated composition it replaced made s of them)
+    calls = []
+    real = TruncatedSeries.compose
+
+    def counted(self, g):
+        calls.append(g)
+        return real(self, g)
+
+    monkeypatch.setattr(TruncatedSeries, "compose", counted)
+    g = fractional_iterate(TruncatedSeries([0, 1, 1], 12), 1000)
+    assert len(calls) <= 2 * math.floor(math.log2(1000)) + 1
+    assert g[2] == 1000
+
+
+def _composed(f, s):
+    base = f if s >= 0 else f.comp_inverse()
+    acc = TruncatedSeries.t(f.order, f.mode)
+    for _ in range(abs(s)):
+        acc = base.compose(acc)
+    return acc
+
+
+@pytest.mark.parametrize("order", [12, pytest.param(20, marks=pytest.mark.slow)])
+def test_integer_iterate_is_repeated_composition(order):
+    tangent = [f for _, f in random_generators(7, 3, order)]
+    for f in tangent + [TruncatedSeries([0, 2, 1], order)]:
+        for s in (2, -2, 3, -3, 4, 5, 7):
+            g = fractional_iterate(f, s)
+            assert g == _composed(f, s), (f, s)
+            if f[1] == 1:
+                assert g == flow(itlog(f), s), (f, s)
+
+
 def test_exact_nonint_iterate_needs_multiplier_one():
     with pytest.raises(PreconditionError):
         fractional_iterate(TruncatedSeries([0, 2, 1], 8), F(1, 2))

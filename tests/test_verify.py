@@ -132,6 +132,22 @@ def test_laguerre_path_disagreement_is_a_failed_item(monkeypatch):
     assert all(it["first_discrepancy"] == {"n": 3} for it in failed)
 
 
+def test_pincherle_path_disagreement_fails_the_leibniz_items(monkeypatch):
+    from umbralops import operators
+
+    real = operators._nth_pincherle_explicit
+    monkeypatch.setattr(
+        operators, "_nth_pincherle_explicit", lambda U, n: operators.op_scale(real(U, n), 2)
+    )
+    report = run_verify("kernel")
+    assert not report["passed"]
+    failed = [it for it in report["items"] if it["status"] == "fail"]
+    assert {it["identity"] for it in failed} == {"operator-leibniz-rule", "iterated-derivative-paths"}
+    leibniz = [it for it in report["items"] if it["identity"] == "operator-leibniz-rule"]
+    assert all(it["status"] == "fail" and it["first_discrepancy"] is None for it in leibniz)
+    assert {it["window"] for it in leibniz} == {6}
+
+
 def test_field_extraction_precondition_is_a_failed_item(monkeypatch):
     def off_row(U):
         raise PreconditionError("logarithm has support off the linear row at x^2 D^3")
