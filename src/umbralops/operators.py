@@ -17,6 +17,14 @@ Composition bookkeeping: the composed window is the largest ``w`` such that
 every column of the right factor up to ``w`` has degree within the left
 factor's window.  With a complete right factor the product keeps the left
 factor's ``max_out``, which no image can exceed, and its completeness.
+
+Products run in the integer view of ``scalars._to_ints``, the idiom of
+FLINT's ``fmpq_poly``: each column is a list of integer numerators over one
+common denominator (:class:`_IntOp`).  ``compose_ops`` converts its factors
+once per call; ``exp_loc_nilpotent`` and ``log_unipotent`` keep the powers
+and the partial sum in that view for the whole series and build the
+``Fraction`` coefficients once, at the end.  Float mode runs the same loops
+on the floats, with every denominator 1.
 """
 
 from __future__ import annotations
@@ -31,6 +39,7 @@ from .scalars import (
     FLOAT,
     _Frozen,
     _from_ints,
+    _to_ints,
     check_mode,
     coerce,
     common_mode,
@@ -85,13 +94,6 @@ class OperatorMatrix(_Frozen):
         )
 
     # -- structural predicates (within the window) ----------------------
-
-    def is_val_nondecreasing(self) -> bool:
-        for n in range(self.window + 1):
-            v = self.cols[n].valuation()
-            if v is not None and v < n:
-                return False
-        return True
 
     def lowers_degree_strictly(self) -> bool:
         return all(self.cols[n].degree < n for n in range(self.window + 1))
@@ -178,16 +180,20 @@ def op_from_x_series(g: TruncatedSeries, n_in: int, max_out: int | None = None) 
 
 
 def op_from_D_series(g: TruncatedSeries, n_in: int, max_out: int | None = None) -> OperatorMatrix:
-    """The shift-invariant operator g(D); column n is sum_k g_k (n)_k x^(n-k)."""
+    """The shift-invariant operator g(D); column n is sum_k g_k (n)_k x^(n-k),
+    built on the integer view of g with one ``_from_ints`` per column."""
     if max_out is None:
         max_out = n_in
+    nums, d = g.int_view()
+    terms = [(k, x) for k, x in enumerate(nums) if x]
     cols = []
     for n in range(n_in + 1):
-        coeffs = [coerce(0, g.mode)] * (n + 1)
-        for k in range(min(n, g.order) + 1):
-            if g[k] != 0:
-                coeffs[n - k] = g[k] * math.perm(n, k)
-        cols.append(Polynomial._raw(coeffs, g.mode))
+        out = [0] * (n + 1)
+        for k, x in terms:
+            if k > n:
+                break
+            out[n - k] = x * math.perm(n, k)
+        cols.append(Polynomial._raw(_from_ints(out, d, g.mode), g.mode))
     window = min(n_in, g.order)
     return OperatorMatrix(cols, n_in, max_out, window, True, g.mode)
 
@@ -231,35 +237,73 @@ def _accumulate(out: list, c, col: Polynomial, shift: int = 0) -> None:
         out[shift + i] += c * a
 
 
-def _int_cols(U: OperatorMatrix) -> list:
-    """U's columns in the integer view of ``scalars._to_ints``: one
-    ``(nums, d)`` pair per column."""
-    return [c.int_view() for c in U.cols]
+class _IntOp(_Frozen):
+    """An operator in the integer view: column n as the ``(nums, d)`` pair
+    of ``scalars._to_ints`` (a list that may keep trailing zeros), plus the
+    shape fields of :class:`OperatorMatrix`.  The operator kernels run on it
+    and build ``Fraction``s once, in :meth:`matrix`."""
+
+    __slots__ = ("cols", "n_in", "max_out", "window", "complete", "mode")
+
+    def __init__(self, cols, n_in, max_out, window, complete, mode):
+        self._init(
+            cols=cols, n_in=n_in, max_out=max_out, window=window, complete=complete, mode=mode
+        )
+
+    @classmethod
+    def of(cls, U: OperatorMatrix) -> "_IntOp":
+        cols = [c.int_view() for c in U.cols]
+        return cls(cols, U.n_in, U.max_out, U.window, U.complete, U.mode)
+
+    def matrix(self) -> OperatorMatrix:
+        """The operator with canonical coefficients: one ``_from_ints`` per
+        column."""
+        mode = self.mode
+        cols = [Polynomial._raw(_from_ints(nums, d, mode), mode) for nums, d in self.cols]
+        return OperatorMatrix(cols, self.n_in, self.max_out, self.window, self.complete, mode)
+
+    def is_val_nondecreasing(self) -> bool:
+        """Column n has valuation at least n, within the window."""
+        return not any(any(self.cols[n][0][:n]) for n in range(self.window + 1))
+
+    def is_window_zero(self) -> bool:
+        return not any(any(nums) for nums, _ in self.cols[: self.window + 1])
 
 
-def _apply_raw(U: OperatorMatrix, p: Polynomial, ucols: list | None = None) -> Polynomial:
-    """sum_d p_d U(x^d) over d <= U.n_in, in the integer view.
+def _reduced(nums: list, d: int):
+    """The integer view ``(nums, d)`` divided by ``gcd(d, *nums)``; a
+    denominator of 1, the only one float mode has, is left as it is."""
+    if d != 1:
+        g = math.gcd(d, *nums)
+        if g != 1:
+            return [x // g for x in nums], d // g
+    return nums, d
 
-    With p = P / e and column d = C_d / c_d, the image is
-    sum_d P_d (L / c_d) C_d over e L, where L is the lcm of the c_d in use:
-    one int list, then one ``Fraction`` per output coefficient.  ``ucols`` is
-    ``_int_cols(U)`` when the caller applies U more than once; without it the
-    columns in use are converted here.  Float mode runs the same loop on the
-    floats (every denominator is 1)."""
-    nums, e = p.int_view(U.n_in + 1)
-    terms = [
-        (x, ucols[d] if ucols is not None else U.cols[d].int_view())
-        for d, x in enumerate(nums)
-        if x
-    ]
+
+def _apply_ints(col, nums: list, e: int):
+    """The image of the polynomial P / e, P = ``nums``, under the operator
+    whose column d has the integer view ``col(d) = (C_d, c_d)``.
+
+    The image is sum_d P_d (L / c_d) C_d over e L, L the lcm of the c_d in
+    use: one int list as long as the longest column in use, and its
+    denominator.  Float mode runs the same loop on the floats (every
+    denominator is 1)."""
+    terms = [(x, col(d)) for d, x in enumerate(nums) if x]
     lcm = math.lcm(*[c for _, (_, c) in terms])
-    out = [0] * max([len(col) for _, (col, _) in terms], default=0)
-    for x, (col, c) in terms:
+    out = [0] * max([len(cnums) for _, (cnums, _) in terms], default=0)
+    for x, (cnums, c) in terms:
         x *= lcm // c
-        for i, y in enumerate(col):
+        for i, y in enumerate(cnums):
             if y:
                 out[i] += x * y
-    return Polynomial._raw(_from_ints(out, e * lcm, U.mode), U.mode)
+    return out, e * lcm
+
+
+def _apply_raw(U: OperatorMatrix, p: Polynomial) -> Polynomial:
+    """sum_d p_d U(x^d) over d <= U.n_in (``_apply_ints``), converting only
+    the columns in use."""
+    out, d = _apply_ints(lambda n: U.cols[n].int_view(), *p.int_view(U.n_in + 1))
+    return Polynomial._raw(_from_ints(out, d, U.mode), U.mode)
 
 
 def apply_op(U: OperatorMatrix, p: Polynomial) -> Polynomial:
@@ -272,19 +316,23 @@ def apply_op(U: OperatorMatrix, p: Polynomial) -> Polynomial:
     return _apply_raw(U, p)
 
 
-def _columnwise(U: OperatorMatrix, V: OperatorMatrix, op) -> OperatorMatrix:
-    """op on the columns of U and V over their common input range; an
-    incomplete operand truncates both at the smaller max_out."""
-    mode = common_mode(U.mode, V.mode)
+def _sum_shape(U, V):
+    """``(n_in, max_out, window, complete)`` of U + V: the common input
+    range; an incomplete operand truncates both at the smaller max_out."""
     n_in = min(U.n_in, V.n_in)
-    window = min(U.window, V.window, n_in)
     complete = U.complete and V.complete
+    max_out = (max if complete else min)(U.max_out, V.max_out)
+    return n_in, max_out, min(U.window, V.window, n_in), complete
+
+
+def _columnwise(U: OperatorMatrix, V: OperatorMatrix, op) -> OperatorMatrix:
+    """op on the columns of U and V, shaped by ``_sum_shape``."""
+    mode = common_mode(U.mode, V.mode)
+    n_in, max_out, window, complete = _sum_shape(U, V)
     pairs = zip(U.cols[: n_in + 1], V.cols[: n_in + 1])
     if complete:
-        max_out = max(U.max_out, V.max_out)
         cols = [op(a, b) for a, b in pairs]
     else:
-        max_out = min(U.max_out, V.max_out)
         cols = [op(a.truncate(max_out), b.truncate(max_out)) for a, b in pairs]
     return OperatorMatrix(cols, n_in, max_out, window, complete, mode)
 
@@ -302,18 +350,28 @@ def op_scale(U: OperatorMatrix, c) -> OperatorMatrix:
     return OperatorMatrix(cols, U.n_in, U.max_out, U.window, U.complete, U.mode)
 
 
-def compose_ops(U: OperatorMatrix, V: OperatorMatrix) -> OperatorMatrix:
-    """Operator product U V (V acts first).
+def _compose_ints(U: _IntOp, V: OperatorMatrix, vcols: list) -> _IntOp:
+    """The product U V (V acts first) in the integer view; ``vcols[n]`` is
+    V's column n as ``int_view(U.n_in + 1)``.  Each image column is
+    ``_apply_ints`` on U's columns, truncated at the result's max_out and
+    reduced by ``_reduced``.
 
-    U is converted to the integer view once (``_int_cols``) and every column
-    of V is applied to it by ``_apply_raw``."""
-    mode = common_mode(U.mode, V.mode)
-    n_in = V.n_in
-
-    if not V.complete:
-        # V's stored columns miss terms above V.max_out; those must map above
-        # the result's truncation, which needs U valuation-nondecreasing and
-        # U's window to cover every stored degree.
+    With V complete, column n is certified while V's columns up to n have
+    degree within U's window; every column of U has degree at most
+    U.max_out, so no image overflows it and U's completeness carries over.
+    With V incomplete, V's stored columns miss terms above V.max_out; those
+    must map above the result's truncation, which needs U
+    valuation-nondecreasing and U's window to cover every stored degree."""
+    if V.complete:
+        window = -1
+        for n in range(V.window + 1):
+            if V.cols[n].degree > U.window:
+                break
+            window = n
+        if window < 0:
+            raise WindowUnderflowError("composition left no certified columns")
+        max_out, complete = U.max_out, U.complete
+    else:
         if not U.is_val_nondecreasing():
             raise PreconditionError(
                 "composing onto a truncated operator requires a "
@@ -323,25 +381,22 @@ def compose_ops(U: OperatorMatrix, V: OperatorMatrix) -> OperatorMatrix:
             raise WindowUnderflowError(
                 "left factor window does not cover the truncated columns"
             )
-        max_out = min(U.max_out, V.max_out)
-        ucols = _int_cols(U)
-        cols = [_apply_raw(U, c, ucols).truncate(max_out) for c in V.cols]
-        return OperatorMatrix(cols, n_in, max_out, V.window, False, mode)
+        max_out, window, complete = min(U.max_out, V.max_out), V.window, False
+    col = U.cols.__getitem__
+    cols = []
+    for nums, e in vcols:
+        out, d = _apply_ints(col, nums, e)
+        del out[max_out + 1 :]
+        cols.append(_reduced(out, d))
+    return _IntOp(cols, V.n_in, max_out, window, complete, U.mode)
 
-    # V complete: certify column n when its image degrees stay inside U's
-    # window.  Every column of U has degree at most U.max_out, so no image
-    # overflows it and U's completeness carries over.
-    window = -1
-    for n in range(V.window + 1):
-        if V.cols[n].degree <= U.window:
-            window = n
-        else:
-            break
-    if window < 0:
-        raise WindowUnderflowError("composition left no certified columns")
-    ucols = _int_cols(U)
-    cols = [_apply_raw(U, c, ucols) for c in V.cols]
-    return OperatorMatrix(cols, n_in, U.max_out, window, U.complete, mode)
+
+def compose_ops(U: OperatorMatrix, V: OperatorMatrix) -> OperatorMatrix:
+    """Operator product U V (V acts first): ``_compose_ints`` on U's
+    integer view, converted once."""
+    common_mode(U.mode, V.mode)
+    vcols = [c.int_view(U.n_in + 1) for c in V.cols]
+    return _compose_ints(_IntOp.of(U), V, vcols).matrix()
 
 
 def op_inverse(U: OperatorMatrix) -> OperatorMatrix:
@@ -463,20 +518,50 @@ def _series_termination_bound(U: OperatorMatrix) -> int:
     return U.n_in + U.max_out + 2
 
 
+def _add_scaled(acc: tuple, a, b, power: tuple, size: int):
+    """The first ``size`` entries of acc + (a / b) power for the integer
+    views acc = (S, s) and power = (P, e): over lcm(s, b e), one integer pass.
+    Float mode passes ``(c, 1)`` for the scalar and adds ``c * P_i`` to each
+    entry, ``op_scale``'s and ``op_add``'s arithmetic."""
+    (nums, s), (pnums, e) = acc, power
+    den = math.lcm(s, b * e)
+    out = nums[:size]
+    if den != s:
+        out = [x * (den // s) for x in out]
+    out += [0] * (min(size, len(pnums)) - len(out))
+    m = a * (den // (b * e))
+    for i, y in enumerate(pnums[:size]):
+        if y:
+            out[i] += m * y
+    return out, den
+
+
 def _power_sum(A: OperatorMatrix, acc: OperatorMatrix, coeff, name: str) -> OperatorMatrix:
     """acc + sum_{k >= 1} coeff(k) A^k for A that strictly lowers degree or
     strictly raises valuation, stopping at the first power that vanishes on
-    the window."""
+    the window.
+
+    The power and the sum stay in the integer view (:class:`_IntOp`) for the
+    whole loop: each power is ``_compose_ints`` of the last one with A's
+    columns, converted once, and each term is one ``_add_scaled`` pass per
+    column, shaped by ``_sum_shape``.  The result's ``Fraction``s are built
+    once, at the end."""
     if not (A.lowers_degree_strictly() or A.raises_valuation_strictly()):
         raise PreconditionError(
             f"{name} series needs a strictly degree-lowering or valuation-raising operator"
         )
-    power = identity_op(A.n_in, A.max_out, A.mode)
+    acols = [c.int_view(A.n_in + 1) for c in A.cols]
+    power = _IntOp.of(identity_op(A.n_in, A.max_out, A.mode))
+    acc = _IntOp.of(acc)
     for k in range(1, _series_termination_bound(A) + 1):
-        power = compose_ops(power, A)
+        power = _compose_ints(power, A, acols)
         if power.is_window_zero():
-            return acc
-        acc = op_add(acc, op_scale(power, coeff(k)))
+            return acc.matrix()
+        [a], b = _to_ints([coeff(k)], A.mode)
+        n_in, max_out, window, complete = _sum_shape(acc, power)
+        pairs = zip(acc.cols[: n_in + 1], power.cols[: n_in + 1])
+        cols = [_add_scaled(s, a, b, p, max_out + 1) for s, p in pairs]
+        acc = _IntOp(cols, n_in, max_out, window, complete, A.mode)
     raise PreconditionError(f"{name} series did not terminate")
 
 

@@ -157,12 +157,14 @@ def fractional_iterate(f: TruncatedSeries, s) -> TruncatedSeries:
     Integer s works for any multiplier (repeated composition / inversion);
     non-integer s requires multiplier 1 in exact mode, and any multiplier in
     float mode via the linearizing coordinate.  At multiplier 1 f^s is
-    rational in f and s, so a float f runs on the exact values and rounds
-    each coefficient once.
+    rational in f and s, so a float f runs the flow on the exact values, for
+    every s, and rounds each coefficient once: N series products whatever
+    the size of s, where squaring would take O(log |s|) compositions on
+    coefficients that grow with s.
     """
     s = coerce(s, f.mode)
     if f.mode == FLOAT and f[1] == 1:
-        return _rounded(fractional_iterate(_exact(f), _exact_scalar(s)))
+        return _rounded(flow(itlog(_exact(f)), _exact_scalar(s)))
     if _is_integer(s):
         k = int(s)
         base = f if k >= 0 else f.comp_inverse()
@@ -226,16 +228,22 @@ class UmbralSpec:
         return itlog(self.f)
 
     def iterate(self, s) -> TruncatedSeries:
-        """fractional_iterate(f, s), computed once per s, reusing the cached
-        iterative logarithm where that takes the flow route (exact mode,
-        non-integer s, multiplier 1)."""
+        """fractional_iterate(f, s), computed once per s.  Exact mode reuses
+        the cached iterative logarithm where that takes the flow route
+        (non-integer s, multiplier 1) and the cached compositional inverse
+        for a negative integer s."""
         s = coerce(s, self.mode)
         if s not in self._iterates:
-            if self.mode == EXACT and not _is_integer(s) and self.q == 1:
-                self._iterates[s] = flow(self.itlog_series, s)
-            else:
-                self._iterates[s] = fractional_iterate(self.f, s)
+            self._iterates[s] = self._iterate(s)
         return self._iterates[s]
+
+    def _iterate(self, s) -> TruncatedSeries:
+        if self.mode == EXACT:
+            if _is_integer(s) and s < 0:
+                return fractional_iterate(self.f_inverse, -s)
+            if not _is_integer(s) and self.q == 1:
+                return flow(self.itlog_series, s)
+        return fractional_iterate(self.f, s)
 
     def default_n_max(self) -> int:
         # leave headroom: some constructions consume derivative/inverse

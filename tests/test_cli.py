@@ -1,6 +1,7 @@
 """Command-line interface: formats, exit codes, determinism."""
 
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -134,6 +135,19 @@ def test_integer_iterate_with_a_large_exponent_finishes(capsys):
     )
     assert code == 0
     assert json.loads(out)["series"]["coeffs"][2] == "10000000"
+
+
+def test_float_iterate_with_a_huge_integer_exponent_fails_fast(capsys):
+    # the exact flow's coefficients cannot round to finite floats; the
+    # failure comes after N series products, not ~1000 squarings
+    start = time.process_time()
+    code, out, err = run_cli(
+        capsys, "--mode", "float", "series", "iterate", "--f", "1,1", "--s", "1e300"
+    )
+    assert time.process_time() - start < 2
+    assert code == 2
+    assert out == ""
+    assert err == "error: integer division result too large for a float\n"
 
 
 def test_laguerre_rejects_p0(capsys):

@@ -8,6 +8,7 @@ import pytest
 
 from umbralops.operators import (
     NormalForm,
+    OperatorMatrix,
     PreconditionError,
     WindowUnderflowError,
     apply_op,
@@ -39,10 +40,12 @@ from umbralops.operators import (
     xD_op,
     zero_op,
 )
+from umbralops.corpus import load_corpus, random_generators
+from umbralops.laguerre import _lag_field_op
 from umbralops.polynomials import Polynomial
 from umbralops.scalars import EXACT, FLOAT
 from umbralops.series import TruncatedSeries, series_from_tail
-from umbralops.umbral import UmbralSpec, _x_times_D_series, umbral_bucc
+from umbralops.umbral import UmbralSpec, _x_times_D_series, itlog, umbral_bucc
 
 F = Fraction
 
@@ -271,8 +274,6 @@ def test_window_bookkeeping_on_truncated_composition():
 
 
 def test_operator_json_roundtrip():
-    from umbralops.operators import OperatorMatrix
-
     U = xD_op(4)
     again = OperatorMatrix.from_json(U.to_json())
     assert first_discrepancy(U, again) is None
@@ -316,3 +317,158 @@ def test_normal_form_rows_match_kernels(coeffs, mode):
     v = g - TruncatedSeries.one(n, mode).scale(g[0])
     row1 = op_from_normal_form(NormalForm({(1, k): c for k, c in enumerate(v)}, mode), n, n)
     assert row1.cols == _x_times_D_series(v, n).cols
+
+
+# -- the power sum in the integer view against the Fraction loop ------------
+#
+# exp_loc_nilpotent and log_unipotent sum their series in the integer view.
+# The oracle is the loop they replaced: compose_ops, op_scale and op_add per
+# power.  Exact results must be equal and canonical, floats the same bits,
+# and the shape fields equal one by one.
+
+
+def _power_sum_loop(A, acc, coeff):
+    power = identity_op(A.n_in, A.max_out, A.mode)
+    for k in range(1, A.n_in + A.max_out + 3):
+        power = compose_ops(power, A)
+        if power.is_window_zero():
+            return acc
+        acc = op_add(acc, op_scale(power, coeff(k)))
+    raise AssertionError("power sum did not terminate")
+
+
+def _exp_loop(A):
+    one = 1.0 if A.mode == FLOAT else F(1)
+    acc = identity_op(A.n_in, A.max_out, A.mode)
+    return _power_sum_loop(A, acc, lambda k: one / math.factorial(k))
+
+
+def _log_loop(U):
+    one = 1.0 if U.mode == FLOAT else F(1)
+    n1 = op_sub(U, identity_op(U.n_in, U.max_out, U.mode))
+    acc = zero_op(n1.n_in, n1.max_out, n1.mode)
+    return _power_sum_loop(n1, acc, lambda k: one / k * (1 if k % 2 else -1))
+
+
+def _assert_same_op(got, want):
+    assert (got.n_in, got.max_out, got.window, got.complete, got.mode) == (
+        want.n_in,
+        want.max_out,
+        want.window,
+        want.complete,
+        want.mode,
+    )
+    assert len(got.cols) == len(want.cols)
+    kind = F if got.mode == EXACT else float
+    for g, w in zip(got.cols, want.cols):
+        assert all(type(c) is kind for c in g.coeffs)
+        assert not g.coeffs or g.coeffs[-1] != 0
+        if got.mode == EXACT:
+            assert g.coeffs == w.coeffs
+        else:
+            assert [c.hex() for c in g.coeffs] == [c.hex() for c in w.coeffs]
+
+
+def _in_mode(f, mode):
+    if mode == EXACT:
+        return f
+    return TruncatedSeries([float(c) for c in f.coeffs], f.order, FLOAT)
+
+
+def _tangent_corpus(order):
+    return [(name, f) for name, f in load_corpus(None, order) if f[1] == 1]
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+@pytest.mark.parametrize("order", [12, 16])
+def test_exp_of_x_itlog_D_matches_the_fraction_loop(order, mode):
+    for name, f in _tangent_corpus(order):
+        v = itlog(_in_mode(f, mode))
+        A = _x_times_D_series(v, order - 2)
+        _assert_same_op(exp_loc_nilpotent(A), _exp_loop(A))
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+@pytest.mark.parametrize("order", [12, 16])
+def test_log_of_bucc_matches_the_fraction_loop(order, mode):
+    for name, f in _tangent_corpus(order):
+        U = umbral_bucc(UmbralSpec(_in_mode(f, mode))).matrix
+        _assert_same_op(log_unipotent(U), _log_loop(U))
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_laguerre_field_exponentials_match_the_fraction_loop(p, mode):
+    for alpha in (0, F(1, 2), F(-3, 4)):
+        A = _lag_field_op(p, float(alpha) if mode == FLOAT else alpha, 12, mode)
+        _assert_same_op(exp_loc_nilpotent(A), _exp_loop(A))
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+def test_power_sum_on_an_incomplete_valuation_raising_operator(mode):
+    # multiplication by a series with g(0) = 0 raises the valuation and is
+    # incomplete, so every power takes compose_ops' truncated branch
+    g = _in_mode(TruncatedSeries([0, F(1, 2), F(-1, 3), 2, F(5, 7)], 9), mode)
+    A = op_from_x_series(g, 9, 9)
+    assert not A.complete and A.raises_valuation_strictly()
+    E = exp_loc_nilpotent(A)
+    assert not E.complete
+    _assert_same_op(E, _exp_loop(A))
+    _assert_same_op(log_unipotent(E), _log_loop(E))
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+def test_power_sum_whose_window_shrinks(mode):
+    # column n >= 3 is x^(n+1) plus x^(n+2) where max_out allows: the first
+    # power certifies columns up to 4, the second up to 2, where it vanishes
+    zero = 0.0 if mode == FLOAT else F(0)
+    cols = []
+    for n in range(7):
+        c = [zero] * 9
+        if n >= 3:
+            c[n + 1] = F(n, 3) if mode == EXACT else n / 3
+            if n + 2 <= 8:
+                c[n + 2] = F(-1, n) if mode == EXACT else -1 / n
+        cols.append(Polynomial(c, mode))
+    A = OperatorMatrix(cols, 6, 8, 6, True, mode)
+    E = exp_loc_nilpotent(A)
+    assert E.window == 4
+    _assert_same_op(E, _exp_loop(A))
+    _assert_same_op(log_unipotent(E), _log_loop(E))
+
+
+def test_power_sum_refusals_match_the_fraction_loop():
+    # a complete valuation-raising operator whose powers outgrow every window
+    A = op_from_x_poly(Polynomial.x(), 6)
+    with pytest.raises(WindowUnderflowError, match="no certified columns"):
+        exp_loc_nilpotent(A)
+    with pytest.raises(WindowUnderflowError, match="no certified columns"):
+        _exp_loop(A)
+    # an incomplete operator wider than the identity's window
+    B = op_from_x_series(TruncatedSeries([0, 1, 1], 8), 6, 8)
+    with pytest.raises(WindowUnderflowError, match="truncated columns"):
+        exp_loc_nilpotent(B)
+    with pytest.raises(WindowUnderflowError, match="truncated columns"):
+        _exp_loop(B)
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+def test_op_from_D_series_matches_the_fraction_loop(mode):
+    for name, f in _tangent_corpus(12) + random_generators(7, 3, 12):
+        g = _in_mode(f, mode)
+        for n_in in (8, 12, 15):
+            got = op_from_D_series(g, n_in)
+            shape = (got.n_in, got.max_out, got.window, got.complete)
+            assert shape == (n_in, n_in, min(n_in, 12), True)
+            for n, col in enumerate(got.cols):
+                want = [0.0 if mode == FLOAT else F(0)] * (n + 1)
+                for k in range(min(n, g.order) + 1):
+                    if g[k] != 0:
+                        want[n - k] = g[k] * math.perm(n, k)
+                while want and want[-1] == 0:
+                    want.pop()
+                assert all(type(c) is (float if mode == FLOAT else F) for c in col.coeffs)
+                if mode == EXACT:
+                    assert list(col.coeffs) == want
+                else:
+                    assert [c.hex() for c in col.coeffs] == [c.hex() for c in want]

@@ -48,6 +48,7 @@ from umbralops.umbral import (
     umbral_inverse,
     umbral_steffensen,
 )
+from umbralops.verify import run_verify
 
 F = Fraction
 
@@ -501,6 +502,22 @@ def test_group_law_checks_compute_each_iterate_once(monkeypatch):
     }
 
 
+def test_negative_integer_iterates_use_the_cached_inverse(monkeypatch):
+    # the group suite needs iterate(-s) for integer s; each spec inverts f
+    # once, for f_inverse, instead of once more per negative integer s
+    calls = []
+    real = TruncatedSeries.comp_inverse
+
+    def counted(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(TruncatedSeries, "comp_inverse", counted)
+    assert run_verify("group", 7)["passed"]
+    assert len(calls) == 11
+    assert len({f.coeffs for f in calls}) == 11
+
+
 def test_spec_iterate_matches_fractional_iterate():
     spec = UmbralSpec(TruncatedSeries([0, 1, 1, F(-1, 3), 2], 10))
     for s in (F(1, 2), F(-2, 3), 2, -1, 0):
@@ -552,6 +569,20 @@ def test_float_iterate_at_multiplier_one_is_the_rounded_exact_iterate(order):
                 want = _rounded(fractional_iterate(_exact_value(f), Fraction(s)))
                 assert fractional_iterate(f, s).coeffs == want, (name, s)
                 assert spec.iterate(s).coeffs == want, (name, s)
+
+
+def test_float_integer_iterate_rounds_the_squared_exact_iterate():
+    # float integer iterates at multiplier 1 take the exact flow; they round
+    # to the same bits as the exact iterate, which squares under composition
+    gens = [TruncatedSeries([0.0, 1.0, 1.0], 12, FLOAT)]
+    for seed in (1, 2):
+        for _, exact in random_generators(seed, 2, 12):
+            gens.append(TruncatedSeries([float(c) for c in exact.coeffs], 12, FLOAT))
+    for f in gens:
+        for s in (2, 3, -1, -2, 7, 1000):
+            want = [float(c).hex() for c in fractional_iterate(_exact_value(f), s)]
+            assert [c.hex() for c in fractional_iterate(f, s)] == want, (f, s)
+            assert [c.hex() for c in UmbralSpec(f).iterate(s)] == want, (f, s)
 
 
 def test_exact_value_of_non_finite_floats_is_refused():
