@@ -52,14 +52,6 @@ def load_corpus(path: str | None = None, order: int = DEFAULT_ORDER):
     return out
 
 
-def split_by_multiplier(corpus):
-    """Partition (name, series) pairs into multiplier-1 and general lists."""
-    tangent, general = [], []
-    for name, f in corpus:
-        (tangent if f[1] == 1 else general).append((name, f))
-    return tangent, general
-
-
 def random_generators(seed: int, count: int = 5, order: int = DEFAULT_ORDER):
     """Deterministic extension corpus: sparse exact generators with small
     rational coefficients and multiplier 1."""

@@ -37,8 +37,11 @@ from .polynomials import Polynomial, poly_from_series
 from .scalars import (
     EXACT,
     FLOAT,
+    _ZEROS,
     _Frozen,
+    _add_scaled,
     _from_ints,
+    _reduced,
     _to_ints,
     check_mode,
     coerce,
@@ -136,9 +139,14 @@ class OperatorMatrix(_Frozen):
 
 
 def diag_op(values: Sequence, n_in: int, max_out: int | None = None, mode: str = EXACT) -> OperatorMatrix:
+    """The diagonal operator x^n -> values[n] x^n: one ``coerce`` per column."""
     if max_out is None:
         max_out = n_in
-    cols = [Polynomial.monomial(n, 1, mode).scale(values[n]) for n in range(n_in + 1)]
+    cols = []
+    for n in range(n_in + 1):
+        c = coerce(values[n], mode)
+        # c * 0 keeps the signed float zeros of a scaled monomial
+        cols.append(Polynomial._raw([c * _ZEROS[mode]] * n + [c], mode))
     return OperatorMatrix(cols, n_in, max_out, n_in, True, mode)
 
 
@@ -186,16 +194,21 @@ def op_from_D_series(g: TruncatedSeries, n_in: int, max_out: int | None = None) 
         max_out = n_in
     nums, d = g.int_view()
     terms = [(k, x) for k, x in enumerate(nums) if x]
-    cols = []
-    for n in range(n_in + 1):
-        out = [0] * (n + 1)
-        for k, x in terms:
-            if k > n:
-                break
-            out[n - k] = x * math.perm(n, k)
-        cols.append(Polynomial._raw(_from_ints(out, d, g.mode), g.mode))
+    cols = [Polynomial._raw(_from_ints(_D_column(terms, n), d, g.mode), g.mode) for n in range(n_in + 1)]
     window = min(n_in, g.order)
     return OperatorMatrix(cols, n_in, max_out, window, True, g.mode)
+
+
+def _D_column(terms: list, n: int, w: int = 1) -> list:
+    """Column n of g(D) times the integer w, in the integer view: g's
+    numerator x_k (n)_k w at x^(n-k) for the nonzero ``(k, x_k)`` ``terms``
+    of g, ascending in k."""
+    out = [0] * (n + 1)
+    for k, x in terms:
+        if k > n:
+            break
+        out[n - k] = x * (math.perm(n, k) * w)
+    return out
 
 
 def d_op(n_in: int, mode: str = EXACT) -> OperatorMatrix:
@@ -268,16 +281,6 @@ class _IntOp(_Frozen):
 
     def is_window_zero(self) -> bool:
         return not any(any(nums) for nums, _ in self.cols[: self.window + 1])
-
-
-def _reduced(nums: list, d: int):
-    """The integer view ``(nums, d)`` divided by ``gcd(d, *nums)``; a
-    denominator of 1, the only one float mode has, is left as it is."""
-    if d != 1:
-        g = math.gcd(d, *nums)
-        if g != 1:
-            return [x // g for x in nums], d // g
-    return nums, d
 
 
 def _apply_ints(col, nums: list, e: int):
@@ -516,24 +519,6 @@ def _nth_pincherle_explicit(U: OperatorMatrix, n: int) -> OperatorMatrix:
 
 def _series_termination_bound(U: OperatorMatrix) -> int:
     return U.n_in + U.max_out + 2
-
-
-def _add_scaled(acc: tuple, a, b, power: tuple, size: int):
-    """The first ``size`` entries of acc + (a / b) power for the integer
-    views acc = (S, s) and power = (P, e): over lcm(s, b e), one integer pass.
-    Float mode passes ``(c, 1)`` for the scalar and adds ``c * P_i`` to each
-    entry, ``op_scale``'s and ``op_add``'s arithmetic."""
-    (nums, s), (pnums, e) = acc, power
-    den = math.lcm(s, b * e)
-    out = nums[:size]
-    if den != s:
-        out = [x * (den // s) for x in out]
-    out += [0] * (min(size, len(pnums)) - len(out))
-    m = a * (den // (b * e))
-    for i, y in enumerate(pnums[:size]):
-        if y:
-            out[i] += m * y
-    return out, den
 
 
 def _power_sum(A: OperatorMatrix, acc: OperatorMatrix, coeff, name: str) -> OperatorMatrix:

@@ -83,20 +83,56 @@ def _from_ints(nums, d, mode: str) -> list:
     return [Fraction(v, d) if v else _ZERO for v in nums]
 
 
-def _convolve(a, b, size: int, mode: str) -> list:
-    """The first ``size`` coefficients of the product of the coefficient
-    lists ``a`` and ``b``: an int convolution in the integer view, with one
-    ``Fraction`` per output coefficient; float mode runs the same loop on
-    the floats."""
-    a, da = _to_ints(a, mode)
-    b, db = _to_ints(b, mode)
+def _mul_ints(a: list, b: list, size: int) -> list:
+    """The first ``size`` entries of the product of the numerator lists ``a``
+    and ``b``: the one integer convolution loop.  On float lists it is the
+    float product, in the same order of additions."""
     out = [0] * size
-    for i, x in enumerate(a):
+    for i, x in enumerate(a[:size]):
         if x:
             for j, y in enumerate(b[: size - i], i):
                 if y:
                     out[j] += x * y
-    return _from_ints(out, da * db, mode)
+    return out
+
+
+def _convolve(a, b, size: int, mode: str) -> list:
+    """The first ``size`` coefficients of the product of the coefficient
+    lists ``a`` and ``b``: ``_mul_ints`` in the integer view, with one
+    ``Fraction`` per output coefficient; float mode runs the same loop on
+    the floats."""
+    a, da = _to_ints(a, mode)
+    b, db = _to_ints(b, mode)
+    return _from_ints(_mul_ints(a, b, size), da * db, mode)
+
+
+def _reduced(nums: list, d: int):
+    """The integer view ``(nums, d)`` divided by ``gcd(d, *nums)``; a
+    denominator of 1, the only one float mode has, is left as it is."""
+    if d != 1:
+        g = math.gcd(d, *nums)
+        if g != 1:
+            return [x // g for x in nums], d // g
+    return nums, d
+
+
+def _add_scaled(acc: tuple, a, b, power: tuple, size: int):
+    """The first ``size`` entries of acc + (a / b) power for the integer
+    views acc = (S, s) and power = (P, e): over lcm(s, b e), one integer pass.
+    It is the one running-denominator accumulator.  Float mode passes
+    ``(c, 1)`` for the scalar and adds ``c * P_i`` to each entry: scaling a
+    coefficient list by c, then adding it, in float arithmetic."""
+    (nums, s), (pnums, e) = acc, power
+    den = math.lcm(s, b * e)
+    out = nums[:size]
+    if den != s:
+        out = [x * (den // s) for x in out]
+    out += [0] * (min(size, len(pnums)) - len(out))
+    m = a * (den // (b * e))
+    for i, y in enumerate(pnums[:size]):
+        if y:
+            out[i] += m * y
+    return out, den
 
 
 _ZEROS = {EXACT: _ZERO, FLOAT: 0.0}

@@ -17,9 +17,12 @@ from .scalars import (
     FLOAT,
     _ZEROS,
     _Coeffs,
+    _add_scaled,
     _convolve,
     _from_ints,
     _int_pivot,
+    _mul_ints,
+    _reduced,
     check_mode,
     coerce,
     common_mode,
@@ -164,17 +167,25 @@ class TruncatedSeries(_Coeffs):
     # -- composition and inversion --------------------------------------
 
     def compose(self, g: "TruncatedSeries") -> "TruncatedSeries":
-        """f(g(t)) truncated at the common order; requires g(0) = 0."""
+        """f(g(t)) truncated at the common order; requires g(0) = 0.
+
+        Horner evaluation in the integer view: with f = a / d and g = G / e
+        (``int_view``, g's taken once), acc <- acc G + a_k, each product one
+        ``_mul_ints`` reduced by ``_reduced``, each constant one
+        ``_add_scaled``; ``Fraction``s are built once, at the end.  Float
+        mode runs the same loop with d = e = 1, skipping zero coefficients."""
         self._peer(g)
         if g.coeffs[0] != 0:
             raise PreconditionError("compose requires ord(g) >= 1 (g(0) = 0)")
-        # Horner evaluation keeps every coefficient up to the order exact.
-        acc = TruncatedSeries.zero(self.order, self.mode)
-        for c in reversed(self.coeffs):
-            acc = acc * g
-            if c != 0:
-                acc = acc + TruncatedSeries([c], self.order, self.mode)
-        return acc
+        size = self.order + 1
+        a, d = self.int_view()
+        G, e = g.int_view()
+        acc = [0] * size, 1
+        for c in reversed(a):
+            acc = _reduced(_mul_ints(acc[0], G, size), acc[1] * e)
+            if c:
+                acc = _add_scaled(acc, c, d, ([1], 1), size)
+        return self._like(_from_ints(*acc, self.mode))
 
     def comp_inverse(self) -> "TruncatedSeries":
         """Compositional inverse g with f(g) = g(f) = t, by Lagrange inversion:

@@ -11,14 +11,15 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cached_property
+from itertools import islice
 
 from .bivariate import binomial_convolution_residual
 from .operators import (
     FLOAT_COLUMN_TOL,
     OperatorMatrix,
     NormalForm,
-    _accumulate,
-    apply_op,
+    _apply_ints,
+    _D_column,
     compose_ops,
     composition_operator,
     diag_op,
@@ -35,7 +36,18 @@ from .operators import (
     x_op,
 )
 from .polynomials import Polynomial
-from .scalars import EXACT, FLOAT, _Frozen, coerce, qbinom
+from .scalars import (
+    EXACT,
+    FLOAT,
+    _Frozen,
+    _add_scaled,
+    _from_ints,
+    _mul_ints,
+    _reduced,
+    _to_ints,
+    coerce,
+    qbinom,
+)
 from .series import PreconditionError, TruncatedSeries
 
 
@@ -54,6 +66,9 @@ def itlog(f: TruncatedSeries) -> TruncatedSeries:
     vector: V = sum_k (-1)^{k+1}/k Delta^k x with Delta p = C_f p - p
     truncated at N = f.order.  Delta raises the valuation by at least one,
     so at most N steps of O(N^2) each give V in O(N^3) scalar operations.
+    The loop runs in the integer view: the columns of C_f are the powers of
+    f's numerators (``_mul_ints``), Delta is ``_apply_ints`` and the sum is
+    ``_add_scaled``, with one ``Fraction`` per coefficient at the end.
     This V is rational in f, so a float f runs it on its exact value and
     rounds each coefficient once.
 
@@ -76,15 +91,18 @@ def itlog(f: TruncatedSeries) -> TruncatedSeries:
     elif f.mode == FLOAT:
         out = _rounded(itlog(_exact(f)))
     else:
-        cf = composition_operator(f, f.order, f.order)
-        delta = Polynomial.x(EXACT)
-        v_poly = Polynomial.zero(EXACT)
-        for k in range(1, f.order + 1):
-            delta = apply_op(cf, delta) - delta
-            if delta.is_zero():
+        size = f.order + 1
+        # column j of C_f is f^j truncated at t^N
+        cols = list(islice(_int_powers(f, size), size))
+        delta = [0, 1], 1
+        v = [0] * size, 1
+        for k in range(1, size):
+            image = _apply_ints(cols.__getitem__, *delta)
+            delta = _reduced(*_add_scaled(image, -1, 1, delta, size))
+            if not any(delta[0]):
                 break
-            v_poly = v_poly + delta.scale(Fraction(1 if k % 2 else -1, k))
-        out = TruncatedSeries(list(v_poly), f.order, EXACT)
+            v = _add_scaled(v, 1 if k % 2 else -1, k, delta, size)
+        out = TruncatedSeries._raw(_from_ints(*v, EXACT), f.order, EXACT)
         if any(out[:2]):
             raise AssertionError("iterative logarithm must vanish to second order")
     if f.mode == FLOAT:
@@ -121,6 +139,9 @@ def flow(V: TruncatedSeries, s) -> TruncatedSeries:
 
     g^s = sum_k s^k/k! (V D)^k t, and V D raises the valuation by one when
     ord(V) >= 2 (required in both modes), so N = V.order terms are exact.
+    The term and the sum stay in the integer view: each term is V's
+    numerators times the last term's derivative (``_mul_ints``, reduced by
+    ``_reduced``), added by ``_add_scaled``; ``Fraction``s are built once.
     Float mode runs on the exact values of V and s and rounds once.
     """
     s = coerce(s, V.mode)
@@ -128,11 +149,14 @@ def flow(V: TruncatedSeries, s) -> TruncatedSeries:
         return _rounded(flow(_exact(V), _exact_scalar(s)))
     if any(V[:2]):
         raise PreconditionError("flow requires ord(V) >= 2")
-    g = cur = TruncatedSeries.t(V.order, EXACT)
+    size = V.order + 1
+    nums, d = V.int_view()
+    g = cur = TruncatedSeries.t(V.order, EXACT).int_view()
     for k in range(1, V.order):
-        cur = V * cur.derivative().pad(V.order)
-        g = g + cur.scale(s**k / math.factorial(k))
-    return g
+        cnums, e = cur
+        cur = _reduced(_mul_ints(nums, [i * x for i, x in enumerate(cnums)][1:], size), d * e)
+        g = _add_scaled(g, s.numerator**k, s.denominator**k * math.factorial(k), cur, size)
+    return TruncatedSeries._raw(_from_ints(*g, EXACT), V.order, EXACT)
 
 
 def _exact_scalar(x: float) -> Fraction:
@@ -149,6 +173,17 @@ def _exact(f: TruncatedSeries) -> TruncatedSeries:
 def _rounded(f: TruncatedSeries) -> TruncatedSeries:
     # float(Fraction) divides int by int, which Python rounds correctly
     return TruncatedSeries._raw([float(c) for c in f], f.order, FLOAT)
+
+
+def _int_powers(g: TruncatedSeries, size: int):
+    """g^0, g^1, ... in the integer view: the first ``size`` numerators of
+    each power over its denominator, one ``_mul_ints`` and one ``_reduced``
+    per power."""
+    nums, d = g.int_view()
+    power = TruncatedSeries.one(size - 1, g.mode).int_view()
+    while True:
+        yield power
+        power = _reduced(_mul_ints(power[0], nums, size), power[1] * d)
 
 
 def fractional_iterate(f: TruncatedSeries, s) -> TruncatedSeries:
@@ -201,6 +236,7 @@ class UmbralSpec:
             raise PreconditionError("umbral spec requires f(0) = 0 and f'(0) != 0")
         self.f = f
         self._iterates = {}
+        self._bucc = {}
 
     @property
     def q(self):
@@ -227,11 +263,18 @@ class UmbralSpec:
     def itlog_series(self) -> TruncatedSeries:
         return itlog(self.f)
 
+    @cached_property
+    def _exact_itlog(self) -> TruncatedSeries:
+        """The exact itlog of the exact value of a float f at multiplier 1."""
+        return itlog(_exact(self.f))
+
     def iterate(self, s) -> TruncatedSeries:
         """fractional_iterate(f, s), computed once per s.  Exact mode reuses
         the cached iterative logarithm where that takes the flow route
         (non-integer s, multiplier 1) and the cached compositional inverse
-        for a negative integer s."""
+        for a negative integer s.  Float mode at multiplier 1 takes
+        fractional_iterate's exact flow for every s on one exact iterative
+        logarithm per spec, and rounds each iterate once."""
         s = coerce(s, self.mode)
         if s not in self._iterates:
             self._iterates[s] = self._iterate(s)
@@ -243,6 +286,8 @@ class UmbralSpec:
                 return fractional_iterate(self.f_inverse, -s)
             if not _is_integer(s) and self.q == 1:
                 return flow(self.itlog_series, s)
+        elif self.q == 1:
+            return _rounded(flow(self._exact_itlog, _exact_scalar(s)))
         return fractional_iterate(self.f, s)
 
     def default_n_max(self) -> int:
@@ -323,27 +368,27 @@ def umbral_steffensen(spec: UmbralSpec, n_max: int | None = None) -> UmbralOpera
     n by binom(n + 1, m).  Column n takes the terms m <= n + 1, one power
     of b - 1 alive at a time: O(N^3) in place of N + 1 matrix products.
     b(0) = f'(0), so b - 1 is not nilpotent unless the multiplier is 1.
+    The powers are integer numerators (``_mul_ints``) and each column sums
+    over a running common denominator (``_add_scaled``), converted once.
     """
     if n_max is None:
         n_max = spec.default_n_max()
     # Q' and D/Q lose one order against f
     _check_order(spec.order - 1, n_max)
+    mode = spec.mode
     finv = spec.f_inverse
     qprime = finv.derivative()
-    u = finv.shift_down(1).unit_inverse().truncate(n_max) - TruncatedSeries.one(n_max, spec.mode)
-    upow = TruncatedSeries.one(n_max, spec.mode)
-    zero = coerce(0, spec.mode)
-    cols = [[zero] * (n + 1) for n in range(n_max + 1)]
-    for m in range(n_max + 2):
-        if m:
-            upow = upow * u
-            if upow.is_zero():
-                break
+    u = finv.shift_down(1).unit_inverse().truncate(n_max) - TruncatedSeries.one(n_max, mode)
+    cols = [([], 1)] * (n_max + 1)
+    for m, (unums, e) in zip(range(n_max + 2), _int_powers(u, n_max + 1)):
+        terms = [(k, x) for k, x in enumerate(unums) if x]
+        if not terms:
+            break
         # u^m(D) x^n has u^m_k (n)_k at x^(n-k); binom(n + 1, m) = 0 for n < m - 1
-        for k, a in upow.terms():
-            for n in range(max(m - 1, k), n_max + 1):
-                cols[n][n - k] += a * (math.perm(n, k) * math.comb(n + 1, m))
-    powered = _square([Polynomial._raw(c, spec.mode) for c in cols], n_max, spec.mode)
+        for n in range(max(m - 1, terms[0][0]), n_max + 1):
+            column = _D_column(terms, n, math.comb(n + 1, m)), e
+            cols[n] = _add_scaled(cols[n], 1, 1, column, n + 1)
+    powered = _square([Polynomial._raw(_from_ints(*c, mode), mode) for c in cols], n_max, mode)
     qprime_op = op_from_D_series(qprime.truncate(n_max), n_max)
     matrix = compose_ops(qprime_op, powered)
     return UmbralOperator(spec, matrix, "steffensen")
@@ -351,44 +396,60 @@ def umbral_steffensen(spec: UmbralSpec, n_max: int | None = None) -> UmbralOpera
 
 def umbral_steffensen2(spec: UmbralSpec, n_max: int | None = None) -> UmbralOperator:
     """Construction 3 (Rodrigues-style): phi x^n = x (D/Q)^n x^{n-1}, using
-    plain series powers per column; column 0 is 1 by the axioms."""
+    plain series powers per column; column 0 is 1 by the axioms.  The powers
+    of D/Q are integer numerators (``_mul_ints``), and column n is read from
+    the n-th power directly: one ``_D_column`` and one ``_from_ints``."""
     if n_max is None:
         n_max = spec.default_n_max()
     # D/Q loses one order against f
     _check_order(spec.order - 1, n_max)
+    mode = spec.mode
     finv = spec.f_inverse
     base = finv.shift_down(1).unit_inverse().truncate(n_max)
-    cols = [Polynomial.one(spec.mode)]
-    bpow = TruncatedSeries.one(n_max, spec.mode)
-    for n in range(1, n_max + 1):
-        bpow = bpow * base
-        cols.append(op_from_D_series(bpow, n - 1).col(n - 1).shift(1))
-    return UmbralOperator(spec, _square(cols, n_max, spec.mode), "steffensen2")
+    cols = [Polynomial.one(mode)]
+    powers = islice(_int_powers(base, n_max + 1), 1, n_max + 1)
+    for n, (bnums, e) in enumerate(powers, 1):
+        terms = [(k, x) for k, x in enumerate(bnums) if x]
+        col = [0] + _D_column(terms, n - 1)
+        cols.append(Polynomial._raw(_from_ints(col, e, mode), mode))
+    return UmbralOperator(spec, _square(cols, n_max, mode), "steffensen2")
 
 
 def umbral_bucc(spec: UmbralSpec, n_max: int | None = None) -> UmbralOperator:
-    """Construction 5: phi = sum_k x^k/k! (f(D) - D)^k, exact for any multiplier."""
+    """Construction 5: phi = sum_k x^k/k! (f(D) - D)^k, exact for any multiplier.
+
+    With g = f - t, column n gets g^k_j (n)_j / k! at x^(n-j+k): the powers
+    of g are integer numerators (``_mul_ints``) and each column sums over a
+    running common denominator (``_add_scaled``), converted once.  The
+    matrix depends on the spec and n_max only, so it is built once per
+    n_max and kept on the spec."""
     if n_max is None:
         n_max = spec.default_n_max()
-    f = spec.f
+    # the spec keeps the matrix, not an UmbralOperator, which would refer
+    # back to the spec: a cycle that only the cyclic collector frees
+    if n_max not in spec._bucc:
+        spec._bucc[n_max] = _bucc_matrix(spec.f, n_max)
+    return UmbralOperator(spec, spec._bucc[n_max], "bucc")
+
+
+def _bucc_matrix(f: TruncatedSeries, n_max: int) -> OperatorMatrix:
     _check_order(f.order, n_max)
-    g = (f - TruncatedSeries.t(f.order, f.mode)).truncate(n_max)
-    gpow = TruncatedSeries.one(n_max, f.mode)
-    one = coerce(1, f.mode)
-    zero = coerce(0, f.mode)
+    mode = f.mode
+    g = (f - TruncatedSeries.t(f.order, mode)).truncate(n_max)
+    one = coerce(1, mode)
     # g(0) = 0, so column n of (f(D) - D)^k has degree at most n - k and
     # its x^k shift stays within degree n
-    cols = [[zero] * (n_max + 1) for _ in range(n_max + 1)]
-    for k in range(n_max + 1):
-        if k:
-            gpow = gpow * g
+    cols = [([], 1)] * (n_max + 1)
+    for k, (gnums, e) in zip(range(n_max + 1), _int_powers(g, n_max + 1)):
         # (f(D) - D)^k applied to x^n, then multiplied by x^k / k!
-        gk = op_from_D_series(gpow, n_max)
-        inv_fact = one / math.factorial(k)
-        for n in range(k, n_max + 1):
-            _accumulate(cols[n], inv_fact, gk.col(n), k)
-    cols = [Polynomial._raw(c, f.mode) for c in cols]
-    return UmbralOperator(spec, _square(cols, n_max, f.mode), "bucc")
+        terms = [(j, x) for j, x in enumerate(gnums) if x]
+        if not terms:
+            break
+        [a], b = _to_ints([one / math.factorial(k)], mode)
+        for n in range(terms[0][0], n_max + 1):
+            column = [0] * k + _D_column(terms, n), e
+            cols[n] = _add_scaled(cols[n], a, b, column, n + 1)
+    return _square([Polynomial._raw(_from_ints(*c, mode), mode) for c in cols], n_max, mode)
 
 
 def umbral_exp_itlog(spec: UmbralSpec, n_max: int | None = None) -> UmbralOperator:

@@ -1,0 +1,55 @@
+"""Helpers shared by the test modules (imported as ``helpers``: pytest puts
+this directory on ``sys.path`` for the test files in it)."""
+
+from fractions import Fraction
+
+from umbralops.scalars import EXACT, FLOAT
+from umbralops.series import TruncatedSeries
+
+
+def split_by_multiplier(corpus):
+    """Partition (name, series) pairs into multiplier-1 and general lists."""
+    tangent, general = [], []
+    for name, f in corpus:
+        (tangent if f[1] == 1 else general).append((name, f))
+    return tangent, general
+
+
+def in_mode(f, mode):
+    """The series f, or its coefficients as floats in float mode."""
+    if mode == EXACT:
+        return f
+    return TruncatedSeries([float(c) for c in f.coeffs], f.order, FLOAT)
+
+
+def assert_same_op(got, want):
+    """Equal shape fields, and equal columns: canonical ``Fraction``s that
+    compare equal, or floats with the same bits."""
+    assert (got.n_in, got.max_out, got.window, got.complete, got.mode) == (
+        want.n_in,
+        want.max_out,
+        want.window,
+        want.complete,
+        want.mode,
+    )
+    assert len(got.cols) == len(want.cols)
+    kind = Fraction if got.mode == EXACT else float
+    for g, w in zip(got.cols, want.cols):
+        assert all(type(c) is kind for c in g.coeffs)
+        assert not g.coeffs or g.coeffs[-1] != 0
+        if got.mode == EXACT:
+            assert g.coeffs == w.coeffs
+        else:
+            assert [c.hex() for c in g.coeffs] == [c.hex() for c in w.coeffs]
+
+
+def assert_same_series(got, want):
+    """Equal order and mode, and equal coefficients: canonical ``Fraction``s
+    that compare equal, or floats with the same bits."""
+    assert (got.order, got.mode) == (want.order, want.mode)
+    if got.mode == EXACT:
+        assert all(type(c) is Fraction for c in got.coeffs)
+        assert got.coeffs == want.coeffs
+    else:
+        assert all(type(c) is float for c in got.coeffs)
+        assert [c.hex() for c in got.coeffs] == [c.hex() for c in want.coeffs]

@@ -11,7 +11,8 @@ from fractions import Fraction
 
 import pytest
 
-from umbralops.corpus import load_corpus, split_by_multiplier
+from helpers import split_by_multiplier
+from umbralops.corpus import load_corpus
 from umbralops.laguerre import (
     cross_sequence_check,
     degenerate_laguerre_explicit,

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import assert_same_op, in_mode
+from umbralops import operators, polynomials, scalars
 from umbralops.operators import (
     NormalForm,
     OperatorMatrix,
@@ -54,6 +56,37 @@ def test_identity_and_apply():
     I = identity_op(4)
     p = Polynomial([1, 2, 3])
     assert apply_op(I, p) == p
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+def test_diag_op_coerces_each_value_once(mode, monkeypatch):
+    # the columns are built from one coerced value each; through a scaled
+    # monomial they took n + 2 coerce calls each, 252 for identity_op(20)
+    calls = []
+    real = scalars.coerce
+
+    def counted(value, m):
+        calls.append(value)
+        return real(value, m)
+
+    for module in (scalars, polynomials, operators):
+        monkeypatch.setattr(module, "coerce", counted)
+    values = [(-1) ** n * F(n, 3) for n in range(21)]
+    if mode == FLOAT:
+        values = [float(v) for v in values]
+    identity = identity_op(20, 24, mode)
+    assert len(calls) == 21
+    diagonal = diag_op(values, 20, mode=mode)
+    assert len(calls) == 42
+    monkeypatch.undo()
+    assert (identity.n_in, identity.max_out, identity.window) == (20, 24, 20)
+    assert (diagonal.n_in, diagonal.max_out, diagonal.window) == (20, 20, 20)
+    for U, entries in ((identity, [1] * 21), (diagonal, values)):
+        assert U.complete and U.mode == mode
+        for n, col in enumerate(U.cols):
+            # repr tells the signed float zeros apart
+            want = Polynomial.monomial(n, 1, mode).scale(entries[n])
+            assert [repr(c) for c in col.coeffs] == [repr(c) for c in want.coeffs]
 
 
 def test_apply_respects_window():
@@ -350,31 +383,6 @@ def _log_loop(U):
     return _power_sum_loop(n1, acc, lambda k: one / k * (1 if k % 2 else -1))
 
 
-def _assert_same_op(got, want):
-    assert (got.n_in, got.max_out, got.window, got.complete, got.mode) == (
-        want.n_in,
-        want.max_out,
-        want.window,
-        want.complete,
-        want.mode,
-    )
-    assert len(got.cols) == len(want.cols)
-    kind = F if got.mode == EXACT else float
-    for g, w in zip(got.cols, want.cols):
-        assert all(type(c) is kind for c in g.coeffs)
-        assert not g.coeffs or g.coeffs[-1] != 0
-        if got.mode == EXACT:
-            assert g.coeffs == w.coeffs
-        else:
-            assert [c.hex() for c in g.coeffs] == [c.hex() for c in w.coeffs]
-
-
-def _in_mode(f, mode):
-    if mode == EXACT:
-        return f
-    return TruncatedSeries([float(c) for c in f.coeffs], f.order, FLOAT)
-
-
 def _tangent_corpus(order):
     return [(name, f) for name, f in load_corpus(None, order) if f[1] == 1]
 
@@ -383,17 +391,17 @@ def _tangent_corpus(order):
 @pytest.mark.parametrize("order", [12, 16])
 def test_exp_of_x_itlog_D_matches_the_fraction_loop(order, mode):
     for name, f in _tangent_corpus(order):
-        v = itlog(_in_mode(f, mode))
+        v = itlog(in_mode(f, mode))
         A = _x_times_D_series(v, order - 2)
-        _assert_same_op(exp_loc_nilpotent(A), _exp_loop(A))
+        assert_same_op(exp_loc_nilpotent(A), _exp_loop(A))
 
 
 @pytest.mark.parametrize("mode", [EXACT, FLOAT])
 @pytest.mark.parametrize("order", [12, 16])
 def test_log_of_bucc_matches_the_fraction_loop(order, mode):
     for name, f in _tangent_corpus(order):
-        U = umbral_bucc(UmbralSpec(_in_mode(f, mode))).matrix
-        _assert_same_op(log_unipotent(U), _log_loop(U))
+        U = umbral_bucc(UmbralSpec(in_mode(f, mode))).matrix
+        assert_same_op(log_unipotent(U), _log_loop(U))
 
 
 @pytest.mark.parametrize("mode", [EXACT, FLOAT])
@@ -401,20 +409,20 @@ def test_log_of_bucc_matches_the_fraction_loop(order, mode):
 def test_laguerre_field_exponentials_match_the_fraction_loop(p, mode):
     for alpha in (0, F(1, 2), F(-3, 4)):
         A = _lag_field_op(p, float(alpha) if mode == FLOAT else alpha, 12, mode)
-        _assert_same_op(exp_loc_nilpotent(A), _exp_loop(A))
+        assert_same_op(exp_loc_nilpotent(A), _exp_loop(A))
 
 
 @pytest.mark.parametrize("mode", [EXACT, FLOAT])
 def test_power_sum_on_an_incomplete_valuation_raising_operator(mode):
     # multiplication by a series with g(0) = 0 raises the valuation and is
     # incomplete, so every power takes compose_ops' truncated branch
-    g = _in_mode(TruncatedSeries([0, F(1, 2), F(-1, 3), 2, F(5, 7)], 9), mode)
+    g = in_mode(TruncatedSeries([0, F(1, 2), F(-1, 3), 2, F(5, 7)], 9), mode)
     A = op_from_x_series(g, 9, 9)
     assert not A.complete and A.raises_valuation_strictly()
     E = exp_loc_nilpotent(A)
     assert not E.complete
-    _assert_same_op(E, _exp_loop(A))
-    _assert_same_op(log_unipotent(E), _log_loop(E))
+    assert_same_op(E, _exp_loop(A))
+    assert_same_op(log_unipotent(E), _log_loop(E))
 
 
 @pytest.mark.parametrize("mode", [EXACT, FLOAT])
@@ -433,8 +441,8 @@ def test_power_sum_whose_window_shrinks(mode):
     A = OperatorMatrix(cols, 6, 8, 6, True, mode)
     E = exp_loc_nilpotent(A)
     assert E.window == 4
-    _assert_same_op(E, _exp_loop(A))
-    _assert_same_op(log_unipotent(E), _log_loop(E))
+    assert_same_op(E, _exp_loop(A))
+    assert_same_op(log_unipotent(E), _log_loop(E))
 
 
 def test_power_sum_refusals_match_the_fraction_loop():
@@ -455,7 +463,7 @@ def test_power_sum_refusals_match_the_fraction_loop():
 @pytest.mark.parametrize("mode", [EXACT, FLOAT])
 def test_op_from_D_series_matches_the_fraction_loop(mode):
     for name, f in _tangent_corpus(12) + random_generators(7, 3, 12):
-        g = _in_mode(f, mode)
+        g = in_mode(f, mode)
         for n_in in (8, 12, 15):
             got = op_from_D_series(g, n_in)
             shape = (got.n_in, got.max_out, got.window, got.complete)

@@ -6,9 +6,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from umbralops.corpus import load_corpus
-from umbralops.scalars import FLOAT
+from helpers import assert_same_series, in_mode
+from umbralops.corpus import load_corpus, random_generators
+from umbralops.scalars import EXACT, FLOAT
 from umbralops.series import PreconditionError, TruncatedSeries, series_from_tail
+from umbralops.umbral import koenigs_coordinate
 
 F = Fraction
 
@@ -213,3 +215,51 @@ def test_float_transcendentals_match_exact(tail, order):
     assert_float_close_to_exact(unit_f.log1(), unit_e.log1())
     for alpha in (F(1, 2), F(-3, 2)):
         assert_float_close_to_exact(unit_f.pow_scalar(float(alpha)), unit_e.pow_scalar(alpha))
+
+
+# -- composition in the integer view against the Fraction loop --------------
+#
+# compose runs Horner on integer numerators.  The oracle is the loop it
+# replaced: a series product and a constant added per coefficient.  Exact
+# results must be equal and canonical, floats the same bits.
+
+
+def _compose_loop(f, g):
+    acc = TruncatedSeries.zero(f.order, f.mode)
+    for c in reversed(f.coeffs):
+        acc = acc * g
+        if c != 0:
+            acc = acc + TruncatedSeries([c], f.order, f.mode)
+    return acc
+
+
+def _koenigs_loop(f):
+    q, n = f[1], f.order
+    zero, one = (0.0, 1.0) if f.mode == FLOAT else (F(0), F(1))
+    psi = [zero, one] + [zero] * (n - 1)
+    for m in range(2, n + 1):
+        psi[m] = _compose_loop(TruncatedSeries(psi[: m + 1], m, f.mode), f.truncate(m))[m] / (q - q**m)
+    return TruncatedSeries(psi, n, f.mode)
+
+
+_ORACLE_ORDERS = [12, 20, pytest.param(28, marks=pytest.mark.slow)]
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+@pytest.mark.parametrize("order", _ORACLE_ORDERS)
+def test_compose_matches_the_fraction_loop(order, mode):
+    gens = [in_mode(f, mode) for _, f in load_corpus(order=order) + random_generators(7, 3, order)]
+    for f in gens:
+        h = TruncatedSeries([0, 0] + [3 * c for c in f.coeffs[2:]], order, mode)
+        for g in (f, h, f.comp_inverse()):
+            assert_same_series(f.compose(g), _compose_loop(f, g))
+        assert_same_series(h.compose(f), _compose_loop(h, f))
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+@pytest.mark.parametrize("order", _ORACLE_ORDERS)
+def test_koenigs_coordinate_matches_the_fraction_loop(order, mode):
+    for _, f in random_generators(7, 3, order) + load_corpus(order=order)[:3]:
+        for q in (F(1, 2), F(2)):
+            g = in_mode(TruncatedSeries([0, q] + list(f.coeffs[2:]), order), mode)
+            assert_same_series(koenigs_coordinate(g), _koenigs_loop(g))

@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 
 import umbralops.umbral as umbral_module
-from umbralops.corpus import load_corpus, random_generators, split_by_multiplier
+from helpers import assert_same_op, assert_same_series, in_mode, split_by_multiplier
+from umbralops.corpus import load_corpus, random_generators
 from umbralops.operators import (
     OperatorMatrix,
     apply_op,
@@ -47,6 +48,7 @@ from umbralops.umbral import (
     umbral_garsia,
     umbral_inverse,
     umbral_steffensen,
+    umbral_steffensen2,
 )
 from umbralops.verify import run_verify
 
@@ -646,3 +648,147 @@ def test_constructions_half_power_and_group_laws_at_order_40(name):
     assert square.window >= garsia.window
     assert first_discrepancy(square, garsia) is None
     assert group_law_checks(spec, F(1, 2), F(1, 3))["passed"]
+
+
+# -- the integer-view loops against the Fraction loops they replaced ---------
+#
+# itlog, flow and the bucc/Steffensen constructions run on integer numerators
+# over running common denominators.  The oracles are the loops they replaced.
+# Exact results must be equal and canonical, floats the same bits.
+
+
+def _itlog_loop(f):
+    cf = composition_operator(f, f.order, f.order)
+    delta = Polynomial.x()
+    v = Polynomial.zero()
+    for k in range(1, f.order + 1):
+        delta = apply_op(cf, delta) - delta
+        if delta.is_zero():
+            break
+        v = v + delta.scale(F(1 if k % 2 else -1, k))
+    return TruncatedSeries(list(v), f.order)
+
+
+def _flow_loop(V, s):
+    g = cur = TruncatedSeries.t(V.order)
+    for k in range(1, V.order):
+        cur = V * cur.derivative().pad(V.order)
+        g = g + cur.scale(s**k / math.factorial(k))
+    return g
+
+
+def _bucc_loop(f, n_max):
+    mode = f.mode
+    g = (f - TruncatedSeries.t(f.order, mode)).truncate(n_max)
+    gpow = TruncatedSeries.one(n_max, mode)
+    one, zero = (1.0, 0.0) if mode == FLOAT else (F(1), F(0))
+    cols = [[zero] * (n_max + 1) for _ in range(n_max + 1)]
+    for k in range(n_max + 1):
+        if k:
+            gpow = gpow * g
+        gk = op_from_D_series(gpow, n_max)
+        inv_fact = one / math.factorial(k)
+        for n in range(k, n_max + 1):
+            for i, a in enumerate(gk.col(n).coeffs):
+                if a:
+                    cols[n][k + i] += inv_fact * a
+    return _square_op(cols, n_max, mode)
+
+
+def _steffensen_loop(spec, n_max):
+    mode = spec.mode
+    finv = spec.f_inverse
+    u = finv.shift_down(1).unit_inverse().truncate(n_max) - TruncatedSeries.one(n_max, mode)
+    upow = TruncatedSeries.one(n_max, mode)
+    zero = 0.0 if mode == FLOAT else F(0)
+    cols = [[zero] * (n + 1) for n in range(n_max + 1)]
+    for m in range(n_max + 2):
+        if m:
+            upow = upow * u
+            if upow.is_zero():
+                break
+        for k, a in upow.terms():
+            for n in range(max(m - 1, k), n_max + 1):
+                cols[n][n - k] += a * (math.perm(n, k) * math.comb(n + 1, m))
+    powered = _square_op(cols, n_max, mode)
+    return compose_ops(op_from_D_series(finv.derivative().truncate(n_max), n_max), powered)
+
+
+def _steffensen2_loop(spec, n_max):
+    mode = spec.mode
+    base = spec.f_inverse.shift_down(1).unit_inverse().truncate(n_max)
+    cols = [Polynomial.one(mode)]
+    bpow = TruncatedSeries.one(n_max, mode)
+    for n in range(1, n_max + 1):
+        bpow = bpow * base
+        cols.append(op_from_D_series(bpow, n - 1).col(n - 1).shift(1))
+    return OperatorMatrix(cols, n_max, n_max, n_max, True, mode)
+
+
+def _square_op(cols, n_max, mode):
+    return OperatorMatrix([Polynomial(c, mode) for c in cols], n_max, n_max, n_max, True, mode)
+
+
+def _with_multiplier(f, q):
+    return TruncatedSeries([0, q] + list(f.coeffs[2:]), f.order)
+
+
+def _oracle_generators(order):
+    gens = load_corpus(order=order) + random_generators(7, 3, order)
+    return gens + [
+        (f"{name}*{q}", _with_multiplier(f, q))
+        for name, f in gens
+        if f[1] == 1
+        for q in (F(2), F(-1, 2))
+    ]
+
+
+_ORACLE_ORDERS = [12, 20, pytest.param(28, marks=pytest.mark.slow)]
+
+
+@pytest.mark.parametrize("order", _ORACLE_ORDERS)
+def test_itlog_and_flow_match_the_fraction_loops(order):
+    for _, f in _oracle_generators(order):
+        if f[1] != 1:
+            continue
+        v = itlog(f)
+        assert_same_series(v, _itlog_loop(f))
+        for s in (F(1, 2), F(-2, 3), F(3), F(0)):
+            assert_same_series(flow(v, s), _flow_loop(v, s))
+        # float itlog and flow round the exact values once
+        ff = in_mode(f, FLOAT)
+        assert_same_series(itlog(ff), in_mode(_itlog_loop(_exact_value(ff)), FLOAT))
+        fv = in_mode(v, FLOAT)
+        for s in (0.5, -1 / 3):
+            want = _flow_loop(_exact_value(fv), F(s))
+            assert_same_series(flow(fv, s), in_mode(want, FLOAT))
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+@pytest.mark.parametrize("order", _ORACLE_ORDERS)
+def test_bucc_and_steffensen_match_the_fraction_loops(order, mode):
+    for _, f in _oracle_generators(order):
+        spec = UmbralSpec(in_mode(f, mode))
+        for n_max in (spec.default_n_max(), 5):
+            assert_same_op(umbral_bucc(spec, n_max).matrix, _bucc_loop(spec.f, n_max))
+            assert_same_op(umbral_steffensen(spec, n_max).matrix, _steffensen_loop(spec, n_max))
+            assert_same_op(umbral_steffensen2(spec, n_max).matrix, _steffensen2_loop(spec, n_max))
+
+
+def test_float_spec_computes_one_exact_itlog_across_iterates(monkeypatch):
+    modes = []
+    real = umbral_module.itlog
+
+    def counted(f):
+        modes.append(f.mode)
+        return real(f)
+
+    monkeypatch.setattr(umbral_module, "itlog", counted)
+    f = TruncatedSeries([0.0, 1.0, 0.5, -0.25, 2.0], 12, FLOAT)
+    spec = UmbralSpec(f)
+    for s in (0.5, 2.0, -1.0, -1 / 3, 3.0, 1e6):
+        want = fractional_iterate(f, s)
+        assert [c.hex() for c in spec.iterate(s)] == [c.hex() for c in want], s
+    # fractional_iterate takes one exact itlog per call, the spec one in all
+    assert modes.count(EXACT) == 6 + 1
+    assert modes.count(FLOAT) == 0

@@ -5,9 +5,10 @@ import json
 
 import pytest
 
+from helpers import split_by_multiplier
 from umbralops import umbral, verify
 from umbralops import laguerre
-from umbralops.corpus import load_corpus, random_generators, split_by_multiplier
+from umbralops.corpus import load_corpus, random_generators
 from umbralops.operators import OperatorMatrix
 from umbralops.polynomials import Polynomial
 from umbralops.series import PreconditionError
@@ -111,6 +112,18 @@ def test_verify_all_report_digest_at_order_20():
     )
 
 
+@pytest.mark.slow
+def test_verify_all_report_digest_at_order_40():
+    items = run_verify("all", 7, order=40)["items"]
+    items = sorted(items, key=lambda it: (it["suite"], it["identity"], it["case"]))
+    blob = json.dumps(items, sort_keys=True, separators=(",", ":"))
+    assert len(items) == 332
+    assert (
+        hashlib.sha256(blob.encode()).hexdigest()
+        == "cbd04493adaaa2a498ca02411d6b0f6374d0088c6fa50cb9fa3b82f0ffe9221e"
+    )
+
+
 def test_laguerre_path_disagreement_is_a_failed_item(monkeypatch):
     real = laguerre.laguerre_operator_paths
 
@@ -182,6 +195,26 @@ def test_run_verify_computes_itlog_once_per_generator(monkeypatch):
     monkeypatch.setattr(umbral, "itlog", counted)
     assert run_verify("formulas,itlog,group,coeff")["passed"]
     assert len(calls) == 8
+
+
+def test_run_verify_builds_each_bucc_matrix_once(monkeypatch):
+    # one build per spec and n_max: the 11 generators at the default n_max
+    # (formulas, duality, ode, genfun and kernel's exp-log round trip share
+    # it) and at coeff's n_max 8, kernel's own spec of t + t^2 and the float
+    # Laguerre demo; umbral_bucc was called, and built, 85 times before the
+    # matrix was kept on the spec
+    calls = []
+    real = umbral._bucc_matrix
+
+    def counted(f, n_max):
+        calls.append((f, n_max))
+        return real(f, n_max)
+
+    monkeypatch.setattr(umbral, "_bucc_matrix", counted)
+    assert run_verify("all", 7)["passed"]
+    assert len(calls) == 24
+    # kernel's t + t^2 is also the corpus entry shifted-quadratic
+    assert len(set(calls)) == 23
 
 
 def test_suite_registry_matches_function_names():
