@@ -21,16 +21,17 @@ factor's ``max_out``, which no image can exceed, and its completeness.
 Products run in the integer view of ``scalars._to_ints``, the idiom of
 FLINT's ``fmpq_poly``: each column is a list of integer numerators over one
 common denominator (:class:`_IntOp`).  ``compose_ops`` converts its factors
-once per call; ``exp_loc_nilpotent`` and ``log_unipotent`` keep the powers
-and the partial sum in that view for the whole series and build the
-``Fraction`` coefficients once, at the end.  Float mode runs the same loops
-on the floats, with every denominator 1.
+once per call.  Every operator power comes from one ladder,
+``_int_op_powers``; the power sums (exp, log, ``gen_pow``, h(Q)) and the
+normal forms stay in that view and build ``Fraction``s once, at the end.
+Float mode runs the same loops on the floats, with every denominator 1.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from itertools import islice
 from typing import Sequence
 
 from .polynomials import Polynomial, poly_from_series
@@ -47,7 +48,7 @@ from .scalars import (
     coerce,
     common_mode,
 )
-from .series import PreconditionError, TruncatedSeries
+from .series import PreconditionError, TruncatedSeries, _int_powers
 
 
 class WindowUnderflowError(ValueError):
@@ -228,26 +229,17 @@ def composition_operator(g: TruncatedSeries, n_in: int, max_out: int | None = No
         raise PreconditionError("composition_operator requires ord(g) >= 1")
     if max_out is None:
         max_out = min(n_in, g.order)
-    p = poly_from_series(g)
-    linear = p.degree <= 1
+    linear = poly_from_series(g).degree <= 1
     if not linear and max_out > g.order:
         raise PreconditionError(
             "composition operator columns are exact only up to the order of g"
         )
-    cols = [Polynomial.one(g.mode)]
-    for n in range(1, n_in + 1):
-        cols.append((cols[-1] * p).truncate(max_out))
+    powers = islice(_int_powers(g, max_out + 1), n_in + 1)
+    cols = [Polynomial._raw(_from_ints(*c, g.mode), g.mode) for c in powers]
     return OperatorMatrix(cols, n_in, max_out, min(n_in, max_out), linear, g.mode)
 
 
 # -- application and algebra --------------------------------------------
-
-
-def _accumulate(out: list, c, col: Polynomial, shift: int = 0) -> None:
-    """out[shift + i] += c * col_i for every nonzero coefficient of col, on
-    a list long enough to hold them; c and out must be in col's mode."""
-    for i, a in col.terms():
-        out[shift + i] += c * a
 
 
 class _IntOp(_Frozen):
@@ -425,7 +417,8 @@ def op_inverse(U: OperatorMatrix) -> OperatorMatrix:
                 raise PreconditionError("operator is not invertibly triangular")
             c = r[d] / lead
             w[d] += c
-            _accumulate(r, -c, U.cols[d])
+            for i, a in U.cols[d].terms():
+                r[i] -= c * a
             d = max(d, U.cols[d].degree)
         cols.append(Polynomial._raw(w, U.mode))
     return OperatorMatrix(cols, U.n_in, U.max_out, U.window, U.complete, U.mode)
@@ -521,32 +514,41 @@ def _series_termination_bound(U: OperatorMatrix) -> int:
     return U.n_in + U.max_out + 2
 
 
+def _int_op_powers(A: OperatorMatrix):
+    """A^0, A^1, ... in the integer view (:class:`_IntOp`), the one ladder of
+    operator powers: each is ``_compose_ints`` of the last with A's columns."""
+    acols = [c.int_view(A.n_in + 1) for c in A.cols]
+    power = _IntOp.of(identity_op(A.n_in, A.max_out, A.mode))
+    while True:
+        yield power
+        power = _compose_ints(power, A, acols)
+
+
+def _add_term(acc: _IntOp, c, power: _IntOp) -> _IntOp:
+    """acc + c power in the integer view: one ``_add_scaled`` pass per
+    column, shaped by ``_sum_shape``."""
+    [a], b = _to_ints([c], acc.mode)
+    n_in, max_out, window, complete = _sum_shape(acc, power)
+    pairs = zip(acc.cols[: n_in + 1], power.cols[: n_in + 1])
+    cols = [_add_scaled(s, a, b, p, max_out + 1) for s, p in pairs]
+    return _IntOp(cols, n_in, max_out, window, complete, acc.mode)
+
+
 def _power_sum(A: OperatorMatrix, acc: OperatorMatrix, coeff, name: str) -> OperatorMatrix:
     """acc + sum_{k >= 1} coeff(k) A^k for A that strictly lowers degree or
     strictly raises valuation, stopping at the first power that vanishes on
-    the window.
-
-    The power and the sum stay in the integer view (:class:`_IntOp`) for the
-    whole loop: each power is ``_compose_ints`` of the last one with A's
-    columns, converted once, and each term is one ``_add_scaled`` pass per
-    column, shaped by ``_sum_shape``.  The result's ``Fraction``s are built
-    once, at the end."""
+    the window.  The powers of ``_int_op_powers`` are summed by ``_add_term``;
+    the result's ``Fraction``s are built once, at the end."""
     if not (A.lowers_degree_strictly() or A.raises_valuation_strictly()):
         raise PreconditionError(
             f"{name} series needs a strictly degree-lowering or valuation-raising operator"
         )
-    acols = [c.int_view(A.n_in + 1) for c in A.cols]
-    power = _IntOp.of(identity_op(A.n_in, A.max_out, A.mode))
     acc = _IntOp.of(acc)
-    for k in range(1, _series_termination_bound(A) + 1):
-        power = _compose_ints(power, A, acols)
+    powers = islice(_int_op_powers(A), 1, None)
+    for k, power in zip(range(1, _series_termination_bound(A) + 1), powers):
         if power.is_window_zero():
             return acc.matrix()
-        [a], b = _to_ints([coeff(k)], A.mode)
-        n_in, max_out, window, complete = _sum_shape(acc, power)
-        pairs = zip(acc.cols[: n_in + 1], power.cols[: n_in + 1])
-        cols = [_add_scaled(s, a, b, p, max_out + 1) for s, p in pairs]
-        acc = _IntOp(cols, n_in, max_out, window, complete, A.mode)
+        acc = _add_term(acc, coeff(k), power)
     raise PreconditionError(f"{name} series did not terminate")
 
 
@@ -580,20 +582,20 @@ def gen_pow(U: OperatorMatrix, V: OperatorMatrix, term_bound: int | None = None)
             "gen_pow series does not terminate; supply a term bound"
         )
     limit = term_bound if term_bound is not None else _series_termination_bound(U)
-    acc = identity_op(U.n_in, U.max_out, U.mode)
-    power = acc
+    acc = _IntOp.of(identity_op(U.n_in, U.max_out, U.mode))
     bino = identity_op(V.n_in, V.max_out, V.mode)
-    for m in range(1, limit + 1):
-        power = compose_ops(power, um1)
+    powers = islice(_int_op_powers(um1), 1, None)
+    for m, power in zip(range(1, limit + 1), powers):
         if auto and power.is_window_zero():
             break
         shifted = op_sub(V, op_scale(identity_op(V.n_in, V.max_out, V.mode), m - 1))
         bino = op_scale(compose_ops(bino, shifted), coerce(1, U.mode) / m)
-        acc = op_add(acc, compose_ops(power, bino))
+        bcols = [c.int_view(power.n_in + 1) for c in bino.cols]
+        acc = _add_term(acc, 1, _compose_ints(power, bino, bcols))
     else:
         if auto and term_bound is None:
             raise PreconditionError("gen_pow series did not terminate")
-    return acc
+    return acc.matrix()
 
 
 # -- normal forms ----------------------------------------------------------
@@ -630,44 +632,45 @@ class NormalForm(_Frozen):
 
 
 def normal_form(U: OperatorMatrix, k_max: int | None = None, j_max: int | None = None) -> NormalForm:
-    """Extract the x-before-D normal-ordered table from an operator matrix."""
+    """Extract the x-before-D normal-ordered table from an operator matrix:
+    row k is sum_j (-1)^(k-j) binom(k, j) x^(k-j) U(x^j) / k!, summed on the
+    columns' integer numerators (``_add_scaled``) and converted once."""
     if k_max is None:
         k_max = U.window
     if j_max is None:
         j_max = U.max_out
     if k_max > U.window:
         raise WindowUnderflowError("window too small for the requested D-power range")
+    cols = [c.int_view(j_max + 1) for c in U.cols[: k_max + 1]]
     table = {}
-    fact = 1
     for k in range(k_max + 1):
-        if k > 0:
-            fact *= k
-        inner = [coerce(0, U.mode)] * (U.max_out + k + 1)
-        for j in range(k + 1):
-            sign = (-1) ** (k - j)
-            _accumulate(inner, coerce(sign * math.comb(k, j), U.mode), U.cols[j], k - j)
-        for j, c in enumerate(inner[: j_max + 1]):
-            if c:
-                table[(j, k)] = c / fact
+        inner = [], 1
+        for j, (nums, d) in enumerate(cols[: k + 1]):
+            shifted = [0] * (k - j) + nums, d
+            inner = _add_scaled(inner, (-1) ** (k - j) * math.comb(k, j), 1, shifted, j_max + 1)
+        row = _from_ints(inner[0], inner[1] * math.factorial(k), U.mode)
+        table.update(((j, k), c) for j, c in enumerate(row) if c)
     return NormalForm(table, U.mode)
 
 
 def op_from_normal_form(nf: NormalForm, n_in: int, max_out: int | None = None) -> OperatorMatrix:
-    """Rebuild the matrix of sum a[j][k] x^j D^k."""
+    """Rebuild the matrix of sum a[j][k] x^j D^k, on the table's integer
+    numerators over their common denominator, converted once per column."""
     if max_out is None:
         shift = max((j - k for (j, k) in nf.table), default=0)
         max_out = n_in + max(shift, 0)
+    nums, d = _to_ints(list(nf.table.values()), nf.mode)
     cols = []
     for n in range(n_in + 1):
-        acc = [coerce(0, nf.mode)] * (max_out + 1)
-        for (j, k), c in nf.table.items():
+        acc = [0] * (max_out + 1)
+        for (j, k), x in zip(nf.table, nums):
             if k > n:
                 continue
             deg = n - k + j
             if deg > max_out:
                 raise PreconditionError("output degree overflow in normal-form rebuild")
-            acc[deg] += c * math.perm(n, k)
-        cols.append(Polynomial._raw(acc, nf.mode))
+            acc[deg] += x * math.perm(n, k)
+        cols.append(Polynomial._raw(_from_ints(acc, d, nf.mode), nf.mode))
     return OperatorMatrix(cols, n_in, max_out, n_in, True, nf.mode)
 
 
@@ -691,11 +694,10 @@ def km_operator(
 
 
 def series_in_operator(h: TruncatedSeries, Q: OperatorMatrix) -> OperatorMatrix:
-    """sum_j h_j Q^j, truncated at the order of h."""
-    acc = op_scale(identity_op(Q.n_in, Q.max_out, Q.mode), h[0])
-    power = identity_op(Q.n_in, Q.max_out, Q.mode)
-    for j in range(1, h.order + 1):
-        power = compose_ops(power, Q)
-        if h[j] != 0:
-            acc = op_add(acc, op_scale(power, h[j]))
-    return acc
+    """sum_j h_j Q^j, truncated at the order of h: the powers of
+    ``_int_op_powers`` summed by ``_add_term``, converted once."""
+    acc = _IntOp.of(zero_op(Q.n_in, Q.max_out, Q.mode))
+    for c, power in zip(h, _int_op_powers(Q)):
+        if c:
+            acc = _add_term(acc, c, power)
+    return acc.matrix()

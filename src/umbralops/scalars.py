@@ -76,10 +76,11 @@ def _to_ints(coeffs, mode: str):
 def _from_ints(nums, d, mode: str) -> list:
     """Canonical coefficients ``nums[i] / d`` from an integer view (``d`` any
     nonzero integer): one public ``Fraction(n, d)`` per nonzero entry and one
-    shared ``Fraction(0)`` for every zero.  Float mode returns the values as
-    floats (a zero entry that no product reached becomes ``0.0``)."""
+    shared ``Fraction(0)`` for every zero.  Float mode divides: at d = 1 that
+    is ``float(v)``, ``0.0`` for an int zero, and a closing division (by n,
+    by k!) goes into ``d`` in both modes."""
     if mode == FLOAT:
-        return [float(v) for v in nums]
+        return [v / d for v in nums]
     return [Fraction(v, d) if v else _ZERO for v in nums]
 
 

@@ -10,6 +10,7 @@ silently extends it.  Binary operations require equal orders (use
 from __future__ import annotations
 
 import math
+from itertools import islice
 from typing import Iterable, Sequence
 
 from .scalars import (
@@ -23,6 +24,7 @@ from .scalars import (
     _int_pivot,
     _mul_ints,
     _reduced,
+    _to_ints,
     check_mode,
     coerce,
     common_mode,
@@ -190,15 +192,14 @@ class TruncatedSeries(_Coeffs):
     def comp_inverse(self) -> "TruncatedSeries":
         """Compositional inverse g with f(g) = g(f) = t, by Lagrange inversion:
         with f = t h, [t^n] g = [t^(n-1)] h^(-n) / n.  One unit inverse and
-        order - 1 series products, O(N^3)."""
+        ``order`` powers from ``_int_powers``, O(N^3)."""
         if self.coeffs[0] != 0 or self.order < 1 or self.coeffs[1] == 0:
             raise PreconditionError("comp_inverse requires f(0) = 0 and f'(0) != 0")
         hinv = self.shift_down(1).unit_inverse()
-        power = TruncatedSeries.one(hinv.order, self.mode)
+        powers = islice(_int_powers(hinv, self.order), 1, self.order + 1)
         g = [_ZEROS[self.mode]]
-        for n in range(1, self.order + 1):
-            power = power * hinv
-            g.append(power.coeffs[n - 1] / n)
+        for n, (nums, e) in enumerate(powers, 1):
+            g += _from_ints([nums[n - 1]], e * n, self.mode)
         return TruncatedSeries._raw(g, self.order, self.mode)
 
     def unit_inverse(self) -> "TruncatedSeries":
@@ -245,16 +246,28 @@ class TruncatedSeries(_Coeffs):
         return _power_sum(u, TruncatedSeries.one(self.order, self.mode), lambda k: gbinom(alpha, k))
 
 
+def _int_powers(g: TruncatedSeries, size: int):
+    """g^0, g^1, ... in the integer view: the first ``size`` numerators of
+    each power over its denominator, one ``_mul_ints`` and one ``_reduced``
+    per power.  It is the one ladder of series powers."""
+    nums, d = g.int_view()
+    power = TruncatedSeries.one(size - 1, g.mode).int_view()
+    while True:
+        yield power
+        power = _reduced(_mul_ints(power[0], nums, size), power[1] * d)
+
+
 def _power_sum(u: TruncatedSeries, acc: TruncatedSeries, coeff) -> TruncatedSeries:
     """acc + sum_{k >= 1} coeff(k) u^k for u(0) = 0, stopping at the first
-    power of u that vanishes."""
-    power = TruncatedSeries.one(u.order, u.mode)
-    for k in range(1, u.order + 1):
-        power = power * u
-        if power.is_zero():
+    vanishing power: the powers of ``_int_powers`` summed by ``_add_scaled``."""
+    size = u.order + 1
+    acc = acc.int_view()
+    for k, power in enumerate(islice(_int_powers(u, size), 1, size), 1):
+        if not any(power[0]):
             break
-        acc = acc + power.scale(coeff(k))
-    return acc
+        [a], b = _to_ints([coeff(k)], u.mode)
+        acc = _add_scaled(acc, a, b, power, size)
+    return u._like(_from_ints(*acc, u.mode))
 
 
 def series_from_tail(coeffs: Iterable, order: int, mode: str = EXACT) -> TruncatedSeries:

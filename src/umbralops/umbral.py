@@ -20,12 +20,12 @@ from .operators import (
     NormalForm,
     _apply_ints,
     _D_column,
+    _int_op_powers,
     compose_ops,
     composition_operator,
     diag_op,
     exp_loc_nilpotent,
     first_discrepancy,
-    identity_op,
     log_unipotent,
     normal_form,
     op_from_D_series,
@@ -48,7 +48,7 @@ from .scalars import (
     coerce,
     qbinom,
 )
-from .series import PreconditionError, TruncatedSeries
+from .series import PreconditionError, TruncatedSeries, _int_powers
 
 
 def _is_integer(s) -> bool:
@@ -67,7 +67,7 @@ def itlog(f: TruncatedSeries) -> TruncatedSeries:
     truncated at N = f.order.  Delta raises the valuation by at least one,
     so at most N steps of O(N^2) each give V in O(N^3) scalar operations.
     The loop runs in the integer view: the columns of C_f are the powers of
-    f's numerators (``_mul_ints``), Delta is ``_apply_ints`` and the sum is
+    f's numerators (``_int_powers``), Delta is ``_apply_ints`` and the sum is
     ``_add_scaled``, with one ``Fraction`` per coefficient at the end.
     This V is rational in f, so a float f runs it on its exact value and
     rounds each coefficient once.
@@ -107,11 +107,12 @@ def itlog(f: TruncatedSeries) -> TruncatedSeries:
             raise AssertionError("iterative logarithm must vanish to second order")
     if f.mode == FLOAT:
         tol = FLOAT_COLUMN_TOL * max([1.0] + [abs(c) for c in out])
-        resid = [abs(c) for c in julia_residual(f, out)]
-        if not all(c <= tol for c in resid):
-            raise PreconditionError(
-                f"float itlog lost precision: Julia residual {max(resid):.3g} exceeds {tol:.3g}"
-            )
+        # name the first failing coefficient; "not <=" also catches a NaN
+        for n, c in enumerate(julia_residual(f, out)):
+            if not abs(c) <= tol:
+                raise PreconditionError(
+                    f"float itlog lost precision: Julia residual {c:.3g} at t^{n} exceeds {tol:.3g}"
+                )
     return out
 
 
@@ -173,17 +174,6 @@ def _exact(f: TruncatedSeries) -> TruncatedSeries:
 def _rounded(f: TruncatedSeries) -> TruncatedSeries:
     # float(Fraction) divides int by int, which Python rounds correctly
     return TruncatedSeries._raw([float(c) for c in f], f.order, FLOAT)
-
-
-def _int_powers(g: TruncatedSeries, size: int):
-    """g^0, g^1, ... in the integer view: the first ``size`` numerators of
-    each power over its denominator, one ``_mul_ints`` and one ``_reduced``
-    per power."""
-    nums, d = g.int_view()
-    power = TruncatedSeries.one(size - 1, g.mode).int_view()
-    while True:
-        yield power
-        power = _reduced(_mul_ints(power[0], nums, size), power[1] * d)
 
 
 def fractional_iterate(f: TruncatedSeries, s) -> TruncatedSeries:
@@ -337,25 +327,18 @@ def _square(cols, n_max, mode) -> OperatorMatrix:
 
 def umbral_garsia(spec: UmbralSpec, n_max: int | None = None) -> UmbralOperator:
     """Construction 1: phi column n is sum_k x^k/k! * (eval at 0 of f(D)^k x^n),
-    which reduces to n!/k! times the t^n coefficient of f^k."""
+    which reduces to n!/k! times the t^n coefficient of f^k: row k is f^k's
+    numerators (``_int_powers``) times n! over its denominator times k!."""
     if n_max is None:
         n_max = spec.default_n_max()
     f = spec.f
     _check_order(f.order, n_max)
-    power = TruncatedSeries.one(f.order, f.mode)
-    coeff_rows = [list(power)]
-    for _ in range(n_max):
-        power = power * f
-        coeff_rows.append(list(power))
-    cols = []
-    for n in range(n_max + 1):
-        nfact = math.factorial(n)
-        col = [coerce(0, f.mode)] * (n + 1)
-        for k in range(n + 1):
-            c = coeff_rows[k][n]
-            if c != 0:
-                col[k] = c * nfact / math.factorial(k)
-        cols.append(Polynomial._raw(col, f.mode))
+    facts = [math.factorial(n) for n in range(n_max + 1)]
+    rows = [
+        _from_ints([x * nf for x, nf in zip(nums, facts)], e * facts[k], f.mode)
+        for k, (nums, e) in zip(range(n_max + 1), _int_powers(f, n_max + 1))
+    ]
+    cols = [Polynomial._raw([row[n] for row in rows[: n + 1]], f.mode) for n in range(n_max + 1)]
     return UmbralOperator(spec, _square(cols, n_max, f.mode), "garsia")
 
 
@@ -368,8 +351,9 @@ def umbral_steffensen(spec: UmbralSpec, n_max: int | None = None) -> UmbralOpera
     n by binom(n + 1, m).  Column n takes the terms m <= n + 1, one power
     of b - 1 alive at a time: O(N^3) in place of N + 1 matrix products.
     b(0) = f'(0), so b - 1 is not nilpotent unless the multiplier is 1.
-    The powers are integer numerators (``_mul_ints``) and each column sums
-    over a running common denominator (``_add_scaled``), converted once.
+    The powers come from ``_int_powers``, each column sums over a running
+    common denominator (``_add_scaled``) and Q'(D) acts on the sums through
+    ``_apply_ints`` over ``_D_column``; ``Fraction``s are built once.
     """
     if n_max is None:
         n_max = spec.default_n_max()
@@ -388,16 +372,18 @@ def umbral_steffensen(spec: UmbralSpec, n_max: int | None = None) -> UmbralOpera
         for n in range(max(m - 1, terms[0][0]), n_max + 1):
             column = _D_column(terms, n, math.comb(n + 1, m)), e
             cols[n] = _add_scaled(cols[n], 1, 1, column, n + 1)
-    powered = _square([Polynomial._raw(_from_ints(*c, mode), mode) for c in cols], n_max, mode)
-    qprime_op = op_from_D_series(qprime.truncate(n_max), n_max)
-    matrix = compose_ops(qprime_op, powered)
+    qnums, qd = qprime.truncate(n_max).int_view()
+    qterms = [(k, x) for k, x in enumerate(qnums) if x]
+    qcols = [(_D_column(qterms, d), qd) for d in range(n_max + 1)]
+    cols = [_apply_ints(qcols.__getitem__, *c) for c in cols]
+    matrix = _square([Polynomial._raw(_from_ints(*c, mode), mode) for c in cols], n_max, mode)
     return UmbralOperator(spec, matrix, "steffensen")
 
 
 def umbral_steffensen2(spec: UmbralSpec, n_max: int | None = None) -> UmbralOperator:
     """Construction 3 (Rodrigues-style): phi x^n = x (D/Q)^n x^{n-1}, using
     plain series powers per column; column 0 is 1 by the axioms.  The powers
-    of D/Q are integer numerators (``_mul_ints``), and column n is read from
+    of D/Q are integer numerators (``_int_powers``), and column n is read from
     the n-th power directly: one ``_D_column`` and one ``_from_ints``."""
     if n_max is None:
         n_max = spec.default_n_max()
@@ -419,7 +405,7 @@ def umbral_bucc(spec: UmbralSpec, n_max: int | None = None) -> UmbralOperator:
     """Construction 5: phi = sum_k x^k/k! (f(D) - D)^k, exact for any multiplier.
 
     With g = f - t, column n gets g^k_j (n)_j / k! at x^(n-j+k): the powers
-    of g are integer numerators (``_mul_ints``) and each column sums over a
+    of g are integer numerators (``_int_powers``) and each column sums over a
     running common denominator (``_add_scaled``), converted once.  The
     matrix depends on the spec and n_max only, so it is built once per
     n_max and kept on the spec."""
@@ -603,9 +589,7 @@ def coeff_identity_scan(spec: UmbralSpec, s, n_max: int = 8):
     s = coerce(s, spec.mode)
     frac = frac_power(spec, s, n_max).matrix
     base = umbral_bucc(spec, n_max).matrix
-    powers = [identity_op(n_max, n_max, spec.mode)]
-    for _ in range(n_max):
-        powers.append(compose_ops(base, powers[-1]))
+    powers = [p.matrix() for p in islice(_int_op_powers(base), n_max + 1)]
     one = coerce(1, spec.mode)
     for n in range(n_max + 1):
         for k in range(n + 1):

@@ -3,8 +3,27 @@ this directory on ``sys.path`` for the test files in it)."""
 
 from fractions import Fraction
 
+import pytest
+
+from umbralops.corpus import load_corpus, random_generators
 from umbralops.scalars import EXACT, FLOAT
 from umbralops.series import TruncatedSeries
+
+# the orders of the oracle tests, which compare an integer-view kernel with
+# the Fraction loop it replaced
+ORACLE_ORDERS = [12, 20, pytest.param(28, marks=pytest.mark.slow)]
+
+
+def oracle_generators(order):
+    """The corpus and three seeded random generators at ``order``, plus each
+    multiplier-1 generator with its multiplier set to 2 and to -1/2."""
+    gens = load_corpus(order=order) + random_generators(7, 3, order)
+    return gens + [
+        (f"{name}*{q}", TruncatedSeries([0, q] + list(f.coeffs[2:]), order))
+        for name, f in gens
+        if f[1] == 1
+        for q in (Fraction(2), Fraction(-1, 2))
+    ]
 
 
 def split_by_multiplier(corpus):

@@ -265,6 +265,16 @@ def test_float_itlog_lost_precision_is_exit_2(capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error: float itlog lost precision")
+    assert "Julia residual -4.35e+09 at t^10 exceeds" in err
+
+
+def test_float_itlog_refusal_names_a_nan_residual(capsys):
+    # multiplier 1e-300 takes the Koenigs route, whose coefficients overflow
+    # from t^4 on, so the Julia residual is NaN from t^3 on
+    code, out, err = run_cli(capsys, "series", "itlog", "--f", "1e-300,1", "--mode", "float")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: float itlog lost precision: Julia residual nan at t^3 exceeds")
 
 
 def test_float_itlog_at_multiplier_one_rounds_the_exact_itlog(capsys):

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import assert_same_op, in_mode
+from helpers import ORACLE_ORDERS, assert_same_op, in_mode
 from umbralops import operators, polynomials, scalars
 from umbralops.operators import (
     NormalForm,
@@ -480,3 +480,182 @@ def test_op_from_D_series_matches_the_fraction_loop(mode):
                     assert list(col.coeffs) == want
                 else:
                     assert [c.hex() for c in col.coeffs] == [c.hex() for c in want]
+
+
+# -- the operator power ladder against the Fraction loops it replaced --------
+#
+# series_in_operator (so km_operator), gen_pow and the normal forms sum on
+# integer numerators, and composition_operator reads its columns from the
+# series power ladder.  The oracles are the loops they replaced, on
+# Fraction (or float) containers: compose_ops per power, op_scale and
+# op_add per term.
+
+
+def _series_in_operator_loop(h, Q):
+    acc = op_scale(identity_op(Q.n_in, Q.max_out, Q.mode), h[0])
+    power = identity_op(Q.n_in, Q.max_out, Q.mode)
+    for j in range(1, h.order + 1):
+        power = compose_ops(power, Q)
+        if h[j] != 0:
+            acc = op_add(acc, op_scale(power, h[j]))
+    return acc
+
+
+def _without_negative_zeros(U):
+    """U with each -0.0 made 0.0 (c + 0 changes no other value): the one
+    difference test_h_of_Q_sums_leave_no_negative_zeros allows."""
+    cols = [Polynomial([c + 0 for c in col.coeffs], U.mode) for col in U.cols]
+    return OperatorMatrix(cols, U.n_in, U.max_out, U.window, U.complete, U.mode)
+
+
+def _km_loop(gs, hs, Q):
+    acc = None
+    for g, h in zip(gs, hs):
+        term = compose_ops(op_from_x_series(g, Q.n_in, Q.max_out), _series_in_operator_loop(h, Q))
+        acc = term if acc is None else op_add(acc, term)
+    return acc
+
+
+def _gen_pow_loop(U, V, term_bound=None):
+    um1 = op_sub(U, identity_op(U.n_in, U.max_out, U.mode))
+    auto = um1.lowers_degree_strictly() or um1.raises_valuation_strictly()
+    limit = term_bound if term_bound is not None else U.n_in + U.max_out + 2
+    acc = power = identity_op(U.n_in, U.max_out, U.mode)
+    bino = identity_op(V.n_in, V.max_out, V.mode)
+    for m in range(1, limit + 1):
+        power = compose_ops(power, um1)
+        if auto and power.is_window_zero():
+            break
+        shifted = op_sub(V, op_scale(identity_op(V.n_in, V.max_out, V.mode), m - 1))
+        bino = op_scale(compose_ops(bino, shifted), scalars.coerce(1, U.mode) / m)
+        acc = op_add(acc, compose_ops(power, bino))
+    return acc
+
+
+def _normal_form_loop(U, k_max, j_max):
+    zero = 0.0 if U.mode == FLOAT else F(0)
+    table = {}
+    for k in range(k_max + 1):
+        inner = [zero] * (U.max_out + k + 1)
+        for j in range(k + 1):
+            c = scalars.coerce((-1) ** (k - j) * math.comb(k, j), U.mode)
+            for i, a in U.cols[j].terms():
+                inner[k - j + i] += c * a
+        for j, c in enumerate(inner[: j_max + 1]):
+            if c:
+                table[(j, k)] = c / math.factorial(k)
+    return NormalForm(table, U.mode)
+
+
+def _op_from_normal_form_loop(nf, n_in, max_out):
+    zero = 0.0 if nf.mode == FLOAT else F(0)
+    cols = []
+    for n in range(n_in + 1):
+        acc = [zero] * (max_out + 1)
+        for (j, k), c in nf.table.items():
+            if k <= n:
+                acc[n - k + j] += c * math.perm(n, k)
+        cols.append(Polynomial(acc, nf.mode))
+    return OperatorMatrix(cols, n_in, max_out, n_in, True, nf.mode)
+
+
+def _composition_operator_loop(g, n_in, max_out):
+    p = polynomials.poly_from_series(g)
+    cols = [Polynomial.one(g.mode)]
+    for n in range(1, n_in + 1):
+        cols.append((cols[-1] * p).truncate(max_out))
+    return OperatorMatrix(cols, n_in, max_out, min(n_in, max_out), p.degree <= 1, g.mode)
+
+
+def _same_normal_form(got, want):
+    assert got.mode == want.mode
+    assert list(got.table) == list(want.table)  # insertion order is summation order
+    for key, c in got.table.items():
+        w = want.table[key]
+        assert type(c) is type(w)
+        assert (c.hex() == w.hex()) if got.mode == FLOAT else c == w
+
+
+def _ladder_cases(order, mode):
+    """Per generator: f in ``mode``, its bucc matrix and n = default n_max."""
+    for _, f in load_corpus(order=order) + random_generators(7, 3, order):
+        spec = UmbralSpec(in_mode(f, mode))
+        n = spec.default_n_max()
+        yield spec.f, umbral_bucc(spec, n).matrix, n
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+@pytest.mark.parametrize("order", ORACLE_ORDERS)
+def test_series_in_operator_and_km_operator_match_the_fraction_loops(order, mode):
+    for f, B, n in _ladder_cases(order, mode):
+        g = (f - TruncatedSeries.t(order, mode)).truncate(n)
+        # h(0) = 0, 1 and -1: f, 1 + f and -exp(f)
+        one = TruncatedSeries.one(order, mode)
+        hs = [f.truncate(n), (one + f).truncate(n), -f.exp().truncate(n)]
+        for Q in (d_op(n, mode), B, op_from_x_series(g, n, n)):
+            for h in hs:
+                want = _series_in_operator_loop(h, Q)
+                if h[0] < 0:
+                    want = _without_negative_zeros(want)
+                assert_same_op(series_in_operator(h, Q), want)
+        # the first terms of verify's two-sided expansion: x^k / k! against g^k
+        gs = [in_mode(TruncatedSeries([0] * k + [F(1, math.factorial(k))], n), mode) for k in range(6)]
+        powers = [TruncatedSeries.one(n, mode)]
+        for _ in range(5):
+            powers.append(powers[-1] * g)
+        assert_same_op(km_operator(gs, powers, d_op(n, mode)), _km_loop(gs, powers, d_op(n, mode)))
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+def test_h_of_Q_sums_leave_no_negative_zeros(mode):
+    # the Fraction loop started from h(0) times the identity and added
+    # c * 0.0 at every stored zero, so a float h(0) < 0 could leave -0.0 at
+    # structural zeros; the integer-view sum starts from 0, skips zeros and
+    # agrees in value
+    h = in_mode(TruncatedSeries([-1, -1], 1), mode)
+    got = series_in_operator(h, d_op(4, mode))
+    want = _series_in_operator_loop(h, d_op(4, mode))
+    assert_same_op(got, _without_negative_zeros(want))
+    assert got.col(4).coeffs == in_mode(TruncatedSeries([0, 0, 0, -4, -1], 4), mode).coeffs
+    if mode == FLOAT:
+        assert [c.hex() for c in got.col(4).coeffs][:3] == ["0x0.0p+0"] * 3
+        assert [c.hex() for c in want.col(4).coeffs][:3] == ["-0x0.0p+0"] * 3
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+@pytest.mark.parametrize("order", ORACLE_ORDERS)
+def test_gen_pow_matches_the_fraction_loop(order, mode):
+    for f, B, n in _ladder_cases(order, mode):
+        g = (f - TruncatedSeries.t(order, mode)).truncate(n)
+        V = op_from_D_series(g, n)
+        exp_x = in_mode(TruncatedSeries([F(1, math.factorial(k)) for k in range(n + 1)], n), mode)
+        eU = op_from_x_series(exp_x, n, n)
+        assert_same_op(gen_pow(eU, V), _gen_pow_loop(eU, V))
+        if f[1] == 1:
+            assert_same_op(gen_pow(B, V), _gen_pow_loop(B, V))
+    # (1 - D)^(xD) needs the term bound
+    base = op_from_D_series(in_mode(TruncatedSeries([1, -1], 6), mode), 6)
+    expo = xD_op(6, mode=mode)
+    assert_same_op(gen_pow(base, expo, term_bound=8), _gen_pow_loop(base, expo, 8))
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+@pytest.mark.parametrize("order", ORACLE_ORDERS)
+def test_normal_forms_and_composition_operators_match_the_fraction_loops(order, mode):
+    for f, B, n in _ladder_cases(order, mode):
+        C = composition_operator(f, order, order)
+        assert_same_op(C, _composition_operator_loop(f, order, order))
+        linear = TruncatedSeries(list(f.coeffs[:2]), 3, mode)
+        assert_same_op(composition_operator(linear, 8, 10), _composition_operator_loop(linear, 8, 10))
+        for U, k_max, j_max in ((C, order, order), (B, n, n), (B, 3, 4)):
+            _same_normal_form(normal_form(U, k_max, j_max), _normal_form_loop(U, k_max, j_max))
+        # the duality check's rebuild of the swapped table
+        nf = NormalForm({(j, k): c for (j, k), c in normal_form(C).l_transform().table.items() if k <= n}, mode)
+        assert_same_op(op_from_normal_form(nf, n, n), _op_from_normal_form_loop(nf, n, n))
+    rng = random.Random(order)
+    for _ in range(10):
+        table = {(rng.randint(0, 4), rng.randint(0, 4)): F(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(5)}
+        nf = NormalForm({key: in_mode(TruncatedSeries([c], 0), mode)[0] for key, c in table.items()}, mode)
+        U = op_from_normal_form(nf, order, order + 4)
+        assert_same_op(U, _op_from_normal_form_loop(nf, order, order + 4))
+        _same_normal_form(normal_form(U, 4, 6), _normal_form_loop(U, 4, 6))

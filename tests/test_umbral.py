@@ -6,7 +6,14 @@ from fractions import Fraction
 import pytest
 
 import umbralops.umbral as umbral_module
-from helpers import assert_same_op, assert_same_series, in_mode, split_by_multiplier
+from helpers import (
+    ORACLE_ORDERS,
+    assert_same_op,
+    assert_same_series,
+    in_mode,
+    oracle_generators,
+    split_by_multiplier,
+)
 from umbralops.corpus import load_corpus, random_generators
 from umbralops.operators import (
     OperatorMatrix,
@@ -729,26 +736,9 @@ def _square_op(cols, n_max, mode):
     return OperatorMatrix([Polynomial(c, mode) for c in cols], n_max, n_max, n_max, True, mode)
 
 
-def _with_multiplier(f, q):
-    return TruncatedSeries([0, q] + list(f.coeffs[2:]), f.order)
-
-
-def _oracle_generators(order):
-    gens = load_corpus(order=order) + random_generators(7, 3, order)
-    return gens + [
-        (f"{name}*{q}", _with_multiplier(f, q))
-        for name, f in gens
-        if f[1] == 1
-        for q in (F(2), F(-1, 2))
-    ]
-
-
-_ORACLE_ORDERS = [12, 20, pytest.param(28, marks=pytest.mark.slow)]
-
-
-@pytest.mark.parametrize("order", _ORACLE_ORDERS)
+@pytest.mark.parametrize("order", ORACLE_ORDERS)
 def test_itlog_and_flow_match_the_fraction_loops(order):
-    for _, f in _oracle_generators(order):
+    for _, f in oracle_generators(order):
         if f[1] != 1:
             continue
         v = itlog(f)
@@ -765,9 +755,9 @@ def test_itlog_and_flow_match_the_fraction_loops(order):
 
 
 @pytest.mark.parametrize("mode", [EXACT, FLOAT])
-@pytest.mark.parametrize("order", _ORACLE_ORDERS)
+@pytest.mark.parametrize("order", ORACLE_ORDERS)
 def test_bucc_and_steffensen_match_the_fraction_loops(order, mode):
-    for _, f in _oracle_generators(order):
+    for _, f in oracle_generators(order):
         spec = UmbralSpec(in_mode(f, mode))
         for n_max in (spec.default_n_max(), 5):
             assert_same_op(umbral_bucc(spec, n_max).matrix, _bucc_loop(spec.f, n_max))
@@ -792,3 +782,28 @@ def test_float_spec_computes_one_exact_itlog_across_iterates(monkeypatch):
     # fractional_iterate takes one exact itlog per call, the spec one in all
     assert modes.count(EXACT) == 6 + 1
     assert modes.count(FLOAT) == 0
+
+
+def _garsia_loop(spec, n_max):
+    f = spec.f
+    power = TruncatedSeries.one(f.order, f.mode)
+    rows = [list(power)]
+    for _ in range(n_max):
+        power = power * f
+        rows.append(list(power))
+    zero = 0.0 if f.mode == FLOAT else F(0)
+    cols = [[zero] * (n + 1) for n in range(n_max + 1)]
+    for n, col in enumerate(cols):
+        for k in range(n + 1):
+            if rows[k][n] != 0:
+                col[k] = rows[k][n] * math.factorial(n) / math.factorial(k)
+    return _square_op(cols, n_max, f.mode)
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+@pytest.mark.parametrize("order", ORACLE_ORDERS)
+def test_garsia_matches_the_fraction_loop(order, mode):
+    for _, f in oracle_generators(order):
+        spec = UmbralSpec(in_mode(f, mode))
+        for n_max in (order, spec.default_n_max(), 5):
+            assert_same_op(umbral_garsia(spec, n_max).matrix, _garsia_loop(spec, n_max))
