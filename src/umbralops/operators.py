@@ -24,6 +24,10 @@ common denominator (:class:`_IntOp`).  ``compose_ops`` converts its factors
 once per call.  Every operator power comes from one ladder,
 ``_int_op_powers``; the power sums (exp, log, ``gen_pow``, h(Q)) and the
 normal forms stay in that view and build ``Fraction``s once, at the end.
+The Pincherle derivatives make no operator product: column m of
+U' = U x - x U is U(x^(m+1)) - x U(x^m), and column m of the n-th
+derivative is sum_k C(n, k) (-1)^(n-k) x^(n-k) U(x^(m+k)), both summed on
+the columns' integer numerators with ``_add_scaled``.
 Float mode runs the same loops on the floats, with every denominator 1.
 """
 
@@ -467,27 +471,44 @@ def ops_equal(U: OperatorMatrix, V: OperatorMatrix) -> bool:
 # -- Pincherle calculus ---------------------------------------------------
 
 
-def pincherle_derivative(U: OperatorMatrix) -> OperatorMatrix:
-    """U' = U x - x U; shrinks the input range and window by one."""
+def _pincherle_ints(U: _IntOp) -> _IntOp:
+    """U' = U x - x U in the integer view: column m is
+    U(x^(m+1)) - x U(x^m), one ``_add_scaled`` pass.  The input range and
+    window shrink by one; a complete U's images grow by one degree, an
+    incomplete one's stay truncated at max_out."""
+    # the refusals keep the messages of the product form U x - x U
     if U.n_in < 1:
         raise WindowUnderflowError("no room for an extra input degree")
-    xs = op_from_x_poly(Polynomial.x(U.mode), U.n_in - 1, U.n_in)
-    ux = compose_ops(U, xs)
-    xbig = op_from_x_poly(Polynomial.x(U.mode), U.max_out, U.max_out + 1)
-    xu = compose_ops(xbig, U)
-    return op_sub(ux, xu)
+    if U.window < 1:
+        raise WindowUnderflowError("composition left no certified columns")
+    max_out = U.max_out + 1 if U.complete else U.max_out
+    cols = [
+        _add_scaled(U.cols[m + 1], -1, 1, ([0] + nums, d), max_out + 1)
+        for m, (nums, d) in enumerate(U.cols[:-1])
+    ]
+    return _IntOp(cols, U.n_in - 1, max_out, U.window - 1, U.complete, U.mode)
+
+
+def pincherle_derivative(U: OperatorMatrix) -> OperatorMatrix:
+    """U' = U x - x U: column m is U(x^(m+1)) - x U(x^m), computed on the
+    columns' integer numerators and converted once.  It shrinks the input
+    range and window by one."""
+    return _pincherle_ints(_IntOp.of(U)).matrix()
 
 
 def nth_pincherle(U: OperatorMatrix, n: int, check: bool = True) -> OperatorMatrix:
-    """n-th Pincherle derivative, via iteration; optionally cross-checked
-    against the explicit alternating sum over conjugations by powers of x."""
+    """n-th Pincherle derivative, by n first differences
+    U(x^(m+1)) - x U(x^m) in the integer view, converted once; optionally
+    cross-checked against the explicit binomial sum
+    ``_nth_pincherle_explicit``."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     if U.window < n:
         raise WindowUnderflowError("window too small for the requested derivative")
-    iterated = U
+    iterated = _IntOp.of(U)
     for _ in range(n):
-        iterated = pincherle_derivative(iterated)
+        iterated = _pincherle_ints(iterated)
+    iterated = iterated.matrix()
     if check and n > 0:
         explicit = _nth_pincherle_explicit(U, n)
         if not ops_equal(iterated, explicit):
@@ -496,15 +517,25 @@ def nth_pincherle(U: OperatorMatrix, n: int, check: bool = True) -> OperatorMatr
 
 
 def _nth_pincherle_explicit(U: OperatorMatrix, n: int) -> OperatorMatrix:
-    acc = None
-    for k in range(n + 1):
-        xk = op_from_x_poly(Polynomial.monomial(k, 1, U.mode), U.n_in - n, U.n_in)
-        mxk = op_from_x_poly(
-            Polynomial.monomial(n - k, (-1) ** (n - k), U.mode), U.max_out, U.max_out + n - k
-        )
-        term = op_scale(compose_ops(mxk, compose_ops(U, xk)), math.comb(n, k))
-        acc = term if acc is None else op_add(acc, term)
-    return acc
+    """The n-th Pincherle derivative as one sum: column m is
+    sum_k C(n, k) (-1)^(n-k) x^(n-k) U(x^(m+k)), accumulated by
+    ``_add_scaled`` on the columns' integer numerators and converted once."""
+    # the refusals keep the messages of the product form
+    if n > U.n_in:
+        raise WindowUnderflowError("operator has an empty exact window")
+    if n > U.window:
+        raise WindowUnderflowError("composition left no certified columns")
+    max_out = U.max_out + n if U.complete else U.max_out
+    ucols = [c.int_view() for c in U.cols]
+    cols = []
+    for m in range(U.n_in - n + 1):
+        acc = [], 1
+        for k in range(n + 1):
+            nums, d = ucols[m + k]
+            a = math.comb(n, k) * (-1) ** (n - k)
+            acc = _add_scaled(acc, a, 1, ([0] * (n - k) + nums, d), max_out + 1)
+        cols.append(acc)
+    return _IntOp(cols, U.n_in - n, max_out, U.window - n, U.complete, U.mode).matrix()
 
 
 # -- exponentials, logarithms, generalized powers -------------------------

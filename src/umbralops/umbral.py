@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import islice
 
 from .bivariate import binomial_convolution_residual
@@ -105,15 +105,22 @@ def itlog(f: TruncatedSeries) -> TruncatedSeries:
         out = TruncatedSeries._raw(_from_ints(*v, EXACT), f.order, EXACT)
         if any(out[:2]):
             raise AssertionError("iterative logarithm must vanish to second order")
-    if f.mode == FLOAT:
-        tol = FLOAT_COLUMN_TOL * max([1.0] + [abs(c) for c in out])
-        # name the first failing coefficient; "not <=" also catches a NaN
-        for n, c in enumerate(julia_residual(f, out)):
-            if not abs(c) <= tol:
-                raise PreconditionError(
-                    f"float itlog lost precision: Julia residual {c:.3g} at t^{n} exceeds {tol:.3g}"
-                )
-    return out
+        return out
+    return _julia_checked(f, out)
+
+
+def _julia_checked(f: TruncatedSeries, v: TruncatedSeries) -> TruncatedSeries:
+    """The float itlog v of f, once it satisfies the Julia equation to
+    within FLOAT_COLUMN_TOL times max(1, max |v_n|); otherwise
+    PreconditionError names the first failing residual coefficient."""
+    tol = FLOAT_COLUMN_TOL * max([1.0] + [abs(c) for c in v])
+    # name the first failing coefficient; "not <=" also catches a NaN
+    for n, c in enumerate(julia_residual(f, v)):
+        if not abs(c) <= tol:
+            raise PreconditionError(
+                f"float itlog lost precision: Julia residual {c:.3g} at t^{n} exceeds {tol:.3g}"
+            )
+    return v
 
 
 def koenigs_coordinate(f: TruncatedSeries) -> TruncatedSeries:
@@ -251,6 +258,11 @@ class UmbralSpec:
 
     @cached_property
     def itlog_series(self) -> TruncatedSeries:
+        """itlog(f).  A float f at multiplier 1 rounds the spec's one exact
+        itlog (``_exact_itlog``, which its iterates share) and runs itlog's
+        precision check on it."""
+        if self.mode == FLOAT and self.q == 1:
+            return _julia_checked(self.f, _rounded(self._exact_itlog))
         return itlog(self.f)
 
     @cached_property
@@ -583,13 +595,18 @@ def binomial_type_residual(U: UmbralOperator, n: int) -> dict:
 
 def coeff_identity_scan(spec: UmbralSpec, s, n_max: int = 8):
     """First (n, k) where the fractional-power coefficient identity fails,
-    or None; shares one frac_power matrix and one power ladder across the
-    whole (n, k) grid."""
+    or None; shares one frac_power matrix, one power ladder and one table
+    of q-binomials, ``left(p)`` and ``right(n - k, p)``, across the whole
+    (n, k) grid.  The table fills on first use: a float q-binomial that
+    overflows is never computed where it would multiply only zero
+    coefficients of the powers."""
     q = spec.q
     s = coerce(s, spec.mode)
     frac = frac_power(spec, s, n_max).matrix
     base = umbral_bucc(spec, n_max).matrix
     powers = [p.matrix() for p in islice(_int_op_powers(base), n_max + 1)]
+    left = cache(lambda p: qbinom(s, p, q))
+    right = cache(lambda m, p: qbinom(m - s, m - p, q))
     one = coerce(1, spec.mode)
     for n in range(n_max + 1):
         for k in range(n + 1):
@@ -599,7 +616,7 @@ def coeff_identity_scan(spec: UmbralSpec, s, n_max: int = 8):
                 c = powers[p].col(n).coeff(k)
                 if c == 0:
                     continue
-                term = c * qbinom(s, p, q) * qbinom(n - k - s, n - k - p, q)
+                term = c * left(p) * right(n - k, p)
                 if q == one:
                     qfac = one
                 else:

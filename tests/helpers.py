@@ -1,11 +1,21 @@
 """Helpers shared by the test modules (imported as ``helpers``: pytest puts
 this directory on ``sys.path`` for the test files in it)."""
 
+import math
 from fractions import Fraction
 
 import pytest
 
 from umbralops.corpus import load_corpus, random_generators
+from umbralops.operators import (
+    WindowUnderflowError,
+    compose_ops,
+    op_add,
+    op_from_x_poly,
+    op_scale,
+    op_sub,
+)
+from umbralops.polynomials import Polynomial
 from umbralops.scalars import EXACT, FLOAT
 from umbralops.series import TruncatedSeries
 
@@ -72,3 +82,30 @@ def assert_same_series(got, want):
     else:
         assert all(type(c) is float for c in got.coeffs)
         assert [c.hex() for c in got.coeffs] == [c.hex() for c in want.coeffs]
+
+
+def pincherle_loop(U):
+    """The Pincherle derivative U x - x U as two operator products with
+    x-multiplication matrices: the oracle for the column differences of
+    ``operators.pincherle_derivative``."""
+    if U.n_in < 1:
+        raise WindowUnderflowError("no room for an extra input degree")
+    xs = op_from_x_poly(Polynomial.x(U.mode), U.n_in - 1, U.n_in)
+    ux = compose_ops(U, xs)
+    xbig = op_from_x_poly(Polynomial.x(U.mode), U.max_out, U.max_out + 1)
+    xu = compose_ops(xbig, U)
+    return op_sub(ux, xu)
+
+
+def nth_pincherle_explicit_loop(U, n):
+    """sum_k C(n, k) (-x)^(n-k) U x^k as operator products, scalings and
+    sums: the oracle for ``operators._nth_pincherle_explicit``."""
+    acc = None
+    for k in range(n + 1):
+        xk = op_from_x_poly(Polynomial.monomial(k, 1, U.mode), U.n_in - n, U.n_in)
+        mxk = op_from_x_poly(
+            Polynomial.monomial(n - k, (-1) ** (n - k), U.mode), U.max_out, U.max_out + n - k
+        )
+        term = op_scale(compose_ops(mxk, compose_ops(U, xk)), math.comb(n, k))
+        acc = term if acc is None else op_add(acc, term)
+    return acc

@@ -6,7 +6,13 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import ORACLE_ORDERS, assert_same_op, in_mode
+from helpers import (
+    ORACLE_ORDERS,
+    assert_same_op,
+    in_mode,
+    nth_pincherle_explicit_loop,
+    pincherle_loop,
+)
 from umbralops import operators, polynomials, scalars
 from umbralops.operators import (
     NormalForm,
@@ -659,3 +665,75 @@ def test_normal_forms_and_composition_operators_match_the_fraction_loops(order, 
         U = op_from_normal_form(nf, order, order + 4)
         assert_same_op(U, _op_from_normal_form_loop(nf, order, order + 4))
         _same_normal_form(normal_form(U, 4, 6), _normal_form_loop(U, 4, 6))
+
+
+def _pincherle_cases(order, mode):
+    """Operators in ``mode`` for the Pincherle oracles: seeded complete
+    normal-form operators (one with a window below its input range, one
+    negated so that float zeros are -0.0), seeded incomplete
+    multiplications by a series, and the bucc matrices of the corpus."""
+    rng = random.Random(order)
+    for i in range(4):
+        table = {(rng.randint(0, 3), rng.randint(0, 3)): F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(4)}
+        nf = NormalForm({key: in_mode(TruncatedSeries([c], 0), mode)[0] for key, c in table.items()}, mode)
+        U = op_from_normal_form(nf, order, order + 3)
+        yield op_scale(U, -1) if i == 1 else U
+    g = in_mode(TruncatedSeries([F(rng.randint(-4, 4), rng.randint(1, 5)) for _ in range(order // 2)], order // 2), mode)
+    yield compose_ops(op_from_normal_form(nf, order, order + 3), op_from_D_series(g, order))
+    for _ in range(3):
+        g = in_mode(TruncatedSeries([F(rng.randint(-4, 4), rng.randint(1, 5)) for _ in range(order + 1)], order), mode)
+        yield op_from_x_series(g, order, order + 2)
+        yield op_from_x_series(-g, order - 2, order)
+    for _, B, _ in _ladder_cases(order, mode):
+        yield B
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+@pytest.mark.parametrize("order", ORACLE_ORDERS)
+def test_pincherle_derivatives_match_the_compose_loops(order, mode):
+    # the column differences agree with the products by x-multiplication
+    # matrices, shape fields included; a float -0.0 entry may stay -0.0
+    # where the products' zero skip gave 0.0, the one allowed difference
+    def same(got, want):
+        assert_same_op(_without_negative_zeros(got) if mode == FLOAT else got, want)
+
+    negative_zeros = False
+    for U in _pincherle_cases(order, mode):
+        negative_zeros |= any(str(c) == "-0.0" for col in U.cols for c in col.coeffs)
+        same(pincherle_derivative(U), pincherle_loop(U))
+        iterated = U
+        for n in range(1, min(4, U.window) + 1):
+            iterated = pincherle_loop(iterated)
+            same(nth_pincherle(U, n), iterated)
+            same(nth_pincherle(U, n, check=False), iterated)
+            # the binomial sum adds only nonzero terms, as the products did
+            assert_same_op(operators._nth_pincherle_explicit(U, n), nth_pincherle_explicit_loop(U, n))
+    assert negative_zeros == (mode == FLOAT)
+
+
+def _refusal(fn, *args):
+    with pytest.raises(ValueError) as info:
+        fn(*args)
+    return type(info.value), str(info.value)
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+def test_pincherle_refusals_match_the_compose_loops(mode):
+    g = in_mode(TruncatedSeries([1, 2], 1), mode)
+    U1 = op_from_D_series(g, 6)
+    U0 = op_from_D_series(g.truncate(0), 6)
+    C0 = composition_operator(in_mode(TruncatedSeries([0, 1, 1], 8), mode), 6, 0)
+    I0 = identity_op(0, mode=mode)
+    assert (U1.window, U0.window, C0.window, C0.complete, I0.n_in) == (1, 0, 0, False, 0)
+    for U in (U0, C0, I0, pincherle_derivative(U1)):
+        assert _refusal(pincherle_derivative, U) == _refusal(pincherle_loop, U)
+    assert _refusal(pincherle_derivative, U0)[1] == "composition left no certified columns"
+    assert _refusal(pincherle_derivative, I0)[1] == "no room for an extra input degree"
+    for U, n in ((U0, 1), (C0, 1), (U1, 2), (U1, 3), (I0, 1)):
+        want = _refusal(nth_pincherle_explicit_loop, U, n)
+        assert _refusal(operators._nth_pincherle_explicit, U, n) == want
+        assert _refusal(nth_pincherle, U, n) == (
+            WindowUnderflowError,
+            "window too small for the requested derivative",
+        )
+    assert _refusal(operators._nth_pincherle_explicit, I0, 1)[1] == "operator has an empty exact window"

@@ -52,6 +52,7 @@ from umbralops.umbral import (
     koenigs_coordinate,
     pincherle_ode_residual,
     umbral_bucc,
+    umbral_exp_itlog,
     umbral_garsia,
     umbral_inverse,
     umbral_steffensen,
@@ -422,6 +423,14 @@ def test_coeff_identity_scan():
     assert coeff_identity_scan(spec2, 2, 6) is None
 
 
+def test_coeff_identity_scan_skips_q_binomials_at_zero_coefficients():
+    # the powers of the diagonal operator of 2t vanish off the diagonal, so
+    # the q-binomials with n - k - p > 0, whose q-powers 2^(1021 + ...)
+    # overflow, multiply only zeros and are never computed
+    spec = UmbralSpec(TruncatedSeries([0.0, 2.0], 6, FLOAT))
+    assert coeff_identity_scan(spec, -1021.0, 3) is None
+
+
 def test_duality_check():
     for coeffs in ([0, 1, 1], [0, 2, 1]):
         spec = UmbralSpec(TruncatedSeries(coeffs, 12))
@@ -782,6 +791,35 @@ def test_float_spec_computes_one_exact_itlog_across_iterates(monkeypatch):
     # fractional_iterate takes one exact itlog per call, the spec one in all
     assert modes.count(EXACT) == 6 + 1
     assert modes.count(FLOAT) == 0
+
+
+def test_float_spec_itlog_series_rounds_the_spec_exact_itlog(monkeypatch):
+    modes = []
+    real = umbral_module.itlog
+
+    def counted(f):
+        modes.append(f.mode)
+        return real(f)
+
+    monkeypatch.setattr(umbral_module, "itlog", counted)
+    f = TruncatedSeries([0.0, 1.0, 0.5, -0.25], 12, FLOAT)
+    spec = UmbralSpec(f)
+    umbral_exp_itlog(spec)
+    frac_power(spec, 0.5)
+    # one exact itlog feeds both; itlog_series took a second one before
+    assert modes == [EXACT]
+    assert [c.hex() for c in spec.itlog_series] == [c.hex() for c in real(f)]
+
+
+def test_float_spec_itlog_series_runs_the_precision_check(monkeypatch):
+    f = TruncatedSeries([0.0, 1.0, 0.5, -0.25], 12, FLOAT)
+    bad = TruncatedSeries([0.0, 0.0, 0.0, 1.0], 10, FLOAT)
+    monkeypatch.setattr(umbral_module, "julia_residual", lambda f, v: bad)
+    msg = r"Julia residual 1 at t\^3 exceeds"
+    with pytest.raises(PreconditionError, match=msg):
+        itlog(f)
+    with pytest.raises(PreconditionError, match=msg):
+        UmbralSpec(f).itlog_series
 
 
 def _garsia_loop(spec, n_max):

@@ -6,7 +6,7 @@ import json
 import pytest
 
 from helpers import split_by_multiplier
-from umbralops import umbral, verify
+from umbralops import operators, umbral, verify
 from umbralops import laguerre
 from umbralops.corpus import load_corpus, random_generators
 from umbralops.operators import OperatorMatrix
@@ -215,6 +215,23 @@ def test_run_verify_builds_each_bucc_matrix_once(monkeypatch):
     assert len(calls) == 24
     # kernel's t + t^2 is also the corpus entry shifted-quadratic
     assert len(set(calls)) == 23
+
+
+def test_kernel_suite_makes_317_operator_products(monkeypatch):
+    # the Pincherle derivatives are column differences with no operator
+    # product; built from products by x-multiplication matrices, and
+    # cross-checked by more of them, they made the suite's count 1171
+    calls = []
+    real = operators.compose_ops
+
+    def counted(U, V):
+        calls.append((U, V))
+        return real(U, V)
+
+    for module in (operators, umbral, verify, laguerre):
+        monkeypatch.setattr(module, "compose_ops", counted)
+    assert run_verify("kernel", 7)["passed"]
+    assert len(calls) == 317
 
 
 def test_suite_registry_matches_function_names():
