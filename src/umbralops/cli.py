@@ -16,9 +16,9 @@ import re
 import sys
 
 from .laguerre import (
+    _ode_residual,
     degenerate_laguerre_explicit,
     frac_laguerre,
-    laguerre_ode_residual,
     laguerre_operator_paths,
 )
 from .operators import column_discrepancy, first_discrepancy
@@ -229,7 +229,7 @@ def cmd_laguerre(args) -> int:
             poly = degenerate_laguerre_explicit(args.p, i, alpha, mode)
             if args.check:
                 other = path2.col(i)
-                resid = laguerre_ode_residual(args.p, i, alpha, mode)
+                resid = _ode_residual(poly, args.p, i, alpha)
                 biggest = max((abs(c) for c in poly), default=0)
                 if (
                     column_discrepancy(poly, other) is not None

@@ -5,6 +5,12 @@ operator-exponential constructions.
 The family is driven by the vector field -x^{p+1}, whose flow has the closed
 form t / (1 + s p t^p)^{1/p}.  Everything here is exact for p >= 1; the p = 0
 member (multiplier 1/e) only exists as a float-mode demo.
+
+Each explicit polynomial is one pass over k with a running falling factorial,
+and the ODE residual of F = sum_j c_j x^j is one pass over its coefficients:
+r_j = (n - j) c_j + p (j + alpha) perm(j + p, p) c_{j+p}.  The identity
+checks have private cores that take the polynomials as rows, so a caller that
+needs several checks of one (p, alpha) builds each polynomial once.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from .operators import (
     op_from_normal_form,
 )
 from .polynomials import Polynomial
-from .scalars import EXACT, FLOAT, coerce, gbinom
+from .scalars import EXACT, FLOAT, coerce
 from .series import DEFAULT_ORDER, PreconditionError, TruncatedSeries
 
 
@@ -89,16 +95,23 @@ def laguerre_operator_paths(p: int, alpha, n_in: int, mode: str = EXACT):
 
 def _laguerre_sum(p: int, n: int, alpha, s, mode: str) -> Polynomial:
     """The coefficient sum of index n: sum over k of
-    binom((n + alpha)/p - 1, k) n! (-s p)^k / (n - p k)! x^(n - p k)."""
+    binom((n + alpha)/p - 1, k) n! (-s p)^k / (n - p k)! x^(n - p k).
+    The binomial's falling factorial runs across k, multiplied in the order
+    ``gbinom`` uses, so exact values and float bits are ``gbinom``'s."""
     LaguerreParams(p, alpha, s, n)
     alpha = coerce(alpha, mode)
     s = coerce(s, mode)
-    top = (n + alpha) / p
+    s1 = (n + alpha) / p - 1
+    step = -s * p
+    n_fact = math.factorial(n)
+    falling = coerce(1, mode)
     coeffs = [coerce(0, mode)] * (n + 1)
     for k in range(n // p + 1):
-        c = gbinom(top - 1, k) * math.factorial(n) * (-s * p) ** k
-        coeffs[n - p * k] = coerce(c, mode) / math.factorial(n - p * k)
-    return Polynomial(coeffs, mode)
+        if k:
+            falling *= s1 - (k - 1)
+        c = falling / math.factorial(k) * n_fact * step**k
+        coeffs[n - p * k] = c / math.factorial(n - p * k)
+    return Polynomial._raw(coeffs, mode)
 
 
 def degenerate_laguerre_explicit(p: int, n: int, alpha=0, mode: str = EXACT) -> Polynomial:
@@ -126,15 +139,26 @@ def frac_laguerre(p: int, n: int, s, mode: str = EXACT) -> Polynomial:
 
 def laguerre_ode_residual(p: int, n: int, alpha=0, mode: str = EXACT) -> Polynomial:
     """Left-hand side of x p F^(p+1) + alpha p F^(p) - x F' + n F for the
-    explicit polynomial F; must vanish identically."""
-    LaguerreParams(p, alpha, 1, n)
+    explicit polynomial F = sum_j c_j x^j, computed in one pass as
+    r_j = (n - j) c_j + p (j + alpha) perm(j + p, p) c_{j+p}; must vanish
+    identically."""
     alpha = coerce(alpha, mode)
-    F = degenerate_laguerre_explicit(p, n, alpha, mode)
-    out = F.derivative(p + 1).shift(1).scale(p)
-    out = out + F.derivative(p).scale(alpha * p)
-    out = out - F.derivative(1).shift(1)
-    out = out + F.scale(n)
-    return out
+    return _ode_residual(degenerate_laguerre_explicit(p, n, alpha, mode), p, n, alpha)
+
+
+def _ode_residual(F: Polynomial, p: int, n: int, alpha) -> Polynomial:
+    """The ODE residual of the index-n polynomial F, coefficient by
+    coefficient: x p F^(p+1) + alpha p F^(p) has p (j + alpha) perm(j + p, p)
+    c_{j+p} at x^j, and n F - x F' has (n - j) c_j."""
+    c = F.coeffs
+    size = len(c)
+    out = []
+    for j in range(size):
+        r = (n - j) * c[j]
+        if j + p < size:
+            r += p * math.perm(j + p, p) * (j + alpha) * c[j + p]
+        out.append(r)
+    return F._like(out)
 
 
 def _biv_report(identity: str, resid: dict) -> dict:
@@ -150,12 +174,19 @@ def cross_sequence_check(p: int, n: int, alpha, beta) -> dict:
     """Two-variable convolution identity of the associated family: the
     (alpha+beta)-member at x+y equals the binomial convolution of the
     alpha-member in x with the beta-member in y."""
-    resid = binomial_convolution_residual(
-        degenerate_laguerre_explicit(p, n, alpha + beta),
-        lambda k: degenerate_laguerre_explicit(p, k, alpha),
-        lambda k: degenerate_laguerre_explicit(p, k, beta),
-        n,
-    )
+
+    def rows(a):
+        return [degenerate_laguerre_explicit(p, k, a) for k in range(n + 1)]
+
+    whole = degenerate_laguerre_explicit(p, n, alpha + beta)
+    return _cross_sequence_report(whole, rows(alpha), rows(beta), n)
+
+
+def _cross_sequence_report(whole: Polynomial, left, right, n: int) -> dict:
+    """The cross-sequence check of index n on given rows: ``whole`` is the
+    (alpha+beta)-member, ``left[k]`` and ``right[k]`` the alpha- and
+    beta-members of index k <= n."""
+    resid = binomial_convolution_residual(whole, left.__getitem__, right.__getitem__, n)
     return _biv_report("laguerre-cross-sequence", resid)
 
 
@@ -163,10 +194,18 @@ def laguerre_genfun_check(p: int, alpha, t_order: int) -> dict:
     """Exponential generating function check: sum_n L_n(x) t^n/n! against
     (1 + p t^p)^{-alpha/p} exp(x t / (1 + p t^p)^{1/p}), both expanded as
     exact bivariate polynomials through degree t_order in t."""
+    rows = [degenerate_laguerre_explicit(p, n, alpha) for n in range(t_order + 1)]
+    return _genfun_report(p, alpha, rows)
+
+
+def _genfun_report(p: int, alpha, rows) -> dict:
+    """The generating-function check on given rows: ``rows[n]`` is the
+    exact index-n polynomial of the alpha-member, through degree
+    len(rows) - 1 in t."""
     alpha = coerce(alpha, EXACT)
+    t_order = len(rows) - 1
     lhs: dict = {}
-    for n in range(t_order + 1):
-        L = degenerate_laguerre_explicit(p, n, alpha)
+    for n, L in enumerate(rows):
         inv = coerce(1, EXACT) / math.factorial(n)
         for i, c in L.terms():
             lhs[(i, n)] = lhs.get((i, n), 0) + c * inv

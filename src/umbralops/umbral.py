@@ -234,6 +234,7 @@ class UmbralSpec:
         self.f = f
         self._iterates = {}
         self._bucc = {}
+        self._bucc_powers = {}
 
     @property
     def q(self):
@@ -430,6 +431,17 @@ def umbral_bucc(spec: UmbralSpec, n_max: int | None = None) -> UmbralOperator:
     return UmbralOperator(spec, spec._bucc[n_max], "bucc")
 
 
+def _bucc_powers(spec: UmbralSpec, n_max: int) -> list:
+    """phi^0, ..., phi^n_max of the bucc matrix phi, from the operator ladder
+    (``_int_op_powers``), built once per n_max and kept on the spec beside
+    the matrix; like it, as matrices, which hold no reference to the spec."""
+    if n_max not in spec._bucc_powers:
+        base = umbral_bucc(spec, n_max).matrix
+        ladder = islice(_int_op_powers(base), n_max + 1)
+        spec._bucc_powers[n_max] = [p.matrix() for p in ladder]
+    return spec._bucc_powers[n_max]
+
+
 def _bucc_matrix(f: TruncatedSeries, n_max: int) -> OperatorMatrix:
     _check_order(f.order, n_max)
     mode = f.mode
@@ -595,16 +607,15 @@ def binomial_type_residual(U: UmbralOperator, n: int) -> dict:
 
 def coeff_identity_scan(spec: UmbralSpec, s, n_max: int = 8):
     """First (n, k) where the fractional-power coefficient identity fails,
-    or None; shares one frac_power matrix, one power ladder and one table
-    of q-binomials, ``left(p)`` and ``right(n - k, p)``, across the whole
-    (n, k) grid.  The table fills on first use: a float q-binomial that
-    overflows is never computed where it would multiply only zero
-    coefficients of the powers."""
+    or None; shares one frac_power matrix, the spec's ladder of bucc powers
+    (``_bucc_powers``, shared by every s) and one table of q-binomials,
+    ``left(p)`` and ``right(n - k, p)``, across the whole (n, k) grid.  The
+    table fills on first use: a float q-binomial that overflows is never
+    computed where it would multiply only zero coefficients of the powers."""
     q = spec.q
     s = coerce(s, spec.mode)
     frac = frac_power(spec, s, n_max).matrix
-    base = umbral_bucc(spec, n_max).matrix
-    powers = [p.matrix() for p in islice(_int_op_powers(base), n_max + 1)]
+    powers = _bucc_powers(spec, n_max)
     left = cache(lambda p: qbinom(s, p, q))
     right = cache(lambda m, p: qbinom(m - s, m - p, q))
     one = coerce(1, spec.mode)

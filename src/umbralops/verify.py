@@ -16,14 +16,14 @@ from fractions import Fraction
 
 from .corpus import load_corpus, random_generators
 from .laguerre import (
-    cross_sequence_check,
+    _cross_sequence_report,
+    _genfun_report,
+    _ode_residual,
     degenerate_laguerre_explicit,
     frac_laguerre,
     laguerre_delta_series,
     laguerre_generator,
-    laguerre_genfun_check,
     laguerre_operator_paths,
-    laguerre_ode_residual,
     laguerre_p0_float_demo,
 )
 from .operators import (
@@ -341,25 +341,28 @@ def suite_kernel(cases, order, seed):
 def suite_laguerre(cases, order, seed):
     items = []
     for p in (1, 2, 3):
+        # every check of this p reads one table of explicit polynomials,
+        # rows[alpha][n], built once
+        rows = {}
         for alpha in (-1, 0, 1, 2):
+            rows[alpha] = [degenerate_laguerre_explicit(p, n, alpha) for n in range(11)]
             # the field operator lowers degree, so column n of each path is
             # the index-n polynomial
             path1, path2 = laguerre_operator_paths(p, alpha, 10)
             bad = [
                 n
                 for n in range(11)
-                if path1.col(n) != path2.col(n)
-                or path2.col(n) != degenerate_laguerre_explicit(p, n, alpha)
+                if path1.col(n) != path2.col(n) or path2.col(n) != rows[alpha][n]
             ]
             where = {"n": bad[0]} if bad else None
-            ok_ode = all(laguerre_ode_residual(p, n, alpha).is_zero() for n in range(11))
+            ok_ode = all(_ode_residual(F, p, n, alpha).is_zero() for n, F in enumerate(rows[alpha]))
             case = f"p={p},alpha={alpha}"
             items.append(_item("laguerre", "explicit-vs-operator", case, 10, not bad, where))
             items.append(_item("laguerre", "ode-residual", case, 10, ok_ode))
         for alpha, beta in ((1, -1), (0, 2)):
-            rep = cross_sequence_check(p, 6, alpha, beta)
+            rep = _cross_sequence_report(rows[alpha + beta][6], rows[alpha], rows[beta], 6)
             items.append(_from_report("laguerre", f"p={p},alpha={alpha},beta={beta}", rep))
-        rep = laguerre_genfun_check(p, 1, 7)
+        rep = _genfun_report(p, 1, rows[1][:8])
         items.append(_from_report("laguerre", f"p={p},alpha=1", rep))
         # closed-form flow against the general machinery
         v = TruncatedSeries([0] * (p + 1) + [-1], order)

@@ -16,7 +16,7 @@ from umbralops.operators import (
     op_sub,
 )
 from umbralops.polynomials import Polynomial
-from umbralops.scalars import EXACT, FLOAT
+from umbralops.scalars import EXACT, FLOAT, coerce, gbinom
 from umbralops.series import TruncatedSeries
 
 # the orders of the oracle tests, which compare an integer-view kernel with
@@ -109,3 +109,27 @@ def nth_pincherle_explicit_loop(U, n):
         term = op_scale(compose_ops(mxk, compose_ops(U, xk)), math.comb(n, k))
         acc = term if acc is None else op_add(acc, term)
     return acc
+
+
+def laguerre_sum_gbinom(p, n, alpha, s, mode):
+    """The explicit Laguerre coefficient sum with a fresh ``gbinom`` per
+    coefficient: the oracle for ``laguerre._laguerre_sum``."""
+    alpha = coerce(alpha, mode)
+    s = coerce(s, mode)
+    top = (n + alpha) / p
+    coeffs = [coerce(0, mode)] * (n + 1)
+    for k in range(n // p + 1):
+        c = gbinom(top - 1, k) * math.factorial(n) * (-s * p) ** k
+        coeffs[n - p * k] = coerce(c, mode) / math.factorial(n - p * k)
+    return Polynomial(coeffs, mode)
+
+
+def laguerre_ode_chain(F, p, n, alpha):
+    """x p F^(p+1) + alpha p F^(p) - x F' + n F as a chain of polynomial
+    derivatives, scalings, shifts and sums: the oracle for
+    ``laguerre._ode_residual``."""
+    alpha = coerce(alpha, F.mode)
+    out = F.derivative(p + 1).shift(1).scale(p)
+    out = out + F.derivative(p).scale(alpha * p)
+    out = out - F.derivative(1).shift(1)
+    return out + F.scale(n)

@@ -112,6 +112,25 @@ def test_laguerre_check_builds_the_operator_paths_once(capsys, monkeypatch):
     assert len(calls) == 2
 
 
+def test_laguerre_check_builds_each_row_once(capsys, monkeypatch):
+    # the ODE residual reads the printed row; built again for the residual,
+    # the count was 12
+    from umbralops import laguerre
+
+    calls = []
+    real = laguerre._laguerre_sum
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(laguerre, "_laguerre_sum", counted)
+    code, out, _ = run_cli(capsys, "laguerre", "--p", "2", "--n", "5", "--alpha", "1", "--check")
+    assert code == 0
+    assert "identity grid: pass" in out
+    assert len(calls) == 6
+
+
 def test_laguerre_check_path_disagreement_is_exit_1(capsys, monkeypatch):
     from umbralops import cli
     from umbralops.operators import op_scale

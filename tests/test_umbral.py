@@ -431,6 +431,31 @@ def test_coeff_identity_scan_skips_q_binomials_at_zero_coefficients():
     assert coeff_identity_scan(spec, -1021.0, 3) is None
 
 
+def test_coeff_identity_scan_shares_one_bucc_power_ladder(monkeypatch):
+    # verify's coeff suite scans three exponents per spec at one n_max; the
+    # ladder phi^0 .. phi^n_max is built for the first and kept on the spec
+    calls = []
+    real = umbral_module._int_op_powers
+
+    def counted(A):
+        calls.append(A)
+        return real(A)
+
+    monkeypatch.setattr(umbral_module, "_int_op_powers", counted)
+    spec = UmbralSpec(TruncatedSeries([0, 1, 1, F(-1, 2)], 12))
+    for s in (F(1, 2), 2, -1):
+        assert coeff_identity_scan(spec, s, 6) is None
+    assert len(calls) == 1
+    phi = umbral_bucc(spec, 6).matrix
+    power = identity_op(phi.n_in, phi.max_out)
+    for ladder_power in umbral_module._bucc_powers(spec, 6):
+        assert_same_op(ladder_power, power)
+        power = compose_ops(power, phi)
+    assert len(calls) == 1
+    coeff_identity_scan(spec, 2, 5)
+    assert len(calls) == 2
+
+
 def test_duality_check():
     for coeffs in ([0, 1, 1], [0, 2, 1]):
         spec = UmbralSpec(TruncatedSeries(coeffs, 12))

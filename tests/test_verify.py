@@ -234,6 +234,23 @@ def test_kernel_suite_makes_317_operator_products(monkeypatch):
     assert len(calls) == 317
 
 
+def test_laguerre_suite_builds_each_explicit_row_once(monkeypatch):
+    # 132 rows, rows[alpha][n] for 3 p, 4 alpha and n <= 10, read by every
+    # check of one p, plus 54 fractional members; with each check building
+    # its own rows the count was 432
+    calls = []
+    real = laguerre._laguerre_sum
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(laguerre, "_laguerre_sum", counted)
+    assert run_verify("laguerre", 7)["passed"]
+    assert len(calls) == 186
+    assert len(set(calls)) == 186
+
+
 def test_suite_registry_matches_function_names():
     # the benchmark tracer keys verify.suite.<name>.s on these names
     for name, fn in SUITES.items():
