@@ -158,7 +158,7 @@ def _ode_residual(F: Polynomial, p: int, n: int, alpha) -> Polynomial:
         if j + p < size:
             r += p * math.perm(j + p, p) * (j + alpha) * c[j + p]
         out.append(r)
-    return F._like(out)
+    return Polynomial._raw(out, F.mode)
 
 
 def _biv_report(identity: str, resid: dict) -> dict:

@@ -18,12 +18,13 @@ every column of the right factor up to ``w`` has degree within the left
 factor's window.  With a complete right factor the product keeps the left
 factor's ``max_out``, which no image can exceed, and its completeness.
 
-Products run in the integer view of ``scalars._to_ints``, the idiom of
-FLINT's ``fmpq_poly``: each column is a list of integer numerators over one
-common denominator (:class:`_IntOp`).  ``compose_ops`` converts its factors
-once per call.  Every operator power comes from one ladder,
-``_int_op_powers``; the power sums (exp, log, ``gen_pow``, h(Q)) and the
-normal forms stay in that view and build ``Fraction``s once, at the end.
+Products run in the integer view, the idiom of FLINT's ``fmpq_poly``: each
+column is a list of integer numerators over one common denominator, which
+is how a :class:`Polynomial` stores it, so an operator's integer view
+(:class:`_IntOp`) shares its columns' stored lists and building the result
+matrix reduces each column once.  No kernel builds a ``Fraction``.  Every
+operator power comes from one ladder, ``_int_op_powers``; the power sums
+(exp, log, ``gen_pow``, h(Q)) and the normal forms stay in that view.
 The Pincherle derivatives make no operator product: column m of
 U' = U x - x U is U(x^(m+1)) - x U(x^m), and column m of the n-th
 derivative is sum_k C(n, k) (-1)^(n-k) x^(n-k) U(x^(m+k)), both summed on
@@ -42,10 +43,8 @@ from .polynomials import Polynomial, poly_from_series
 from .scalars import (
     EXACT,
     FLOAT,
-    _ZEROS,
     _Frozen,
     _add_scaled,
-    _from_ints,
     _reduced,
     _to_ints,
     check_mode,
@@ -144,14 +143,13 @@ class OperatorMatrix(_Frozen):
 
 
 def diag_op(values: Sequence, n_in: int, max_out: int | None = None, mode: str = EXACT) -> OperatorMatrix:
-    """The diagonal operator x^n -> values[n] x^n: one ``coerce`` per column."""
+    """The diagonal operator x^n -> values[n] x^n: one ``coerce`` per column
+    and one integer view of the diagonal."""
     if max_out is None:
         max_out = n_in
-    cols = []
-    for n in range(n_in + 1):
-        c = coerce(values[n], mode)
-        # c * 0 keeps the signed float zeros of a scaled monomial
-        cols.append(Polynomial._raw([c * _ZEROS[mode]] * n + [c], mode))
+    nums, d = _to_ints([coerce(values[n], mode) for n in range(n_in + 1)], mode)
+    # x * 0 keeps the signed float zeros of a scaled monomial
+    cols = [Polynomial._from_view([x * 0] * n + [x], d, mode) for n, x in enumerate(nums)]
     return OperatorMatrix(cols, n_in, max_out, n_in, True, mode)
 
 
@@ -194,12 +192,12 @@ def op_from_x_series(g: TruncatedSeries, n_in: int, max_out: int | None = None) 
 
 def op_from_D_series(g: TruncatedSeries, n_in: int, max_out: int | None = None) -> OperatorMatrix:
     """The shift-invariant operator g(D); column n is sum_k g_k (n)_k x^(n-k),
-    built on the integer view of g with one ``_from_ints`` per column."""
+    built on the integer view of g."""
     if max_out is None:
         max_out = n_in
     nums, d = g.int_view()
     terms = [(k, x) for k, x in enumerate(nums) if x]
-    cols = [Polynomial._raw(_from_ints(_D_column(terms, n), d, g.mode), g.mode) for n in range(n_in + 1)]
+    cols = [Polynomial._from_view(_D_column(terms, n), d, g.mode) for n in range(n_in + 1)]
     window = min(n_in, g.order)
     return OperatorMatrix(cols, n_in, max_out, window, True, g.mode)
 
@@ -239,7 +237,7 @@ def composition_operator(g: TruncatedSeries, n_in: int, max_out: int | None = No
             "composition operator columns are exact only up to the order of g"
         )
     powers = islice(_int_powers(g, max_out + 1), n_in + 1)
-    cols = [Polynomial._raw(_from_ints(*c, g.mode), g.mode) for c in powers]
+    cols = [Polynomial._from_view(*c, g.mode) for c in powers]
     return OperatorMatrix(cols, n_in, max_out, min(n_in, max_out), linear, g.mode)
 
 
@@ -247,10 +245,10 @@ def composition_operator(g: TruncatedSeries, n_in: int, max_out: int | None = No
 
 
 class _IntOp(_Frozen):
-    """An operator in the integer view: column n as the ``(nums, d)`` pair
-    of ``scalars._to_ints`` (a list that may keep trailing zeros), plus the
-    shape fields of :class:`OperatorMatrix`.  The operator kernels run on it
-    and build ``Fraction``s once, in :meth:`matrix`."""
+    """An operator in the integer view: column n as an integer view
+    ``(nums, d)`` (a list that may keep trailing zeros and a denominator that
+    may not be reduced), plus the shape fields of :class:`OperatorMatrix`.
+    The operator kernels run on it and never mutate a column's list."""
 
     __slots__ = ("cols", "n_in", "max_out", "window", "complete", "mode")
 
@@ -261,14 +259,14 @@ class _IntOp(_Frozen):
 
     @classmethod
     def of(cls, U: OperatorMatrix) -> "_IntOp":
-        cols = [c.int_view() for c in U.cols]
+        """U's columns as stored, with no copy or conversion."""
+        cols = [c._view for c in U.cols]
         return cls(cols, U.n_in, U.max_out, U.window, U.complete, U.mode)
 
     def matrix(self) -> OperatorMatrix:
-        """The operator with canonical coefficients: one ``_from_ints`` per
-        column."""
+        """The operator with canonical columns: one reduction per column."""
         mode = self.mode
-        cols = [Polynomial._raw(_from_ints(nums, d, mode), mode) for nums, d in self.cols]
+        cols = [Polynomial._from_view(nums, d, mode) for nums, d in self.cols]
         return OperatorMatrix(cols, self.n_in, self.max_out, self.window, self.complete, mode)
 
     def is_val_nondecreasing(self) -> bool:
@@ -299,10 +297,10 @@ def _apply_ints(col, nums: list, e: int):
 
 
 def _apply_raw(U: OperatorMatrix, p: Polynomial) -> Polynomial:
-    """sum_d p_d U(x^d) over d <= U.n_in (``_apply_ints``), converting only
-    the columns in use."""
-    out, d = _apply_ints(lambda n: U.cols[n].int_view(), *p.int_view(U.n_in + 1))
-    return Polynomial._raw(_from_ints(out, d, U.mode), U.mode)
+    """sum_d p_d U(x^d) over d <= U.n_in (``_apply_ints``) on the stored
+    columns."""
+    out, d = _apply_ints(lambda n: U.cols[n]._view, *p.int_view(U.n_in + 1))
+    return Polynomial._from_view(out, d, U.mode)
 
 
 def apply_op(U: OperatorMatrix, p: Polynomial) -> Polynomial:
@@ -392,7 +390,7 @@ def _compose_ints(U: _IntOp, V: OperatorMatrix, vcols: list) -> _IntOp:
 
 def compose_ops(U: OperatorMatrix, V: OperatorMatrix) -> OperatorMatrix:
     """Operator product U V (V acts first): ``_compose_ints`` on U's
-    integer view, converted once."""
+    stored columns."""
     common_mode(U.mode, V.mode)
     vcols = [c.int_view(U.n_in + 1) for c in V.cols]
     return _compose_ints(_IntOp.of(U), V, vcols).matrix()
@@ -491,14 +489,14 @@ def _pincherle_ints(U: _IntOp) -> _IntOp:
 
 def pincherle_derivative(U: OperatorMatrix) -> OperatorMatrix:
     """U' = U x - x U: column m is U(x^(m+1)) - x U(x^m), computed on the
-    columns' integer numerators and converted once.  It shrinks the input
+    columns' integer numerators.  It shrinks the input
     range and window by one."""
     return _pincherle_ints(_IntOp.of(U)).matrix()
 
 
 def nth_pincherle(U: OperatorMatrix, n: int, check: bool = True) -> OperatorMatrix:
     """n-th Pincherle derivative, by n first differences
-    U(x^(m+1)) - x U(x^m) in the integer view, converted once; optionally
+    U(x^(m+1)) - x U(x^m) in the integer view; optionally
     cross-checked against the explicit binomial sum
     ``_nth_pincherle_explicit``."""
     if n < 0:
@@ -519,14 +517,14 @@ def nth_pincherle(U: OperatorMatrix, n: int, check: bool = True) -> OperatorMatr
 def _nth_pincherle_explicit(U: OperatorMatrix, n: int) -> OperatorMatrix:
     """The n-th Pincherle derivative as one sum: column m is
     sum_k C(n, k) (-1)^(n-k) x^(n-k) U(x^(m+k)), accumulated by
-    ``_add_scaled`` on the columns' integer numerators and converted once."""
+    ``_add_scaled`` on the columns' integer numerators."""
     # the refusals keep the messages of the product form
     if n > U.n_in:
         raise WindowUnderflowError("operator has an empty exact window")
     if n > U.window:
         raise WindowUnderflowError("composition left no certified columns")
     max_out = U.max_out + n if U.complete else U.max_out
-    ucols = [c.int_view() for c in U.cols]
+    ucols = [c._view for c in U.cols]
     cols = []
     for m in range(U.n_in - n + 1):
         acc = [], 1
@@ -555,10 +553,9 @@ def _int_op_powers(A: OperatorMatrix):
         power = _compose_ints(power, A, acols)
 
 
-def _add_term(acc: _IntOp, c, power: _IntOp) -> _IntOp:
-    """acc + c power in the integer view: one ``_add_scaled`` pass per
-    column, shaped by ``_sum_shape``."""
-    [a], b = _to_ints([c], acc.mode)
+def _add_term(acc: _IntOp, a, b, power: _IntOp) -> _IntOp:
+    """acc + (a / b) power in the integer view: one ``_add_scaled`` pass per
+    column, shaped by ``_sum_shape``.  Float mode passes ``(c, 1)``."""
     n_in, max_out, window, complete = _sum_shape(acc, power)
     pairs = zip(acc.cols[: n_in + 1], power.cols[: n_in + 1])
     cols = [_add_scaled(s, a, b, p, max_out + 1) for s, p in pairs]
@@ -568,8 +565,8 @@ def _add_term(acc: _IntOp, c, power: _IntOp) -> _IntOp:
 def _power_sum(A: OperatorMatrix, acc: OperatorMatrix, coeff, name: str) -> OperatorMatrix:
     """acc + sum_{k >= 1} coeff(k) A^k for A that strictly lowers degree or
     strictly raises valuation, stopping at the first power that vanishes on
-    the window.  The powers of ``_int_op_powers`` are summed by ``_add_term``;
-    the result's ``Fraction``s are built once, at the end."""
+    the window.  The powers of ``_int_op_powers`` are summed by
+    ``_add_term``."""
     if not (A.lowers_degree_strictly() or A.raises_valuation_strictly()):
         raise PreconditionError(
             f"{name} series needs a strictly degree-lowering or valuation-raising operator"
@@ -579,7 +576,8 @@ def _power_sum(A: OperatorMatrix, acc: OperatorMatrix, coeff, name: str) -> Oper
     for k, power in zip(range(1, _series_termination_bound(A) + 1), powers):
         if power.is_window_zero():
             return acc.matrix()
-        acc = _add_term(acc, coeff(k), power)
+        [a], b = _to_ints([coeff(k)], A.mode)
+        acc = _add_term(acc, a, b, power)
     raise PreconditionError(f"{name} series did not terminate")
 
 
@@ -622,7 +620,7 @@ def gen_pow(U: OperatorMatrix, V: OperatorMatrix, term_bound: int | None = None)
         shifted = op_sub(V, op_scale(identity_op(V.n_in, V.max_out, V.mode), m - 1))
         bino = op_scale(compose_ops(bino, shifted), coerce(1, U.mode) / m)
         bcols = [c.int_view(power.n_in + 1) for c in bino.cols]
-        acc = _add_term(acc, 1, _compose_ints(power, bino, bcols))
+        acc = _add_term(acc, 1, 1, _compose_ints(power, bino, bcols))
     else:
         if auto and term_bound is None:
             raise PreconditionError("gen_pow series did not terminate")
@@ -665,7 +663,8 @@ class NormalForm(_Frozen):
 def normal_form(U: OperatorMatrix, k_max: int | None = None, j_max: int | None = None) -> NormalForm:
     """Extract the x-before-D normal-ordered table from an operator matrix:
     row k is sum_j (-1)^(k-j) binom(k, j) x^(k-j) U(x^j) / k!, summed on the
-    columns' integer numerators (``_add_scaled``) and converted once."""
+    columns' integer numerators (``_add_scaled``); the table's values are
+    read from each row once."""
     if k_max is None:
         k_max = U.window
     if j_max is None:
@@ -679,14 +678,14 @@ def normal_form(U: OperatorMatrix, k_max: int | None = None, j_max: int | None =
         for j, (nums, d) in enumerate(cols[: k + 1]):
             shifted = [0] * (k - j) + nums, d
             inner = _add_scaled(inner, (-1) ** (k - j) * math.comb(k, j), 1, shifted, j_max + 1)
-        row = _from_ints(inner[0], inner[1] * math.factorial(k), U.mode)
-        table.update(((j, k), c) for j, c in enumerate(row) if c)
+        row = Polynomial._from_view(inner[0], inner[1] * math.factorial(k), U.mode)
+        table.update(((j, k), c) for j, c in row.terms())
     return NormalForm(table, U.mode)
 
 
 def op_from_normal_form(nf: NormalForm, n_in: int, max_out: int | None = None) -> OperatorMatrix:
     """Rebuild the matrix of sum a[j][k] x^j D^k, on the table's integer
-    numerators over their common denominator, converted once per column."""
+    numerators over their common denominator."""
     if max_out is None:
         shift = max((j - k for (j, k) in nf.table), default=0)
         max_out = n_in + max(shift, 0)
@@ -701,7 +700,7 @@ def op_from_normal_form(nf: NormalForm, n_in: int, max_out: int | None = None) -
             if deg > max_out:
                 raise PreconditionError("output degree overflow in normal-form rebuild")
             acc[deg] += x * math.perm(n, k)
-        cols.append(Polynomial._raw(_from_ints(acc, d, nf.mode), nf.mode))
+        cols.append(Polynomial._from_view(acc, d, nf.mode))
     return OperatorMatrix(cols, n_in, max_out, n_in, True, nf.mode)
 
 
@@ -726,9 +725,10 @@ def km_operator(
 
 def series_in_operator(h: TruncatedSeries, Q: OperatorMatrix) -> OperatorMatrix:
     """sum_j h_j Q^j, truncated at the order of h: the powers of
-    ``_int_op_powers`` summed by ``_add_term``, converted once."""
+    ``_int_op_powers`` summed by ``_add_term`` on h's numerators."""
     acc = _IntOp.of(zero_op(Q.n_in, Q.max_out, Q.mode))
-    for c, power in zip(h, _int_op_powers(Q)):
-        if c:
-            acc = _add_term(acc, c, power)
+    nums, d = h._view
+    for x, power in zip(nums, _int_op_powers(Q)):
+        if x:
+            acc = _add_term(acc, x, d, power)
     return acc.matrix()

@@ -1,4 +1,5 @@
-"""Exact polynomials in x with canonical (trimmed) coefficient vectors."""
+"""Exact polynomials in x with canonical (trimmed) coefficient vectors,
+stored as one reduced integer view (``scalars._Coeffs``)."""
 
 from __future__ import annotations
 
@@ -8,7 +9,9 @@ from .scalars import (
     EXACT,
     _ZEROS,
     _Coeffs,
-    _convolve,
+    _canonical,
+    _mul_ints,
+    _to_ints,
     check_mode,
     coerce,
     common_mode,
@@ -26,23 +29,25 @@ class Polynomial(_Coeffs):
         coeffs = [coerce(c, mode) for c in coeffs]
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
-        self._init(coeffs=tuple(coeffs), mode=mode)
+        self._init(_view=_to_ints(coeffs, mode), _values=tuple(coeffs), mode=mode)
+
+    @classmethod
+    def _from_view(cls, nums: list, d: int, mode: str) -> "Polynomial":
+        """Trusted internal constructor from an integer view: ``nums / d``
+        (d any nonzero integer) in ``mode``, ints in exact mode, floats (or
+        int zeros) in float mode.  Trims trailing zeros but does not check
+        ``mode``; ``nums`` is not copied."""
+        nums, d = _canonical(nums, d, mode)
+        n = len(nums)
+        while n and not nums[n - 1]:
+            n -= 1
+        return cls._new((nums[:n] if n < len(nums) else nums, d), mode)
 
     @classmethod
     def _raw(cls, coeffs: Sequence, mode: str) -> "Polynomial":
-        """Trusted internal constructor: trims trailing zeros but neither
-        checks ``mode`` nor coerces.  Every coefficient must already be
-        canonical for ``mode`` (``Fraction`` in exact mode, ``float`` in float
-        mode), e.g. the result of arithmetic on coefficients of same-mode
-        polynomials or ``coerce(0, mode)`` padding."""
-        coeffs = tuple(coeffs)
-        n = len(coeffs)
-        while n and coeffs[n - 1] == 0:
-            n -= 1
-        self = object.__new__(cls)
-        object.__setattr__(self, "coeffs", coeffs[:n])
-        object.__setattr__(self, "mode", mode)
-        return self
+        """``_from_view`` of values already canonical for ``mode``
+        (``Fraction`` in exact mode, ``float`` in float mode)."""
+        return cls._from_view(*_to_ints(coeffs, mode), mode)
 
     @classmethod
     def zero(cls, mode: str = EXACT) -> "Polynomial":
@@ -70,22 +75,23 @@ class Polynomial(_Coeffs):
     @property
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self._view[0]) - 1
 
     def coeff(self, k: int):
-        if 0 <= k < len(self.coeffs):
+        if 0 <= k < len(self._view[0]):
             return self.coeffs[k]
         return _ZEROS[self.mode]
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._view[0]
 
     def _key(self):
-        return (self.coeffs, self.mode)
+        return self.mode
 
-    def _like(self, coeffs) -> "Polynomial":
-        """A polynomial in this mode, trailing zeros of ``coeffs`` trimmed."""
-        return Polynomial._raw(coeffs, self.mode)
+    def _like(self, nums: list, d: int) -> "Polynomial":
+        """A polynomial in this mode from an integer view, trailing zeros
+        trimmed."""
+        return Polynomial._from_view(nums, d, self.mode)
 
     def _peer(self, other: "Polynomial") -> None:
         common_mode(self.mode, other.mode)
@@ -94,28 +100,31 @@ class Polynomial(_Coeffs):
         return f"Polynomial({list(self.coeffs)!r})"
 
     def _product(self, other: "Polynomial") -> "Polynomial":
-        """Polynomial product (``scalars._convolve``)."""
-        if self.is_zero() or other.is_zero():
+        """Polynomial product (``scalars._mul_ints``)."""
+        (a, da), (b, db) = self._view, other._view
+        if not a or not b:
             return Polynomial.zero(self.mode)
-        size = len(self.coeffs) + len(other.coeffs) - 1
-        return self._like(_convolve(self.coeffs, other.coeffs, size, self.mode))
+        return self._like(_mul_ints(a, b, len(a) + len(b) - 1), da * db)
 
     def shift(self, k: int) -> "Polynomial":
         """Multiply by x^k."""
         if k < 0:
             raise ValueError("shift requires k >= 0")
-        return self._like([_ZEROS[self.mode]] * k + list(self.coeffs))
+        nums, d = self._view
+        return self._like([0] * k + nums, d)
 
     def truncate(self, max_degree: int) -> "Polynomial":
-        return self._like(self.coeffs[: max_degree + 1])
+        nums, d = self._view
+        return self._like(nums[: max_degree + 1], d)
 
     def derivative(self, times: int = 1) -> "Polynomial":
         p = self
         for _ in range(times):
-            p = p._like([i * c for i, c in enumerate(p.coeffs)][1:])
+            nums, d = p._view
+            p = p._like([i * x for i, x in enumerate(nums)][1:], d)
         return p
 
 
 def poly_from_series(f: TruncatedSeries) -> Polynomial:
     """The polynomial truncation underlying a series (coefficients as-is)."""
-    return Polynomial(list(f.coeffs), f.mode)
+    return Polynomial._from_view(*f.int_view(), f.mode)

@@ -1,9 +1,13 @@
 """Scalar arithmetic helpers for the exact (rational) and float coefficient modes.
 
-Exact-mode values are ``fractions.Fraction`` (always in lowest terms with a
-positive denominator); float-mode values are plain ``float``.  The two modes
-are never mixed silently: containers carry a mode tag and binary operations
-reject operands of different modes.
+Exact-mode values are rationals.  A single value crosses the API as a
+``fractions.Fraction`` (always in lowest terms with a positive denominator);
+a coefficient container stores its values as one integer view ``(nums, d)``,
+integer numerators over one reduced denominator, and builds ``Fraction``s
+only when a caller reads them.  Float-mode values are plain ``float``, and a
+float container stores them as its view with d = 1.  The two modes are never
+mixed silently: containers carry a mode tag and binary operations reject
+operands of different modes.
 """
 
 from __future__ import annotations
@@ -61,9 +65,9 @@ _ZERO = Fraction(0)
 def _to_ints(coeffs, mode: str):
     """Integer view of a coefficient list, the idiom of FLINT's ``fmpq_poly``:
     ``(nums, d)`` with ``coeffs[i] == nums[i] / d``, ``nums`` the numerators
-    over ``d``, the least common denominator.  Float mode passes the values
-    through with ``d = 1``, so a loop over the view runs the float field
-    arithmetic unchanged."""
+    over ``d``, the least common denominator, so the view is reduced.  Float
+    mode passes the values through with ``d = 1``, so a loop over the view
+    runs the float field arithmetic unchanged."""
     if mode == FLOAT:
         return list(coeffs), 1
     dens = [c.denominator for c in coeffs]
@@ -74,14 +78,38 @@ def _to_ints(coeffs, mode: str):
 
 
 def _from_ints(nums, d, mode: str) -> list:
-    """Canonical coefficients ``nums[i] / d`` from an integer view (``d`` any
-    nonzero integer): one public ``Fraction(n, d)`` per nonzero entry and one
-    shared ``Fraction(0)`` for every zero.  Float mode divides: at d = 1 that
-    is ``float(v)``, ``0.0`` for an int zero, and a closing division (by n,
-    by k!) goes into ``d`` in both modes."""
+    """The values ``nums[i] / d`` of an integer view (``d`` any nonzero
+    integer): one public ``Fraction`` per nonzero entry and one shared
+    ``Fraction(0)`` for every zero.  Float mode divides: at d = 1 that is
+    ``float(v)``, ``0.0`` for an int zero."""
     if mode == FLOAT:
         return [v / d for v in nums]
+    if d == 1:
+        return [Fraction(v) if v else _ZERO for v in nums]
     return [Fraction(v, d) if v else _ZERO for v in nums]
+
+
+def _canonical(nums: list, d: int, mode: str):
+    """The stored form of the integer view ``(nums, d)``, d any nonzero
+    integer: reduced, with d > 0 and gcd(d, *nums) = 1, so equal values have
+    equal views.  Float mode stores the values over d = 1: ``v / d``, which
+    makes an int zero 0.0 and is a closing division (by n, by k!) in the
+    float field.  The result may share ``nums``; no one mutates it."""
+    if mode == FLOAT:
+        return [v / d for v in nums], 1
+    if d < 0:
+        nums, d = [-x for x in nums], -d
+    return _reduced(nums, d)
+
+
+def _ratios(nums: list, dens: list, mode: str):
+    """An integer view of the entries ``nums[i] / dens[i]``: over the lcm of
+    the ``dens`` in exact mode; float mode divides each entry, the rounding
+    of one division per coefficient."""
+    if mode == FLOAT:
+        return [x / b for x, b in zip(nums, dens)], 1
+    d = math.lcm(*dens)
+    return [x * (d // b) for x, b in zip(nums, dens)], d
 
 
 def _mul_ints(a: list, b: list, size: int) -> list:
@@ -95,16 +123,6 @@ def _mul_ints(a: list, b: list, size: int) -> list:
                 if y:
                     out[j] += x * y
     return out
-
-
-def _convolve(a, b, size: int, mode: str) -> list:
-    """The first ``size`` coefficients of the product of the coefficient
-    lists ``a`` and ``b``: ``_mul_ints`` in the integer view, with one
-    ``Fraction`` per output coefficient; float mode runs the same loop on
-    the floats."""
-    a, da = _to_ints(a, mode)
-    b, db = _to_ints(b, mode)
-    return _from_ints(_mul_ints(a, b, size), da * db, mode)
 
 
 def _reduced(nums: list, d: int):
@@ -154,15 +172,36 @@ class _Frozen:
 
 
 class _Coeffs(_Frozen):
-    """The ring core shared by ``TruncatedSeries`` and ``Polynomial``: a
-    tuple ``coeffs`` of canonical coefficients in ``mode``.
+    """The ring core shared by ``TruncatedSeries`` and ``Polynomial``.
 
-    A subclass supplies ``_key`` (what equality compares), ``_like`` (a
-    same-kind value from a coefficient list), ``_peer`` (the checks on a
-    same-kind operand) and ``_product`` (the same-kind product).  Operands of
-    another kind are ``NotImplemented``."""
+    The one stored representation is ``_view``, the reduced integer view
+    ``(nums, d)`` of ``_canonical``: the coefficients are ``nums[i] / d``.
+    Every ring operation, equality and hashing run on it.  The public
+    values, ``coeffs``, are built from it on first read and kept.
 
-    __slots__ = ("coeffs", "mode")
+    A subclass supplies ``_key`` (the shape that equality compares besides
+    the view), ``_like`` (a same-kind value from an integer view), ``_peer``
+    (the checks on a same-kind operand) and ``_product`` (the same-kind
+    product).  Operands of another kind are ``NotImplemented``."""
+
+    __slots__ = ("_view", "_values", "mode")
+
+    @classmethod
+    def _new(cls, view: tuple, mode: str):
+        """A value storing the canonical ``view`` and no shape fields yet:
+        the one constructor behind the subclasses' ``_from_view``."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "_view", view)
+        object.__setattr__(self, "_values", None)
+        object.__setattr__(self, "mode", mode)
+        return self
+
+    @property
+    def coeffs(self) -> tuple:
+        """The coefficients as ``Fraction``s (exact) or floats, built once."""
+        if self._values is None:
+            object.__setattr__(self, "_values", tuple(_from_ints(*self._view, self.mode)))
+        return self._values
 
     def __iter__(self):
         return iter(self.coeffs)
@@ -170,15 +209,16 @@ class _Coeffs(_Frozen):
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
             return NotImplemented
-        return self._key() == other._key()
+        return self._view == other._view and self._key() == other._key()
 
     def __hash__(self):
-        return hash(self._key())
+        nums, d = self._view
+        return hash((tuple(nums), d, self._key()))
 
     def valuation(self) -> int | None:
         """Index of the first nonzero coefficient, or None for zero."""
-        for n, c in enumerate(self.coeffs):
-            if c != 0:
+        for n, x in enumerate(self._view[0]):
+            if x:
                 return n
         return None
 
@@ -187,29 +227,39 @@ class _Coeffs(_Frozen):
         return [(n, c) for n, c in enumerate(self.coeffs) if c]
 
     def int_view(self, size: int | None = None):
-        """``_to_ints`` of the first ``size`` coefficients (all by default)."""
-        return _to_ints(self.coeffs if size is None else self.coeffs[:size], self.mode)
+        """A copy of the integer view ``(nums, d)``, its numerators cut to the
+        first ``size`` (all by default); ``nums[i] / d`` is coefficient i."""
+        nums, d = self._view
+        return nums[:size], d
+
+    def _combine(self, other, op):
+        """op (add or sub) on the numerators over the lcm of the two
+        denominators, the shorter operand padded with zeros."""
+        if type(other) is not type(self):
+            return NotImplemented
+        self._peer(other)
+        (a, da), (b, db) = self._view, other._view
+        den = math.lcm(da, db)
+        if den != da:
+            a = [x * (den // da) for x in a]
+        if den != db:
+            b = [y * (den // db) for y in b]
+        return self._like([op(x, y) for x, y in zip_longest(a, b, fillvalue=0)], den)
 
     def __add__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        self._peer(other)
-        pairs = zip_longest(self.coeffs, other.coeffs, fillvalue=_ZEROS[self.mode])
-        return self._like([a + b for a, b in pairs])
+        return self._combine(other, operator.add)
 
     def __sub__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        self._peer(other)
-        pairs = zip_longest(self.coeffs, other.coeffs, fillvalue=_ZEROS[self.mode])
-        return self._like([a - b for a, b in pairs])
+        return self._combine(other, operator.sub)
 
     def __neg__(self):
-        return self._like([-c for c in self.coeffs])
+        nums, d = self._view
+        return self._like([-x for x in nums], d)
 
     def scale(self, c):
-        c = coerce(c, self.mode)
-        return self._like([c * a for a in self.coeffs])
+        [a], b = _to_ints([coerce(c, self.mode)], self.mode)
+        nums, d = self._view
+        return self._like([a * x for x in nums], b * d)
 
     def __mul__(self, other):
         """Same-kind product, or scaling by a scalar."""

@@ -1,10 +1,12 @@
 """Truncated formal power series in one indeterminate.
 
-A :class:`TruncatedSeries` stores plain coefficients ``c_0 .. c_N`` of
-``t^0 .. t^N`` together with the truncation order ``N``.  Values are
-immutable; every operation returns a new series at the same order and never
-silently extends it.  Binary operations require equal orders (use
-:meth:`TruncatedSeries.truncate` to align) and equal scalar modes.
+A :class:`TruncatedSeries` stores the coefficients ``c_0 .. c_N`` of
+``t^0 .. t^N`` as one reduced integer view (``scalars._Coeffs``: all
+``N + 1`` numerators over one denominator) together with the truncation
+order ``N``.  Values are immutable; every operation returns a new series at
+the same order and never silently extends it.  Binary operations require
+equal orders (use :meth:`TruncatedSeries.truncate` to align) and equal
+scalar modes.
 """
 
 from __future__ import annotations
@@ -19,10 +21,10 @@ from .scalars import (
     _ZEROS,
     _Coeffs,
     _add_scaled,
-    _convolve,
-    _from_ints,
+    _canonical,
     _int_pivot,
     _mul_ints,
+    _ratios,
     _reduced,
     _to_ints,
     check_mode,
@@ -55,19 +57,16 @@ class TruncatedSeries(_Coeffs):
             coeffs += [_ZEROS[mode]] * (order + 1 - len(coeffs))
         elif len(coeffs) > order + 1:
             raise ValueError("more coefficients than order+1")
-        self._init(coeffs=tuple(coeffs), order=order, mode=mode)
+        self._init(_view=_to_ints(coeffs, mode), _values=tuple(coeffs), order=order, mode=mode)
 
     @classmethod
-    def _raw(cls, coeffs: Sequence, order: int, mode: str) -> "TruncatedSeries":
-        """Trusted internal constructor: neither checks ``mode`` nor coerces
-        nor pads.  ``coeffs`` must hold exactly ``order + 1`` coefficients,
-        each already canonical for ``mode`` (``Fraction`` in exact mode,
-        ``float`` in float mode), e.g. the result of arithmetic on
-        coefficients of same-mode series or ``coerce(0, mode)`` padding."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "coeffs", tuple(coeffs))
+    def _from_view(cls, nums: list, d: int, order: int, mode: str) -> "TruncatedSeries":
+        """Trusted internal constructor from an integer view: ``nums / d``
+        (d any nonzero integer) holds exactly ``order + 1`` coefficients in
+        ``mode``: ints in exact mode, floats (or int zeros) in float mode.
+        Neither checks ``mode`` nor pads; ``nums`` is not copied."""
+        self = cls._new(_canonical(nums, d, mode), mode)
         object.__setattr__(self, "order", order)
-        object.__setattr__(self, "mode", mode)
         return self
 
     # -- constructors -------------------------------------------------
@@ -100,22 +99,24 @@ class TruncatedSeries(_Coeffs):
         return self.coeffs[n]
 
     def _key(self):
-        return (self.coeffs, self.order, self.mode)
+        return (self.order, self.mode)
 
-    def _like(self, coeffs) -> "TruncatedSeries":
-        """A series at this order and mode from ``order + 1`` coefficients."""
-        return TruncatedSeries._raw(coeffs, self.order, self.mode)
+    def _like(self, nums: list, d: int) -> "TruncatedSeries":
+        """A series at this order and mode from an integer view of
+        ``order + 1`` coefficients."""
+        return TruncatedSeries._from_view(nums, d, self.order, self.mode)
 
     def __repr__(self):
         return f"TruncatedSeries({list(self.coeffs)!r}, order={self.order})"
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self._view[0])
 
     def truncate(self, order: int) -> "TruncatedSeries":
         if order > self.order:
             raise ValueError("truncate cannot extend the order")
-        return TruncatedSeries._raw(self.coeffs[: order + 1], order, self.mode)
+        nums, d = self._view
+        return TruncatedSeries._from_view(nums[: order + 1], d, order, self.mode)
 
     def _peer(self, other: "TruncatedSeries") -> None:
         common_mode(self.mode, other.mode)
@@ -127,8 +128,9 @@ class TruncatedSeries(_Coeffs):
     # -- ring operations (the rest are _Coeffs') -----------------------
 
     def _product(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        """Series product truncated at the order (``scalars._convolve``)."""
-        return self._like(_convolve(self.coeffs, other.coeffs, self.order + 1, self.mode))
+        """Series product truncated at the order (``scalars._mul_ints``)."""
+        (a, da), (b, db) = self._view, other._view
+        return self._like(_mul_ints(a, b, self.order + 1), da * db)
 
     # perfbench/tracing.py looks the traced methods up in the class's own
     # __dict__, so the product is bound here as well as in _Coeffs
@@ -138,24 +140,25 @@ class TruncatedSeries(_Coeffs):
         """Multiply by t^k (k >= 0), truncating at the same order."""
         if k < 0:
             raise ValueError("shift requires k >= 0")
-        zeros = [_ZEROS[self.mode]] * k
-        return self._like((zeros + list(self.coeffs))[: self.order + 1])
+        nums, d = self._view
+        return self._like(([0] * k + nums)[: self.order + 1], d)
 
     def derivative(self) -> "TruncatedSeries":
         """Termwise derivative; the order drops by one (the top coefficient
         of the derivative would need an unknown coefficient of self)."""
         if self.order == 0:
             return TruncatedSeries.zero(0, self.mode)
-        out = [i * c for i, c in enumerate(self.coeffs)][1:]
-        return TruncatedSeries._raw(out, self.order - 1, self.mode)
+        nums, d = self._view
+        out = [i * x for i, x in enumerate(nums)][1:]
+        return TruncatedSeries._from_view(out, d, self.order - 1, self.mode)
 
     def pad(self, order: int) -> "TruncatedSeries":
         """Extend with zero coefficients.  The caller asserts that the true
         coefficients in the padded range are zero (or irrelevant)."""
         if order < self.order:
             raise ValueError("pad cannot shrink the order")
-        zeros = [_ZEROS[self.mode]] * (order - self.order)
-        return TruncatedSeries._raw(list(self.coeffs) + zeros, order, self.mode)
+        nums, d = self._view
+        return TruncatedSeries._from_view(nums + [0] * (order - self.order), d, order, self.mode)
 
     def shift_down(self, k: int) -> "TruncatedSeries":
         """Divide by t^k; requires valuation >= k.  The order drops by k."""
@@ -164,55 +167,57 @@ class TruncatedSeries(_Coeffs):
             raise PreconditionError(f"series is not divisible by t^{k}")
         if self.order < k:
             raise ValueError("order too small")
-        return TruncatedSeries._raw(self.coeffs[k:], self.order - k, self.mode)
+        nums, d = self._view
+        return TruncatedSeries._from_view(nums[k:], d, self.order - k, self.mode)
 
     # -- composition and inversion --------------------------------------
 
     def compose(self, g: "TruncatedSeries") -> "TruncatedSeries":
         """f(g(t)) truncated at the common order; requires g(0) = 0.
 
-        Horner evaluation in the integer view: with f = a / d and g = G / e
-        (``int_view``, g's taken once), acc <- acc G + a_k, each product one
-        ``_mul_ints`` reduced by ``_reduced``, each constant one
-        ``_add_scaled``; ``Fraction``s are built once, at the end.  Float
-        mode runs the same loop with d = e = 1, skipping zero coefficients."""
+        Horner evaluation on the stored views f = a / d and g = G / e:
+        acc <- acc G + a_k, each product one ``_mul_ints`` reduced by
+        ``_reduced``, each constant one ``_add_scaled``.  Float mode runs the
+        same loop with d = e = 1, skipping zero coefficients."""
         self._peer(g)
-        if g.coeffs[0] != 0:
+        if g._view[0][0]:
             raise PreconditionError("compose requires ord(g) >= 1 (g(0) = 0)")
         size = self.order + 1
-        a, d = self.int_view()
-        G, e = g.int_view()
+        a, d = self._view
+        G, e = g._view
         acc = [0] * size, 1
         for c in reversed(a):
             acc = _reduced(_mul_ints(acc[0], G, size), acc[1] * e)
             if c:
                 acc = _add_scaled(acc, c, d, ([1], 1), size)
-        return self._like(_from_ints(*acc, self.mode))
+        return self._like(*acc)
 
     def comp_inverse(self) -> "TruncatedSeries":
         """Compositional inverse g with f(g) = g(f) = t, by Lagrange inversion:
         with f = t h, [t^n] g = [t^(n-1)] h^(-n) / n.  One unit inverse and
         ``order`` powers from ``_int_powers``, O(N^3)."""
-        if self.coeffs[0] != 0 or self.order < 1 or self.coeffs[1] == 0:
+        nums = self._view[0]
+        if nums[0] or self.order < 1 or not nums[1]:
             raise PreconditionError("comp_inverse requires f(0) = 0 and f'(0) != 0")
         hinv = self.shift_down(1).unit_inverse()
         powers = islice(_int_powers(hinv, self.order), 1, self.order + 1)
-        g = [_ZEROS[self.mode]]
-        for n, (nums, e) in enumerate(powers, 1):
-            g += _from_ints([nums[n - 1]], e * n, self.mode)
-        return TruncatedSeries._raw(g, self.order, self.mode)
+        tops, dens = [0], [1]
+        for n, (pnums, e) in enumerate(powers, 1):
+            tops.append(pnums[n - 1])
+            dens.append(e * n)
+        return self._like(*_ratios(tops, dens, self.mode))
 
     def unit_inverse(self) -> "TruncatedSeries":
         """Multiplicative inverse of a series with nonzero constant term.
 
-        Fraction-free in the integer view of ``scalars._to_ints``: with
+        Fraction-free in the integer view: with
         self = a / d, the inverse is d b / a_0^(N+1) for the integers
         b_0 = a_0^N, b_m = -(sum_k a_k b_(m-k)) / a_0, each quotient exact.
         Float mode runs the same recurrence in the field (b_0 = 1 / a_0)."""
-        if self.coeffs[0] == 0:
+        a, d = self._view
+        if not a[0]:
             raise PreconditionError("unit_inverse requires f(0) != 0")
         n = self.order
-        a, d = self.int_view()
         den, quo = _int_pivot(a[0], n, self.mode)
         b = [quo(den, a[0])]
         for m in range(1, n + 1):
@@ -220,26 +225,31 @@ class TruncatedSeries(_Coeffs):
             for k in range(1, m + 1):
                 s += a[k] * b[m - k]
             b.append(quo(-s, a[0]))
-        return TruncatedSeries._raw(_from_ints([d * v for v in b], den, self.mode), n, self.mode)
+        return self._like([d * v for v in b], den)
 
     # -- transcendental expansions ---------------------------------------
 
+    def _has_unit_constant(self) -> bool:
+        """f(0) = 1: the constant numerator equals the denominator."""
+        nums, d = self._view
+        return nums[0] == d
+
     def exp(self) -> "TruncatedSeries":
-        if self.coeffs[0] != 0:
+        if self._view[0][0]:
             raise PreconditionError("exp requires f(0) = 0")
         one = coerce(1, self.mode)
         return _power_sum(self, TruncatedSeries.one(self.order, self.mode), lambda k: one / math.factorial(k))
 
     def log1(self) -> "TruncatedSeries":
         one = coerce(1, self.mode)
-        if self.coeffs[0] != one:
+        if not self._has_unit_constant():
             raise PreconditionError("log1 requires f(0) = 1")
         u = self - TruncatedSeries.one(self.order, self.mode)
         return _power_sum(u, TruncatedSeries.zero(self.order, self.mode), lambda k: (one if k % 2 else -one) / k)
 
     def pow_scalar(self, alpha) -> "TruncatedSeries":
         """Generalized binomial series: f^alpha for a series with f(0) = 1."""
-        if self.coeffs[0] != coerce(1, self.mode):
+        if not self._has_unit_constant():
             raise PreconditionError("pow_scalar requires f(0) = 1")
         alpha = coerce(alpha, self.mode)
         u = self - TruncatedSeries.one(self.order, self.mode)
@@ -250,8 +260,8 @@ def _int_powers(g: TruncatedSeries, size: int):
     """g^0, g^1, ... in the integer view: the first ``size`` numerators of
     each power over its denominator, one ``_mul_ints`` and one ``_reduced``
     per power.  It is the one ladder of series powers."""
-    nums, d = g.int_view()
-    power = TruncatedSeries.one(size - 1, g.mode).int_view()
+    nums, d = g._view
+    power = [1] + [0] * (size - 1), 1
     while True:
         yield power
         power = _reduced(_mul_ints(power[0], nums, size), power[1] * d)
@@ -261,13 +271,13 @@ def _power_sum(u: TruncatedSeries, acc: TruncatedSeries, coeff) -> TruncatedSeri
     """acc + sum_{k >= 1} coeff(k) u^k for u(0) = 0, stopping at the first
     vanishing power: the powers of ``_int_powers`` summed by ``_add_scaled``."""
     size = u.order + 1
-    acc = acc.int_view()
+    acc = acc._view
     for k, power in enumerate(islice(_int_powers(u, size), 1, size), 1):
         if not any(power[0]):
             break
         [a], b = _to_ints([coeff(k)], u.mode)
         acc = _add_scaled(acc, a, b, power, size)
-    return u._like(_from_ints(*acc, u.mode))
+    return u._like(*acc)
 
 
 def series_from_tail(coeffs: Iterable, order: int, mode: str = EXACT) -> TruncatedSeries:

@@ -41,8 +41,8 @@ from .scalars import (
     FLOAT,
     _Frozen,
     _add_scaled,
-    _from_ints,
     _mul_ints,
+    _ratios,
     _reduced,
     _to_ints,
     coerce,
@@ -68,7 +68,7 @@ def itlog(f: TruncatedSeries) -> TruncatedSeries:
     so at most N steps of O(N^2) each give V in O(N^3) scalar operations.
     The loop runs in the integer view: the columns of C_f are the powers of
     f's numerators (``_int_powers``), Delta is ``_apply_ints`` and the sum is
-    ``_add_scaled``, with one ``Fraction`` per coefficient at the end.
+    ``_add_scaled``, and the result is built from that view.
     This V is rational in f, so a float f runs it on its exact value and
     rounds each coefficient once.
 
@@ -102,10 +102,9 @@ def itlog(f: TruncatedSeries) -> TruncatedSeries:
             if not any(delta[0]):
                 break
             v = _add_scaled(v, 1 if k % 2 else -1, k, delta, size)
-        out = TruncatedSeries._raw(_from_ints(*v, EXACT), f.order, EXACT)
-        if any(out[:2]):
+        if any(v[0][:2]):
             raise AssertionError("iterative logarithm must vanish to second order")
-        return out
+        return TruncatedSeries._from_view(*v, f.order, EXACT)
     return _julia_checked(f, out)
 
 
@@ -149,22 +148,23 @@ def flow(V: TruncatedSeries, s) -> TruncatedSeries:
     ord(V) >= 2 (required in both modes), so N = V.order terms are exact.
     The term and the sum stay in the integer view: each term is V's
     numerators times the last term's derivative (``_mul_ints``, reduced by
-    ``_reduced``), added by ``_add_scaled``; ``Fraction``s are built once.
+    ``_reduced``), added by ``_add_scaled``; the result is built from that
+    view.
     Float mode runs on the exact values of V and s and rounds once.
     """
     s = coerce(s, V.mode)
     if V.mode == FLOAT:
         return _rounded(flow(_exact(V), _exact_scalar(s)))
-    if any(V[:2]):
+    nums, d = V._view
+    if any(nums[:2]):
         raise PreconditionError("flow requires ord(V) >= 2")
     size = V.order + 1
-    nums, d = V.int_view()
     g = cur = TruncatedSeries.t(V.order, EXACT).int_view()
     for k in range(1, V.order):
         cnums, e = cur
         cur = _reduced(_mul_ints(nums, [i * x for i, x in enumerate(cnums)][1:], size), d * e)
         g = _add_scaled(g, s.numerator**k, s.denominator**k * math.factorial(k), cur, size)
-    return TruncatedSeries._raw(_from_ints(*g, EXACT), V.order, EXACT)
+    return TruncatedSeries._from_view(*g, V.order, EXACT)
 
 
 def _exact_scalar(x: float) -> Fraction:
@@ -175,12 +175,14 @@ def _exact_scalar(x: float) -> Fraction:
 
 
 def _exact(f: TruncatedSeries) -> TruncatedSeries:
-    return TruncatedSeries._raw([_exact_scalar(c) for c in f], f.order, EXACT)
+    nums, d = _to_ints([_exact_scalar(c) for c in f], EXACT)
+    return TruncatedSeries._from_view(nums, d, f.order, EXACT)
 
 
 def _rounded(f: TruncatedSeries) -> TruncatedSeries:
-    # float(Fraction) divides int by int, which Python rounds correctly
-    return TruncatedSeries._raw([float(c) for c in f], f.order, FLOAT)
+    # the float view divides each numerator by d, int by int, which Python
+    # rounds correctly: float(Fraction) of each coefficient
+    return TruncatedSeries._from_view(*f.int_view(), f.order, FLOAT)
 
 
 def fractional_iterate(f: TruncatedSeries, s) -> TruncatedSeries:
@@ -229,7 +231,7 @@ class UmbralSpec:
     series (compositional inverse, iterative logarithm, iterates)."""
 
     def __init__(self, f: TruncatedSeries):
-        if f.order < 1 or f[0] != 0 or f[1] == 0:
+        if f.order < 1 or f.valuation() != 1:
             raise PreconditionError("umbral spec requires f(0) = 0 and f'(0) != 0")
         self.f = f
         self._iterates = {}
@@ -340,18 +342,20 @@ def _square(cols, n_max, mode) -> OperatorMatrix:
 
 def umbral_garsia(spec: UmbralSpec, n_max: int | None = None) -> UmbralOperator:
     """Construction 1: phi column n is sum_k x^k/k! * (eval at 0 of f(D)^k x^n),
-    which reduces to n!/k! times the t^n coefficient of f^k: row k is f^k's
-    numerators (``_int_powers``) times n! over its denominator times k!."""
+    which reduces to n!/k! times the t^n coefficient of f^k: with f^k's
+    numerators over e_k (``_int_powers``), entry k of column n is the
+    numerator times n! over e_k k! (``_ratios``)."""
     if n_max is None:
         n_max = spec.default_n_max()
     f = spec.f
     _check_order(f.order, n_max)
     facts = [math.factorial(n) for n in range(n_max + 1)]
-    rows = [
-        _from_ints([x * nf for x, nf in zip(nums, facts)], e * facts[k], f.mode)
-        for k, (nums, e) in zip(range(n_max + 1), _int_powers(f, n_max + 1))
-    ]
-    cols = [Polynomial._raw([row[n] for row in rows[: n + 1]], f.mode) for n in range(n_max + 1)]
+    rows = list(zip(range(n_max + 1), _int_powers(f, n_max + 1)))
+    cols = []
+    for n in range(n_max + 1):
+        tops = [nums[n] * facts[n] for _, (nums, _) in rows[: n + 1]]
+        dens = [e * facts[k] for k, (_, e) in rows[: n + 1]]
+        cols.append(Polynomial._from_view(*_ratios(tops, dens, f.mode), f.mode))
     return UmbralOperator(spec, _square(cols, n_max, f.mode), "garsia")
 
 
@@ -366,7 +370,7 @@ def umbral_steffensen(spec: UmbralSpec, n_max: int | None = None) -> UmbralOpera
     b(0) = f'(0), so b - 1 is not nilpotent unless the multiplier is 1.
     The powers come from ``_int_powers``, each column sums over a running
     common denominator (``_add_scaled``) and Q'(D) acts on the sums through
-    ``_apply_ints`` over ``_D_column``; ``Fraction``s are built once.
+    ``_apply_ints`` over ``_D_column``.
     """
     if n_max is None:
         n_max = spec.default_n_max()
@@ -389,7 +393,7 @@ def umbral_steffensen(spec: UmbralSpec, n_max: int | None = None) -> UmbralOpera
     qterms = [(k, x) for k, x in enumerate(qnums) if x]
     qcols = [(_D_column(qterms, d), qd) for d in range(n_max + 1)]
     cols = [_apply_ints(qcols.__getitem__, *c) for c in cols]
-    matrix = _square([Polynomial._raw(_from_ints(*c, mode), mode) for c in cols], n_max, mode)
+    matrix = _square([Polynomial._from_view(*c, mode) for c in cols], n_max, mode)
     return UmbralOperator(spec, matrix, "steffensen")
 
 
@@ -397,7 +401,7 @@ def umbral_steffensen2(spec: UmbralSpec, n_max: int | None = None) -> UmbralOper
     """Construction 3 (Rodrigues-style): phi x^n = x (D/Q)^n x^{n-1}, using
     plain series powers per column; column 0 is 1 by the axioms.  The powers
     of D/Q are integer numerators (``_int_powers``), and column n is read from
-    the n-th power directly: one ``_D_column`` and one ``_from_ints``."""
+    the n-th power directly: one ``_D_column`` per column."""
     if n_max is None:
         n_max = spec.default_n_max()
     # D/Q loses one order against f
@@ -410,7 +414,7 @@ def umbral_steffensen2(spec: UmbralSpec, n_max: int | None = None) -> UmbralOper
     for n, (bnums, e) in enumerate(powers, 1):
         terms = [(k, x) for k, x in enumerate(bnums) if x]
         col = [0] + _D_column(terms, n - 1)
-        cols.append(Polynomial._raw(_from_ints(col, e, mode), mode))
+        cols.append(Polynomial._from_view(col, e, mode))
     return UmbralOperator(spec, _square(cols, n_max, mode), "steffensen2")
 
 
@@ -419,7 +423,7 @@ def umbral_bucc(spec: UmbralSpec, n_max: int | None = None) -> UmbralOperator:
 
     With g = f - t, column n gets g^k_j (n)_j / k! at x^(n-j+k): the powers
     of g are integer numerators (``_int_powers``) and each column sums over a
-    running common denominator (``_add_scaled``), converted once.  The
+    running common denominator (``_add_scaled``).  The
     matrix depends on the spec and n_max only, so it is built once per
     n_max and kept on the spec."""
     if n_max is None:
@@ -459,7 +463,7 @@ def _bucc_matrix(f: TruncatedSeries, n_max: int) -> OperatorMatrix:
         for n in range(terms[0][0], n_max + 1):
             column = [0] * k + _D_column(terms, n), e
             cols[n] = _add_scaled(cols[n], a, b, column, n + 1)
-    return _square([Polynomial._raw(_from_ints(*c, mode), mode) for c in cols], n_max, mode)
+    return _square([Polynomial._from_view(*c, mode) for c in cols], n_max, mode)
 
 
 def umbral_exp_itlog(spec: UmbralSpec, n_max: int | None = None) -> UmbralOperator:

@@ -28,6 +28,7 @@ from .laguerre import (
 )
 from .operators import (
     NormalForm,
+    OperatorMatrix,
     apply_op,
     compose_ops,
     d_op,
@@ -218,7 +219,12 @@ def suite_kernel(cases, order, seed):
                 pk = p.derivative(k).scale(Fraction(1, math.factorial(k)))
                 if pk.is_zero():
                     continue
-                term = compose_ops(op_from_x_poly(pk, Uk.max_out), compose_ops(Uk, identity_op(n0)))
+                # Uk on inputs up to x^n0: its first n0 + 1 columns, the
+                # shape of the product Uk 1 with the identity on that range
+                head = OperatorMatrix(
+                    Uk.cols[: n0 + 1], n0, Uk.max_out, min(n0, Uk.window), Uk.complete, Uk.mode
+                )
+                term = compose_ops(op_from_x_poly(pk, Uk.max_out), head)
                 rhs = term if rhs is None else op_add(rhs, term)
         except AssertionError:
             # the two n-th Pincherle derivative paths disagree

@@ -129,8 +129,8 @@ def test_operator_composition_builds_no_validated_polynomial(monkeypatch):
 
 # -- integer kernels against the Fraction loops they replaced ---------------
 #
-# Series and polynomial products, unit_inverse and compose_ops compute in
-# the integer view of scalars._to_ints.  Each is checked against the plain
+# Series and polynomial products, unit_inverse and compose_ops compute on
+# the stored integer views.  Each is checked against the plain
 # field loop it replaced: equal and canonical in exact mode, bit-identical
 # floats (never an int 0) in float mode.
 

@@ -6,8 +6,7 @@ import json
 import pytest
 
 from helpers import split_by_multiplier
-from umbralops import operators, umbral, verify
-from umbralops import laguerre
+from umbralops import laguerre, operators, polynomials, scalars, series, umbral, verify
 from umbralops.corpus import load_corpus, random_generators
 from umbralops.operators import OperatorMatrix
 from umbralops.polynomials import Polynomial
@@ -217,10 +216,14 @@ def test_run_verify_builds_each_bucc_matrix_once(monkeypatch):
     assert len(set(calls)) == 23
 
 
-def test_kernel_suite_makes_317_operator_products(monkeypatch):
+def test_kernel_suite_makes_219_operator_products(monkeypatch):
     # the Pincherle derivatives are column differences with no operator
     # product; built from products by x-multiplication matrices, and
-    # cross-checked by more of them, they made the suite's count 1171
+    # cross-checked by more of them, they made the suite's count 1171.  The
+    # Leibniz items cut each derivative's input range by taking its first
+    # columns; as 98 products with an identity matrix they made the count
+    # 317.  Two products with an identity right factor remain: D^0 in the
+    # degree-falling-factorial items and h_0(Q) = 1 in km_operator
     calls = []
     real = operators.compose_ops
 
@@ -231,7 +234,31 @@ def test_kernel_suite_makes_317_operator_products(monkeypatch):
     for module in (operators, umbral, verify, laguerre):
         monkeypatch.setattr(module, "compose_ops", counted)
     assert run_verify("kernel", 7)["passed"]
-    assert len(calls) == 317
+    assert len(calls) == 219
+
+
+def test_formulas_and_kernel_suites_count_their_integer_view_conversions(monkeypatch):
+    # coefficient containers store the integer view, so scalars._to_ints runs
+    # only where values enter it: public constructors, scalings, power-sum
+    # coefficients, diagonals and normal-form tables.  With Fraction storage
+    # every int_view converted: the counts were 776 (formulas) and 10906
+    # (kernel)
+    real = scalars._to_ints
+    calls = []
+
+    def counted(coeffs, mode):
+        calls.append(mode)
+        return real(coeffs, mode)
+
+    for module in (scalars, series, polynomials, operators, umbral):
+        if getattr(module, "_to_ints", None) is real:
+            monkeypatch.setattr(module, "_to_ints", counted)
+    counts = {}
+    for suite in ("formulas", "kernel"):
+        calls.clear()
+        assert run_verify(suite, 7)["passed"]
+        counts[suite] = len(calls)
+    assert counts == {"formulas": 221, "kernel": 921}
 
 
 def test_laguerre_suite_builds_each_explicit_row_once(monkeypatch):
