@@ -256,6 +256,8 @@ def cmd_laguerre(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.mode == FLOAT:
+        raise UsageError("verify runs the exact corpus; its float suite needs no flag: use --suite float")
     report = run_verify(
         suites=args.suite,
         seed=args.seed,

@@ -111,7 +111,7 @@ def _laguerre_sum(p: int, n: int, alpha, s, mode: str) -> Polynomial:
             falling *= s1 - (k - 1)
         c = falling / math.factorial(k) * n_fact * step**k
         coeffs[n - p * k] = c / math.factorial(n - p * k)
-    return Polynomial._raw(coeffs, mode)
+    return Polynomial(coeffs, mode)
 
 
 def degenerate_laguerre_explicit(p: int, n: int, alpha=0, mode: str = EXACT) -> Polynomial:
@@ -158,7 +158,7 @@ def _ode_residual(F: Polynomial, p: int, n: int, alpha) -> Polynomial:
         if j + p < size:
             r += p * math.perm(j + p, p) * (j + alpha) * c[j + p]
         out.append(r)
-    return Polynomial._raw(out, F.mode)
+    return Polynomial(out, F.mode)
 
 
 def _biv_report(identity: str, resid: dict) -> dict:

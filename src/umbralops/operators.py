@@ -18,13 +18,13 @@ every column of the right factor up to ``w`` has degree within the left
 factor's window.  With a complete right factor the product keeps the left
 factor's ``max_out``, which no image can exceed, and its completeness.
 
-Products run in the integer view, the idiom of FLINT's ``fmpq_poly``: each
-column is a list of integer numerators over one common denominator, which
-is how a :class:`Polynomial` stores it, so an operator's integer view
-(:class:`_IntOp`) shares its columns' stored lists and building the result
-matrix reduces each column once.  No kernel builds a ``Fraction``.  Every
-operator power comes from one ladder, ``_int_op_powers``; the power sums
-(exp, log, ``gen_pow``, h(Q)) and the normal forms stay in that view.
+An operator stores its columns in the integer view, the idiom of FLINT's
+``fmpq_poly`` that :class:`Polynomial` uses too: column n is a list of
+integer numerators over one common denominator.  Every kernel reads and
+writes those views and builds no ``Fraction``; the :class:`Polynomial`
+columns, ``cols``, are built from them on first read.  Every operator power
+comes from one ladder, ``_int_op_powers``; the power sums (exp, log,
+``gen_pow``, h(Q)) and the normal forms stay in that view.
 The Pincherle derivatives make no operator product: column m of
 U' = U x - x U is U(x^(m+1)) - x U(x^m), and column m of the n-th
 derivative is sum_k C(n, k) (-1)^(n-k) x^(n-k) U(x^(m+k)), both summed on
@@ -64,7 +64,13 @@ FLOAT_COLUMN_TOL = 1e-9
 
 
 class OperatorMatrix(_Frozen):
-    __slots__ = ("cols", "n_in", "max_out", "window", "complete", "mode")
+    """The one stored form is ``_views``: column n as an integer view
+    ``(nums, d)`` as the kernels leave it, a list that may keep trailing
+    zeros over a denominator that may not be reduced.  The kernels read it
+    and never mutate a column's list; ``cols`` builds the canonical
+    :class:`Polynomial` columns from it on first read and keeps them."""
+
+    __slots__ = ("_views", "_cols", "n_in", "max_out", "window", "complete", "mode")
 
     def __init__(
         self,
@@ -88,8 +94,32 @@ class OperatorMatrix(_Frozen):
             if c.degree > max_out:
                 raise ValueError("column degree exceeds max_out")
         self._init(
-            cols=tuple(cols), n_in=n_in, max_out=max_out, window=window, complete=complete, mode=mode
+            _views=[c._view for c in cols], _cols=tuple(cols),
+            n_in=n_in, max_out=max_out, window=window, complete=complete, mode=mode,
         )
+
+    @classmethod
+    def _from_views(cls, views, n_in, max_out, window, complete, mode) -> "OperatorMatrix":
+        """Trusted internal constructor: column n is ``views[n]``, an integer
+        view as :meth:`Polynomial._from_view` takes it (any nonzero d in
+        exact mode, floats or int zeros over d = 1 in float mode).  The list
+        ``views`` is stored as it is; nothing is checked."""
+        self = object.__new__(cls)
+        self._init(
+            _views=views, _cols=None,
+            n_in=n_in, max_out=max_out, window=window, complete=complete, mode=mode,
+        )
+        return self
+
+    @property
+    def cols(self) -> tuple:
+        """The columns as canonical :class:`Polynomial`s, built once."""
+        if self._cols is None:
+            # from a list: tuple() shrinks the tuple it builds from a
+            # generator, and each one freed would grow CPython's free list
+            cols = tuple([Polynomial._from_view(*v, self.mode) for v in self._views])
+            object.__setattr__(self, "_cols", cols)
+        return self._cols
 
     def col(self, n: int) -> Polynomial:
         return self.cols[n]
@@ -103,17 +133,17 @@ class OperatorMatrix(_Frozen):
     # -- structural predicates (within the window) ----------------------
 
     def lowers_degree_strictly(self) -> bool:
-        return all(self.cols[n].degree < n for n in range(self.window + 1))
+        return not any(any(nums[n:]) for n, (nums, _) in enumerate(self._views[: self.window + 1]))
 
     def raises_valuation_strictly(self) -> bool:
-        for n in range(self.window + 1):
-            v = self.cols[n].valuation()
-            if v is not None and v <= n:
-                return False
-        return True
+        return not any(any(nums[: n + 1]) for n, (nums, _) in enumerate(self._views[: self.window + 1]))
+
+    def is_val_nondecreasing(self) -> bool:
+        """Column n has valuation at least n, within the window."""
+        return not any(any(nums[:n]) for n, (nums, _) in enumerate(self._views[: self.window + 1]))
 
     def is_window_zero(self) -> bool:
-        return all(self.cols[n].is_zero() for n in range(self.window + 1))
+        return not any(any(nums) for nums, _ in self._views[: self.window + 1])
 
     # -- serialization ---------------------------------------------------
 
@@ -148,9 +178,12 @@ def diag_op(values: Sequence, n_in: int, max_out: int | None = None, mode: str =
     if max_out is None:
         max_out = n_in
     nums, d = _to_ints([coerce(values[n], mode) for n in range(n_in + 1)], mode)
-    # x * 0 keeps the signed float zeros of a scaled monomial
-    cols = [Polynomial._from_view([x * 0] * n + [x], d, mode) for n, x in enumerate(nums)]
-    return OperatorMatrix(cols, n_in, max_out, n_in, True, mode)
+    if any(nums[max_out + 1 :]):
+        raise ValueError("column degree exceeds max_out")
+    # x * 0 keeps the signed float zeros of a scaled monomial; a zero x
+    # stores the zero column, so no kernel reads its signed zeros
+    views = [([x * 0] * n + [x] if x else [], d) for n, x in enumerate(nums)]
+    return OperatorMatrix._from_views(views, n_in, max_out, n_in, True, mode)
 
 
 def zero_op(n_in: int, max_out: int | None = None, mode: str = EXACT) -> OperatorMatrix:
@@ -197,9 +230,10 @@ def op_from_D_series(g: TruncatedSeries, n_in: int, max_out: int | None = None) 
         max_out = n_in
     nums, d = g.int_view()
     terms = [(k, x) for k, x in enumerate(nums) if x]
-    cols = [Polynomial._from_view(_D_column(terms, n), d, g.mode) for n in range(n_in + 1)]
-    window = min(n_in, g.order)
-    return OperatorMatrix(cols, n_in, max_out, window, True, g.mode)
+    if terms and n_in - terms[0][0] > max_out:
+        raise ValueError("column degree exceeds max_out")
+    views = [(_D_column(terms, n), d) for n in range(n_in + 1)]
+    return OperatorMatrix._from_views(views, n_in, max_out, min(n_in, g.order), True, g.mode)
 
 
 def _D_column(terms: list, n: int, w: int = 1) -> list:
@@ -236,56 +270,23 @@ def composition_operator(g: TruncatedSeries, n_in: int, max_out: int | None = No
         raise PreconditionError(
             "composition operator columns are exact only up to the order of g"
         )
-    powers = islice(_int_powers(g, max_out + 1), n_in + 1)
-    cols = [Polynomial._from_view(*c, g.mode) for c in powers]
-    return OperatorMatrix(cols, n_in, max_out, min(n_in, max_out), linear, g.mode)
+    powers = list(islice(_int_powers(g, max_out + 1), n_in + 1))
+    return OperatorMatrix._from_views(powers, n_in, max_out, min(n_in, max_out), linear, g.mode)
 
 
 # -- application and algebra --------------------------------------------
 
 
-class _IntOp(_Frozen):
-    """An operator in the integer view: column n as an integer view
-    ``(nums, d)`` (a list that may keep trailing zeros and a denominator that
-    may not be reduced), plus the shape fields of :class:`OperatorMatrix`.
-    The operator kernels run on it and never mutate a column's list."""
-
-    __slots__ = ("cols", "n_in", "max_out", "window", "complete", "mode")
-
-    def __init__(self, cols, n_in, max_out, window, complete, mode):
-        self._init(
-            cols=cols, n_in=n_in, max_out=max_out, window=window, complete=complete, mode=mode
-        )
-
-    @classmethod
-    def of(cls, U: OperatorMatrix) -> "_IntOp":
-        """U's columns as stored, with no copy or conversion."""
-        cols = [c._view for c in U.cols]
-        return cls(cols, U.n_in, U.max_out, U.window, U.complete, U.mode)
-
-    def matrix(self) -> OperatorMatrix:
-        """The operator with canonical columns: one reduction per column."""
-        mode = self.mode
-        cols = [Polynomial._from_view(nums, d, mode) for nums, d in self.cols]
-        return OperatorMatrix(cols, self.n_in, self.max_out, self.window, self.complete, mode)
-
-    def is_val_nondecreasing(self) -> bool:
-        """Column n has valuation at least n, within the window."""
-        return not any(any(self.cols[n][0][:n]) for n in range(self.window + 1))
-
-    def is_window_zero(self) -> bool:
-        return not any(any(nums) for nums, _ in self.cols[: self.window + 1])
-
-
-def _apply_ints(col, nums: list, e: int):
+def _apply_ints(cols, nums: list, e: int):
     """The image of the polynomial P / e, P = ``nums``, under the operator
-    whose column d has the integer view ``col(d) = (C_d, c_d)``.
+    whose column d has the integer view ``cols[d] = (C_d, c_d)``; the terms
+    of P beyond the last column are dropped.
 
     The image is sum_d P_d (L / c_d) C_d over e L, L the lcm of the c_d in
     use: one int list as long as the longest column in use, and its
     denominator.  Float mode runs the same loop on the floats (every
     denominator is 1)."""
-    terms = [(x, col(d)) for d, x in enumerate(nums) if x]
+    terms = [(x, c) for x, c in zip(nums, cols) if x]
     lcm = math.lcm(*[c for _, (_, c) in terms])
     out = [0] * max([len(cnums) for _, (cnums, _) in terms], default=0)
     for x, (cnums, c) in terms:
@@ -299,7 +300,7 @@ def _apply_ints(col, nums: list, e: int):
 def _apply_raw(U: OperatorMatrix, p: Polynomial) -> Polynomial:
     """sum_d p_d U(x^d) over d <= U.n_in (``_apply_ints``) on the stored
     columns."""
-    out, d = _apply_ints(lambda n: U.cols[n]._view, *p.int_view(U.n_in + 1))
+    out, d = _apply_ints(U._views, *p._view)
     return Polynomial._from_view(out, d, U.mode)
 
 
@@ -347,11 +348,10 @@ def op_scale(U: OperatorMatrix, c) -> OperatorMatrix:
     return OperatorMatrix(cols, U.n_in, U.max_out, U.window, U.complete, U.mode)
 
 
-def _compose_ints(U: _IntOp, V: OperatorMatrix, vcols: list) -> _IntOp:
-    """The product U V (V acts first) in the integer view; ``vcols[n]`` is
-    V's column n as ``int_view(U.n_in + 1)``.  Each image column is
-    ``_apply_ints`` on U's columns, truncated at the result's max_out and
-    reduced by ``_reduced``.
+def _compose_ints(U: OperatorMatrix, V: OperatorMatrix) -> OperatorMatrix:
+    """The product U V (V acts first) on the stored views: image column n is
+    ``_apply_ints`` of V's column n on U's columns, truncated at the
+    result's max_out and reduced by ``_reduced``.
 
     With V complete, column n is certified while V's columns up to n have
     degree within U's window; every column of U has degree at most
@@ -361,8 +361,8 @@ def _compose_ints(U: _IntOp, V: OperatorMatrix, vcols: list) -> _IntOp:
     valuation-nondecreasing and U's window to cover every stored degree."""
     if V.complete:
         window = -1
-        for n in range(V.window + 1):
-            if V.cols[n].degree > U.window:
+        for n, (nums, _) in enumerate(V._views[: V.window + 1]):
+            if any(nums[U.window + 1 :]):
                 break
             window = n
         if window < 0:
@@ -379,21 +379,20 @@ def _compose_ints(U: _IntOp, V: OperatorMatrix, vcols: list) -> _IntOp:
                 "left factor window does not cover the truncated columns"
             )
         max_out, window, complete = min(U.max_out, V.max_out), V.window, False
-    col = U.cols.__getitem__
-    cols = []
-    for nums, e in vcols:
-        out, d = _apply_ints(col, nums, e)
+    views = []
+    for nums, e in V._views:
+        out, d = _apply_ints(U._views, nums, e)
         del out[max_out + 1 :]
-        cols.append(_reduced(out, d))
-    return _IntOp(cols, V.n_in, max_out, window, complete, U.mode)
+        views.append(_reduced(out, d))
+    return OperatorMatrix._from_views(views, V.n_in, max_out, window, complete, U.mode)
 
 
 def compose_ops(U: OperatorMatrix, V: OperatorMatrix) -> OperatorMatrix:
-    """Operator product U V (V acts first): ``_compose_ints`` on U's
-    stored columns."""
+    """Operator product U V (V acts first): ``_compose_ints``, which the
+    operator ladder calls directly, so that its steps are not public
+    products."""
     common_mode(U.mode, V.mode)
-    vcols = [c.int_view(U.n_in + 1) for c in V.cols]
-    return _compose_ints(_IntOp.of(U), V, vcols).matrix()
+    return _compose_ints(U, V)
 
 
 def op_inverse(U: OperatorMatrix) -> OperatorMatrix:
@@ -422,7 +421,7 @@ def op_inverse(U: OperatorMatrix) -> OperatorMatrix:
             for i, a in U.cols[d].terms():
                 r[i] -= c * a
             d = max(d, U.cols[d].degree)
-        cols.append(Polynomial._raw(w, U.mode))
+        cols.append(Polynomial(w, U.mode))
     return OperatorMatrix(cols, U.n_in, U.max_out, U.window, U.complete, U.mode)
 
 
@@ -469,29 +468,23 @@ def ops_equal(U: OperatorMatrix, V: OperatorMatrix) -> bool:
 # -- Pincherle calculus ---------------------------------------------------
 
 
-def _pincherle_ints(U: _IntOp) -> _IntOp:
-    """U' = U x - x U in the integer view: column m is
-    U(x^(m+1)) - x U(x^m), one ``_add_scaled`` pass.  The input range and
-    window shrink by one; a complete U's images grow by one degree, an
-    incomplete one's stay truncated at max_out."""
+def pincherle_derivative(U: OperatorMatrix) -> OperatorMatrix:
+    """U' = U x - x U: column m is U(x^(m+1)) - x U(x^m), one
+    ``_add_scaled`` pass on the stored views.  The input range and window
+    shrink by one; a complete U's images grow by one degree, an incomplete
+    one's stay truncated at max_out."""
     # the refusals keep the messages of the product form U x - x U
     if U.n_in < 1:
         raise WindowUnderflowError("no room for an extra input degree")
     if U.window < 1:
         raise WindowUnderflowError("composition left no certified columns")
     max_out = U.max_out + 1 if U.complete else U.max_out
+    views = U._views
     cols = [
-        _add_scaled(U.cols[m + 1], -1, 1, ([0] + nums, d), max_out + 1)
-        for m, (nums, d) in enumerate(U.cols[:-1])
+        _add_scaled(views[m + 1], -1, 1, ([0] + nums, d), max_out + 1)
+        for m, (nums, d) in enumerate(views[:-1])
     ]
-    return _IntOp(cols, U.n_in - 1, max_out, U.window - 1, U.complete, U.mode)
-
-
-def pincherle_derivative(U: OperatorMatrix) -> OperatorMatrix:
-    """U' = U x - x U: column m is U(x^(m+1)) - x U(x^m), computed on the
-    columns' integer numerators.  It shrinks the input
-    range and window by one."""
-    return _pincherle_ints(_IntOp.of(U)).matrix()
+    return OperatorMatrix._from_views(cols, U.n_in - 1, max_out, U.window - 1, U.complete, U.mode)
 
 
 def nth_pincherle(U: OperatorMatrix, n: int, check: bool = True) -> OperatorMatrix:
@@ -503,10 +496,9 @@ def nth_pincherle(U: OperatorMatrix, n: int, check: bool = True) -> OperatorMatr
         raise ValueError("n must be nonnegative")
     if U.window < n:
         raise WindowUnderflowError("window too small for the requested derivative")
-    iterated = _IntOp.of(U)
+    iterated = U
     for _ in range(n):
-        iterated = _pincherle_ints(iterated)
-    iterated = iterated.matrix()
+        iterated = pincherle_derivative(iterated)
     if check and n > 0:
         explicit = _nth_pincherle_explicit(U, n)
         if not ops_equal(iterated, explicit):
@@ -524,16 +516,15 @@ def _nth_pincherle_explicit(U: OperatorMatrix, n: int) -> OperatorMatrix:
     if n > U.window:
         raise WindowUnderflowError("composition left no certified columns")
     max_out = U.max_out + n if U.complete else U.max_out
-    ucols = [c._view for c in U.cols]
     cols = []
     for m in range(U.n_in - n + 1):
         acc = [], 1
         for k in range(n + 1):
-            nums, d = ucols[m + k]
+            nums, d = U._views[m + k]
             a = math.comb(n, k) * (-1) ** (n - k)
             acc = _add_scaled(acc, a, 1, ([0] * (n - k) + nums, d), max_out + 1)
         cols.append(acc)
-    return _IntOp(cols, U.n_in - n, max_out, U.window - n, U.complete, U.mode).matrix()
+    return OperatorMatrix._from_views(cols, U.n_in - n, max_out, U.window - n, U.complete, U.mode)
 
 
 # -- exponentials, logarithms, generalized powers -------------------------
@@ -544,22 +535,21 @@ def _series_termination_bound(U: OperatorMatrix) -> int:
 
 
 def _int_op_powers(A: OperatorMatrix):
-    """A^0, A^1, ... in the integer view (:class:`_IntOp`), the one ladder of
-    operator powers: each is ``_compose_ints`` of the last with A's columns."""
-    acols = [c.int_view(A.n_in + 1) for c in A.cols]
-    power = _IntOp.of(identity_op(A.n_in, A.max_out, A.mode))
+    """A^0, A^1, ..., the one ladder of operator powers: each is
+    ``_compose_ints`` of the last with A."""
+    power = identity_op(A.n_in, A.max_out, A.mode)
     while True:
         yield power
-        power = _compose_ints(power, A, acols)
+        power = _compose_ints(power, A)
 
 
-def _add_term(acc: _IntOp, a, b, power: _IntOp) -> _IntOp:
-    """acc + (a / b) power in the integer view: one ``_add_scaled`` pass per
+def _add_term(acc: OperatorMatrix, a, b, power: OperatorMatrix) -> OperatorMatrix:
+    """acc + (a / b) power on the stored views: one ``_add_scaled`` pass per
     column, shaped by ``_sum_shape``.  Float mode passes ``(c, 1)``."""
     n_in, max_out, window, complete = _sum_shape(acc, power)
-    pairs = zip(acc.cols[: n_in + 1], power.cols[: n_in + 1])
+    pairs = zip(acc._views[: n_in + 1], power._views[: n_in + 1])
     cols = [_add_scaled(s, a, b, p, max_out + 1) for s, p in pairs]
-    return _IntOp(cols, n_in, max_out, window, complete, acc.mode)
+    return OperatorMatrix._from_views(cols, n_in, max_out, window, complete, acc.mode)
 
 
 def _power_sum(A: OperatorMatrix, acc: OperatorMatrix, coeff, name: str) -> OperatorMatrix:
@@ -571,11 +561,10 @@ def _power_sum(A: OperatorMatrix, acc: OperatorMatrix, coeff, name: str) -> Oper
         raise PreconditionError(
             f"{name} series needs a strictly degree-lowering or valuation-raising operator"
         )
-    acc = _IntOp.of(acc)
     powers = islice(_int_op_powers(A), 1, None)
     for k, power in zip(range(1, _series_termination_bound(A) + 1), powers):
         if power.is_window_zero():
-            return acc.matrix()
+            return acc
         [a], b = _to_ints([coeff(k)], A.mode)
         acc = _add_term(acc, a, b, power)
     raise PreconditionError(f"{name} series did not terminate")
@@ -611,7 +600,7 @@ def gen_pow(U: OperatorMatrix, V: OperatorMatrix, term_bound: int | None = None)
             "gen_pow series does not terminate; supply a term bound"
         )
     limit = term_bound if term_bound is not None else _series_termination_bound(U)
-    acc = _IntOp.of(identity_op(U.n_in, U.max_out, U.mode))
+    acc = identity_op(U.n_in, U.max_out, U.mode)
     bino = identity_op(V.n_in, V.max_out, V.mode)
     powers = islice(_int_op_powers(um1), 1, None)
     for m, power in zip(range(1, limit + 1), powers):
@@ -619,12 +608,11 @@ def gen_pow(U: OperatorMatrix, V: OperatorMatrix, term_bound: int | None = None)
             break
         shifted = op_sub(V, op_scale(identity_op(V.n_in, V.max_out, V.mode), m - 1))
         bino = op_scale(compose_ops(bino, shifted), coerce(1, U.mode) / m)
-        bcols = [c.int_view(power.n_in + 1) for c in bino.cols]
-        acc = _add_term(acc, 1, 1, _compose_ints(power, bino, bcols))
+        acc = _add_term(acc, 1, 1, _compose_ints(power, bino))
     else:
         if auto and term_bound is None:
             raise PreconditionError("gen_pow series did not terminate")
-    return acc.matrix()
+    return acc
 
 
 # -- normal forms ----------------------------------------------------------
@@ -671,11 +659,10 @@ def normal_form(U: OperatorMatrix, k_max: int | None = None, j_max: int | None =
         j_max = U.max_out
     if k_max > U.window:
         raise WindowUnderflowError("window too small for the requested D-power range")
-    cols = [c.int_view(j_max + 1) for c in U.cols[: k_max + 1]]
     table = {}
     for k in range(k_max + 1):
         inner = [], 1
-        for j, (nums, d) in enumerate(cols[: k + 1]):
+        for j, (nums, d) in enumerate(U._views[: k + 1]):
             shifted = [0] * (k - j) + nums, d
             inner = _add_scaled(inner, (-1) ** (k - j) * math.comb(k, j), 1, shifted, j_max + 1)
         row = Polynomial._from_view(inner[0], inner[1] * math.factorial(k), U.mode)
@@ -700,8 +687,8 @@ def op_from_normal_form(nf: NormalForm, n_in: int, max_out: int | None = None) -
             if deg > max_out:
                 raise PreconditionError("output degree overflow in normal-form rebuild")
             acc[deg] += x * math.perm(n, k)
-        cols.append(Polynomial._from_view(acc, d, nf.mode))
-    return OperatorMatrix(cols, n_in, max_out, n_in, True, nf.mode)
+        cols.append((acc, d))
+    return OperatorMatrix._from_views(cols, n_in, max_out, n_in, True, nf.mode)
 
 
 def km_operator(
@@ -726,9 +713,9 @@ def km_operator(
 def series_in_operator(h: TruncatedSeries, Q: OperatorMatrix) -> OperatorMatrix:
     """sum_j h_j Q^j, truncated at the order of h: the powers of
     ``_int_op_powers`` summed by ``_add_term`` on h's numerators."""
-    acc = _IntOp.of(zero_op(Q.n_in, Q.max_out, Q.mode))
+    acc = zero_op(Q.n_in, Q.max_out, Q.mode)
     nums, d = h._view
     for x, power in zip(nums, _int_op_powers(Q)):
         if x:
             acc = _add_term(acc, x, d, power)
-    return acc.matrix()
+    return acc

@@ -44,12 +44,6 @@ class Polynomial(_Coeffs):
         return cls._new((nums[:n] if n < len(nums) else nums, d), mode)
 
     @classmethod
-    def _raw(cls, coeffs: Sequence, mode: str) -> "Polynomial":
-        """``_from_view`` of values already canonical for ``mode``
-        (``Fraction`` in exact mode, ``float`` in float mode)."""
-        return cls._from_view(*_to_ints(coeffs, mode), mode)
-
-    @classmethod
     def zero(cls, mode: str = EXACT) -> "Polynomial":
         return cls((), mode)
 

@@ -97,7 +97,7 @@ def itlog(f: TruncatedSeries) -> TruncatedSeries:
         delta = [0, 1], 1
         v = [0] * size, 1
         for k in range(1, size):
-            image = _apply_ints(cols.__getitem__, *delta)
+            image = _apply_ints(cols, *delta)
             delta = _reduced(*_add_scaled(image, -1, 1, delta, size))
             if not any(delta[0]):
                 break
@@ -336,8 +336,8 @@ def _check_order(order: int, n_max: int) -> None:
         raise PreconditionError("series order too small for the requested matrix")
 
 
-def _square(cols, n_max, mode) -> OperatorMatrix:
-    return OperatorMatrix(cols, n_max, n_max, n_max, True, mode)
+def _square(views, n_max, mode) -> OperatorMatrix:
+    return OperatorMatrix._from_views(views, n_max, n_max, n_max, True, mode)
 
 
 def umbral_garsia(spec: UmbralSpec, n_max: int | None = None) -> UmbralOperator:
@@ -355,7 +355,7 @@ def umbral_garsia(spec: UmbralSpec, n_max: int | None = None) -> UmbralOperator:
     for n in range(n_max + 1):
         tops = [nums[n] * facts[n] for _, (nums, _) in rows[: n + 1]]
         dens = [e * facts[k] for k, (_, e) in rows[: n + 1]]
-        cols.append(Polynomial._from_view(*_ratios(tops, dens, f.mode), f.mode))
+        cols.append(_ratios(tops, dens, f.mode))
     return UmbralOperator(spec, _square(cols, n_max, f.mode), "garsia")
 
 
@@ -369,8 +369,8 @@ def umbral_steffensen(spec: UmbralSpec, n_max: int | None = None) -> UmbralOpera
     of b - 1 alive at a time: O(N^3) in place of N + 1 matrix products.
     b(0) = f'(0), so b - 1 is not nilpotent unless the multiplier is 1.
     The powers come from ``_int_powers``, each column sums over a running
-    common denominator (``_add_scaled``) and Q'(D) acts on the sums through
-    ``_apply_ints`` over ``_D_column``.
+    common denominator (``_add_scaled``) and Q'(D) (``op_from_D_series``)
+    acts on the sums by ``compose_ops``.
     """
     if n_max is None:
         n_max = spec.default_n_max()
@@ -389,11 +389,7 @@ def umbral_steffensen(spec: UmbralSpec, n_max: int | None = None) -> UmbralOpera
         for n in range(max(m - 1, terms[0][0]), n_max + 1):
             column = _D_column(terms, n, math.comb(n + 1, m)), e
             cols[n] = _add_scaled(cols[n], 1, 1, column, n + 1)
-    qnums, qd = qprime.truncate(n_max).int_view()
-    qterms = [(k, x) for k, x in enumerate(qnums) if x]
-    qcols = [(_D_column(qterms, d), qd) for d in range(n_max + 1)]
-    cols = [_apply_ints(qcols.__getitem__, *c) for c in cols]
-    matrix = _square([Polynomial._from_view(*c, mode) for c in cols], n_max, mode)
+    matrix = compose_ops(op_from_D_series(qprime.truncate(n_max), n_max), _square(cols, n_max, mode))
     return UmbralOperator(spec, matrix, "steffensen")
 
 
@@ -409,12 +405,11 @@ def umbral_steffensen2(spec: UmbralSpec, n_max: int | None = None) -> UmbralOper
     mode = spec.mode
     finv = spec.f_inverse
     base = finv.shift_down(1).unit_inverse().truncate(n_max)
-    cols = [Polynomial.one(mode)]
+    cols = [Polynomial.one(mode)._view]
     powers = islice(_int_powers(base, n_max + 1), 1, n_max + 1)
     for n, (bnums, e) in enumerate(powers, 1):
         terms = [(k, x) for k, x in enumerate(bnums) if x]
-        col = [0] + _D_column(terms, n - 1)
-        cols.append(Polynomial._from_view(col, e, mode))
+        cols.append(([0] + _D_column(terms, n - 1), e))
     return UmbralOperator(spec, _square(cols, n_max, mode), "steffensen2")
 
 
@@ -436,13 +431,12 @@ def umbral_bucc(spec: UmbralSpec, n_max: int | None = None) -> UmbralOperator:
 
 
 def _bucc_powers(spec: UmbralSpec, n_max: int) -> list:
-    """phi^0, ..., phi^n_max of the bucc matrix phi, from the operator ladder
-    (``_int_op_powers``), built once per n_max and kept on the spec beside
-    the matrix; like it, as matrices, which hold no reference to the spec."""
+    """phi^0, ..., phi^n_max of the bucc matrix phi: the operator ladder
+    (``_int_op_powers``) as it comes, built once per n_max and kept on the
+    spec beside the matrix, which, like it, holds no reference to the spec."""
     if n_max not in spec._bucc_powers:
         base = umbral_bucc(spec, n_max).matrix
-        ladder = islice(_int_op_powers(base), n_max + 1)
-        spec._bucc_powers[n_max] = [p.matrix() for p in ladder]
+        spec._bucc_powers[n_max] = list(islice(_int_op_powers(base), n_max + 1))
     return spec._bucc_powers[n_max]
 
 
@@ -463,7 +457,7 @@ def _bucc_matrix(f: TruncatedSeries, n_max: int) -> OperatorMatrix:
         for n in range(terms[0][0], n_max + 1):
             column = [0] * k + _D_column(terms, n), e
             cols[n] = _add_scaled(cols[n], a, b, column, n + 1)
-    return _square([Polynomial._from_view(*c, mode) for c in cols], n_max, mode)
+    return _square(cols, n_max, mode)
 
 
 def umbral_exp_itlog(spec: UmbralSpec, n_max: int | None = None) -> UmbralOperator:
@@ -491,8 +485,7 @@ def _x_times_D_series(v: TruncatedSeries, n_max: int) -> OperatorMatrix:
     ord(v) >= 2."""
     _check_order(v.order, n_max)
     vD = op_from_D_series(v.truncate(n_max), n_max)
-    cols = [c.shift(1).truncate(n_max) for c in vD.cols]
-    return _square(cols, n_max, v.mode)
+    return _square([(([0] + nums)[: n_max + 1], d) for nums, d in vD._views], n_max, v.mode)
 
 
 CONSTRUCTIONS = {

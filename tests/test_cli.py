@@ -195,6 +195,23 @@ def test_verify_deterministic_with_seed(capsys):
     assert out1 == out2
 
 
+@pytest.mark.parametrize("where", ["before", "after"])
+def test_verify_refuses_float_mode(capsys, where):
+    # verify runs the exact corpus whatever --mode says; a float request is
+    # refused before any suite runs, wherever the flag stands
+    verb = ["verify", "--suite", "float"]
+    argv = ["--mode", "float", *verb] if where == "before" else [*verb, "--mode", "float"]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: verify runs the exact corpus")
+    assert "--suite float" in err
+    # an explicit exact mode is the default and still runs
+    code, out, _ = run_cli(capsys, "--mode", "exact", *verb)
+    assert code == 0
+    assert out.endswith("PASS: 2 checks\n")
+
+
 def test_unknown_suite_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "verify", "--suite", "bogus")
     assert code == 2
