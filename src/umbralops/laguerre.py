@@ -6,11 +6,12 @@ The family is driven by the vector field -x^{p+1}, whose flow has the closed
 form t / (1 + s p t^p)^{1/p}.  Everything here is exact for p >= 1; the p = 0
 member (multiplier 1/e) only exists as a float-mode demo.
 
-Each explicit polynomial is one pass over k with a running falling factorial,
-and the ODE residual of F = sum_j c_j x^j is one pass over its coefficients:
-r_j = (n - j) c_j + p (j + alpha) perm(j + p, p) c_{j+p}.  The identity
-checks have private cores that take the polynomials as rows, so a caller that
-needs several checks of one (p, alpha) builds each polynomial once.
+Each explicit polynomial is one integer view, one pass over k with a running
+falling factorial, and the ODE residual of F = sum_j c_j x^j is one pass over
+F's integer view: r_j = (n - j) c_j + p (j + alpha) perm(j + p, p) c_{j+p}.
+The identity checks have private cores that take the polynomials as rows, and
+the operator paths a shared alpha-free factor, so a caller that needs several
+checks of one (p, alpha) builds each polynomial and operator once.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .operators import (
     op_from_normal_form,
 )
 from .polynomials import Polynomial
-from .scalars import EXACT, FLOAT, coerce
+from .scalars import EXACT, FLOAT, _int_pair, _qbinom_row, _ratios, coerce
 from .series import DEFAULT_ORDER, PreconditionError, TruncatedSeries
 
 
@@ -80,12 +81,15 @@ def _lag_field_op(p: int, alpha, n_in: int, mode: str = EXACT) -> OperatorMatrix
     return op_from_normal_form(nf, n_in, n_in)
 
 
-def laguerre_operator_paths(p: int, alpha, n_in: int, mode: str = EXACT):
+def laguerre_operator_paths(p: int, alpha, n_in: int, mode: str = EXACT, base=None):
     """Both operator constructions of the associated family as matrices:
     (i) the D-series prefactor (1 - p D^p)^{alpha/p} after exp(-x D^{p+1}),
-    (ii) the single exponential exp(-x D^{p+1} - alpha D^p)."""
+    (ii) the single exponential exp(-x D^{p+1} - alpha D^p).  A caller
+    checking several alpha passes ``base``, the alpha-free factor of
+    ``_alpha_free_factor``, built once."""
     alpha = coerce(alpha, mode)
-    base = exp_loc_nilpotent(_lag_field_op(p, 0, n_in, mode))
+    if base is None:
+        base = _alpha_free_factor(p, n_in, mode)
     u = _unit_plus_tp(n_in, p, -p, mode)
     pre = op_from_D_series(u.pow_scalar(alpha / p), n_in)
     path1 = compose_ops(pre, base)
@@ -93,25 +97,29 @@ def laguerre_operator_paths(p: int, alpha, n_in: int, mode: str = EXACT):
     return path1, path2
 
 
+def _alpha_free_factor(p: int, n_in: int, mode: str = EXACT) -> OperatorMatrix:
+    """exp(-x D^{p+1}), the factor of path (i) that no alpha enters."""
+    return exp_loc_nilpotent(_lag_field_op(p, 0, n_in, mode))
+
+
 def _laguerre_sum(p: int, n: int, alpha, s, mode: str) -> Polynomial:
     """The coefficient sum of index n: sum over k of
-    binom((n + alpha)/p - 1, k) n! (-s p)^k / (n - p k)! x^(n - p k).
-    The binomial's falling factorial runs across k, multiplied in the order
-    ``gbinom`` uses, so exact values and float bits are ``gbinom``'s."""
+    binom((n + alpha)/p - 1, k) n! (-s p)^k / (n - p k)! x^(n - p k), as
+    one integer view: the binomials are the running row of ``_qbinom_row``
+    at q = 1, and ``_ratios`` puts the entries over one denominator.  Float
+    mode makes gbinom's products and divisions in gbinom's order, so exact
+    values and float bits are ``gbinom``'s."""
     LaguerreParams(p, alpha, s, n)
     alpha = coerce(alpha, mode)
-    s = coerce(s, mode)
-    s1 = (n + alpha) / p - 1
-    step = -s * p
+    c, e = _int_pair(-coerce(s, mode) * p, mode)
     n_fact = math.factorial(n)
-    falling = coerce(1, mode)
-    coeffs = [coerce(0, mode)] * (n + 1)
+    nums, dens = [0] * (n + 1), [1] * (n + 1)
+    binomial = _qbinom_row((n + alpha) / p - 1, coerce(1, mode))
     for k in range(n // p + 1):
-        if k:
-            falling *= s1 - (k - 1)
-        c = falling / math.factorial(k) * n_fact * step**k
-        coeffs[n - p * k] = c / math.factorial(n - p * k)
-    return Polynomial(coeffs, mode)
+        x, d = binomial(k)
+        nums[n - p * k] = x * n_fact * c**k
+        dens[n - p * k] = d * e**k * math.factorial(n - p * k)
+    return Polynomial._from_view(*_ratios(nums, dens, mode), mode)
 
 
 def degenerate_laguerre_explicit(p: int, n: int, alpha=0, mode: str = EXACT) -> Polynomial:
@@ -142,23 +150,24 @@ def laguerre_ode_residual(p: int, n: int, alpha=0, mode: str = EXACT) -> Polynom
     explicit polynomial F = sum_j c_j x^j, computed in one pass as
     r_j = (n - j) c_j + p (j + alpha) perm(j + p, p) c_{j+p}; must vanish
     identically."""
-    alpha = coerce(alpha, mode)
     return _ode_residual(degenerate_laguerre_explicit(p, n, alpha, mode), p, n, alpha)
 
 
 def _ode_residual(F: Polynomial, p: int, n: int, alpha) -> Polynomial:
     """The ODE residual of the index-n polynomial F, coefficient by
     coefficient: x p F^(p+1) + alpha p F^(p) has p (j + alpha) perm(j + p, p)
-    c_{j+p} at x^j, and n F - x F' has (n - j) c_j."""
-    c = F.coeffs
-    size = len(c)
+    c_{j+p} at x^j, and n F - x F' has (n - j) c_j; on F's integer view
+    over d and alpha = u / w, the residual's view is over d w."""
+    nums, d = F._view
+    u, w = _int_pair(coerce(alpha, F.mode), F.mode)
+    size = len(nums)
     out = []
     for j in range(size):
-        r = (n - j) * c[j]
+        r = (n - j) * w * nums[j]
         if j + p < size:
-            r += p * math.perm(j + p, p) * (j + alpha) * c[j + p]
+            r += p * math.perm(j + p, p) * (j * w + u) * nums[j + p]
         out.append(r)
-    return Polynomial(out, F.mode)
+    return Polynomial._from_view(out, d * w, F.mode)
 
 
 def _biv_report(identity: str, resid: dict) -> dict:

@@ -45,6 +45,7 @@ from .scalars import (
     FLOAT,
     _Frozen,
     _add_scaled,
+    _int_pair,
     _reduced,
     _to_ints,
     check_mode,
@@ -565,7 +566,7 @@ def _power_sum(A: OperatorMatrix, acc: OperatorMatrix, coeff, name: str) -> Oper
     for k, power in zip(range(1, _series_termination_bound(A) + 1), powers):
         if power.is_window_zero():
             return acc
-        [a], b = _to_ints([coeff(k)], A.mode)
+        a, b = _int_pair(coeff(k), A.mode)
         acc = _add_term(acc, a, b, power)
     raise PreconditionError(f"{name} series did not terminate")
 

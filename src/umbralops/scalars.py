@@ -89,6 +89,13 @@ def _from_ints(nums, d, mode: str) -> list:
     return [Fraction(v, d) if v else _ZERO for v in nums]
 
 
+def _int_pair(c, mode: str):
+    """The integer view ``(a, b)`` of one scalar, ``c == a / b``: numerator
+    and denominator in exact mode, ``(c, 1)`` in float mode."""
+    [a], b = _to_ints([c], mode)
+    return a, b
+
+
 def _canonical(nums: list, d: int, mode: str):
     """The stored form of the integer view ``(nums, d)``, d any nonzero
     integer: reduced, with d > 0 and gcd(d, *nums) = 1, so equal values have
@@ -257,7 +264,7 @@ class _Coeffs(_Frozen):
         return self._like([-x for x in nums], d)
 
     def scale(self, c):
-        [a], b = _to_ints([coerce(c, self.mode)], self.mode)
+        a, b = _int_pair(coerce(c, self.mode), self.mode)
         nums, d = self._view
         return self._like([a * x for x in nums], b * d)
 
@@ -329,10 +336,7 @@ def gbinom(s, n: int):
     """Generalized binomial coefficient: falling factorial of ``s`` over ``n!``."""
     if n < 0:
         raise ValueError("gbinom requires n >= 0")
-    num = coerce(1, infer_mode(s))
-    for i in range(n):
-        num *= s - i
-    return num / math.factorial(n)
+    return qbinom(s, n, coerce(1, infer_mode(s)))
 
 
 def qbinom(s, p: int, q):
@@ -344,19 +348,38 @@ def qbinom(s, p: int, q):
     """
     if p < 0:
         raise ValueError("qbinom requires p >= 0")
+    x, d = _qbinom_row(s, q)(p)
+    return coerce(x, infer_mode(q)) / d
+
+
+def _qbinom_row(s, q):
+    """``row(p)``, the integer view ``(x, d)`` of qbinom(s, p, q): running
+    products of factors x / y over z / w, one multiply each per entry,
+    extended only as far as an entry is read; at q = 1, prod_{i<p} (a - i b)
+    over b^p p! for s = a / b.  Float mode closes each entry with qbinom's
+    one division, so the values keep qbinom's float bits."""
     mode = infer_mode(q)
-    if q == coerce(1, mode):
-        return gbinom(coerce(s, mode), p)
-    if mode == EXACT:
+    tangent = q == coerce(1, mode)
+    if tangent:
+        a, b = _int_pair(coerce(s, mode), mode)
+    elif mode == EXACT:
         if infer_mode(s) != EXACT or Fraction(s).denominator != 1:
             raise ValueError("qbinom with q != 1 requires integer s in exact mode")
-        s = int(Fraction(s))
-        q = Fraction(q)
+        s, q = int(Fraction(s)), Fraction(q)
     elif q <= 0:
         raise ValueError("qbinom in float mode requires q > 0")
-    num = coerce(1, mode)
-    den = coerce(1, mode)
-    for i in range(1, p + 1):
-        num *= q ** (s - i + 1) - 1
-        den *= q**i - 1
-    return num / den
+    views = [(1, 1)]
+    num = den = 1
+
+    def row(p):
+        nonlocal num, den
+        for i in range(len(views), p + 1):
+            if tangent:
+                (x, y), (z, w) = (a - (i - 1) * b, b), (i, 1)
+            else:
+                (x, y), (z, w) = _int_pair(q ** (s - i + 1) - 1, mode), _int_pair(q**i - 1, mode)
+            num, den = num * (x * w), den * (y * z)
+            views.append((num / den, 1) if mode == FLOAT else (num, den))
+        return views[p]
+
+    return row

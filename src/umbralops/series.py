@@ -22,6 +22,7 @@ from .scalars import (
     _Coeffs,
     _add_scaled,
     _canonical,
+    _int_pair,
     _int_pivot,
     _mul_ints,
     _ratios,
@@ -275,7 +276,7 @@ def _power_sum(u: TruncatedSeries, acc: TruncatedSeries, coeff) -> TruncatedSeri
     for k, power in enumerate(islice(_int_powers(u, size), 1, size), 1):
         if not any(power[0]):
             break
-        [a], b = _to_ints([coeff(k)], u.mode)
+        a, b = _int_pair(coeff(k), u.mode)
         acc = _add_scaled(acc, a, b, power, size)
     return u._like(*acc)
 

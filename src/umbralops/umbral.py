@@ -41,12 +41,13 @@ from .scalars import (
     FLOAT,
     _Frozen,
     _add_scaled,
+    _int_pair,
     _mul_ints,
+    _qbinom_row,
     _ratios,
     _reduced,
     _to_ints,
     coerce,
-    qbinom,
 )
 from .series import PreconditionError, TruncatedSeries, _int_powers
 
@@ -453,7 +454,7 @@ def _bucc_matrix(f: TruncatedSeries, n_max: int) -> OperatorMatrix:
         terms = [(j, x) for j, x in enumerate(gnums) if x]
         if not terms:
             break
-        [a], b = _to_ints([one / math.factorial(k)], mode)
+        a, b = _int_pair(one / math.factorial(k), mode)
         for n in range(terms[0][0], n_max + 1):
             column = [0] * k + _D_column(terms, n), e
             cols[n] = _add_scaled(cols[n], a, b, column, n + 1)
@@ -604,36 +605,38 @@ def binomial_type_residual(U: UmbralOperator, n: int) -> dict:
 
 def coeff_identity_scan(spec: UmbralSpec, s, n_max: int = 8):
     """First (n, k) where the fractional-power coefficient identity fails,
-    or None; shares one frac_power matrix, the spec's ladder of bucc powers
-    (``_bucc_powers``, shared by every s) and one table of q-binomials,
-    ``left(p)`` and ``right(n - k, p)``, across the whole (n, k) grid.  The
-    table fills on first use: a float q-binomial that overflows is never
-    computed where it would multiply only zero coefficients of the powers."""
-    q = spec.q
-    s = coerce(s, spec.mode)
-    frac = frac_power(spec, s, n_max).matrix
-    powers = _bucc_powers(spec, n_max)
-    left = cache(lambda p: qbinom(s, p, q))
-    right = cache(lambda m, p: qbinom(m - s, m - p, q))
-    one = coerce(1, spec.mode)
+    or None.  It reads the stored integer views of one frac_power matrix and
+    of the spec's ladder of bucc powers (``_bucc_powers``, shared by every
+    s), so each (n, k) is one integer equality over a running common
+    denominator.  The q-binomials ``left(p)`` and ``right(n - k, p)`` are
+    rows of ``_qbinom_row`` that fill on first use: a float q-binomial that
+    overflows is never computed where it would multiply only zeros."""
+    q, mode = spec.q, spec.mode
+    s = coerce(s, mode)
+    frac = frac_power(spec, s, n_max).matrix._views
+    powers = [P._views for P in _bucc_powers(spec, n_max)]
+    left = _qbinom_row(s, q)
+    right = cache(lambda m: _qbinom_row(m - s, q))
+    tangent = q == coerce(1, mode)
     for n in range(n_max + 1):
         for k in range(n + 1):
-            lhs = frac.col(n).coeff(k)
-            rhs = coerce(0, spec.mode)
+            num, den = 0, 1
             for p in range(n - k + 1):
-                c = powers[p].col(n).coeff(k)
-                if c == 0:
+                nums, e = powers[p][n]
+                if k >= len(nums) or not nums[k]:
                     continue
-                term = c * left(p) * right(n - k, p)
-                if q == one:
-                    qfac = one
-                else:
+                (la, lb), (ra, rb) = left(p), right(n - k)(n - k - p)
+                x, y = nums[k] * la * ra, e * lb * rb
+                if not tangent:
                     expo = (n - p) * (s - p)
                     if not _is_integer(expo):
                         raise PreconditionError("non-integer q-power needs float mode")
-                    qfac = q ** int(expo)
-                rhs += term * qfac
-            if lhs != rhs:
+                    qa, qb = _int_pair(q ** int(expo), mode)
+                    x, y = x * qa, y * qb
+                g = math.lcm(den, y)
+                num, den = num * (g // den) + x * (g // y), g
+            nums, d = frac[n]
+            if (nums[k] if k < len(nums) else 0) * den != num * d:
                 return (n, k)
     return None
 

@@ -16,6 +16,7 @@ from fractions import Fraction
 
 from .corpus import load_corpus, random_generators
 from .laguerre import (
+    _alpha_free_factor,
     _cross_sequence_report,
     _genfun_report,
     _ode_residual,
@@ -53,7 +54,7 @@ from .operators import (
     xD_op,
 )
 from .polynomials import Polynomial
-from .scalars import FLOAT
+from .scalars import EXACT, FLOAT
 from .series import DEFAULT_ORDER, PreconditionError, TruncatedSeries
 from .umbral import (
     CONSTRUCTIONS,
@@ -348,13 +349,15 @@ def suite_laguerre(cases, order, seed):
     items = []
     for p in (1, 2, 3):
         # every check of this p reads one table of explicit polynomials,
-        # rows[alpha][n], built once
+        # rows[alpha][n], built once, and the operator paths of every alpha
+        # share one alpha-free factor
         rows = {}
+        base = _alpha_free_factor(p, 10)
         for alpha in (-1, 0, 1, 2):
             rows[alpha] = [degenerate_laguerre_explicit(p, n, alpha) for n in range(11)]
             # the field operator lowers degree, so column n of each path is
             # the index-n polynomial
-            path1, path2 = laguerre_operator_paths(p, alpha, 10)
+            path1, path2 = laguerre_operator_paths(p, alpha, 10, EXACT, base)
             bad = [
                 n
                 for n in range(11)

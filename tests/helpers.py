@@ -3,9 +3,11 @@ this directory on ``sys.path`` for the test files in it)."""
 
 import math
 from fractions import Fraction
+from functools import cache
 
 import pytest
 
+from umbralops import umbral
 from umbralops.corpus import load_corpus, random_generators
 from umbralops.operators import (
     WindowUnderflowError,
@@ -16,8 +18,8 @@ from umbralops.operators import (
     op_sub,
 )
 from umbralops.polynomials import Polynomial
-from umbralops.scalars import EXACT, FLOAT, coerce, gbinom
-from umbralops.series import TruncatedSeries
+from umbralops.scalars import EXACT, FLOAT, coerce, gbinom, qbinom
+from umbralops.series import PreconditionError, TruncatedSeries
 
 # the orders of the oracle tests, which compare an integer-view kernel with
 # the Fraction loop it replaced
@@ -133,3 +135,38 @@ def laguerre_ode_chain(F, p, n, alpha):
     out = out + F.derivative(p).scale(alpha * p)
     out = out - F.derivative(1).shift(1)
     return out + F.scale(n)
+
+
+def coeff_identity_scan_loop(spec, s, n_max=8):
+    """The coefficient identity scan as a loop on ``Fraction``s: each
+    coefficient read through ``Polynomial.coeff`` and a fresh ``qbinom`` per
+    (m, p).  The oracle for ``umbral.coeff_identity_scan``; it reads
+    ``frac_power`` and the bucc power ladder through the module, so a
+    patched matrix reaches both."""
+    q = spec.q
+    s = coerce(s, spec.mode)
+    frac = umbral.frac_power(spec, s, n_max).matrix
+    powers = umbral._bucc_powers(spec, n_max)
+    left = cache(lambda p: qbinom(s, p, q))
+    right = cache(lambda m, p: qbinom(m - s, m - p, q))
+    one = coerce(1, spec.mode)
+    for n in range(n_max + 1):
+        for k in range(n + 1):
+            lhs = frac.col(n).coeff(k)
+            rhs = coerce(0, spec.mode)
+            for p in range(n - k + 1):
+                c = powers[p].col(n).coeff(k)
+                if c == 0:
+                    continue
+                term = c * left(p) * right(n - k, p)
+                if q == one:
+                    qfac = one
+                else:
+                    expo = (n - p) * (s - p)
+                    if expo != int(expo):
+                        raise PreconditionError("non-integer q-power needs float mode")
+                    qfac = q ** int(expo)
+                rhs += term * qfac
+            if lhs != rhs:
+                return (n, k)
+    return None

@@ -10,6 +10,7 @@ from helpers import (
     ORACLE_ORDERS,
     assert_same_op,
     assert_same_series,
+    coeff_identity_scan_loop,
     in_mode,
     oracle_generators,
     split_by_multiplier,
@@ -454,6 +455,89 @@ def test_coeff_identity_scan_shares_one_bucc_power_ladder(monkeypatch):
     assert len(calls) == 1
     coeff_identity_scan(spec, 2, 5)
     assert len(calls) == 2
+
+
+# the exponents of verify's coeff suite
+TANGENT_EXPONENTS = (F(1, 2), F(2), F(-1))
+GENERAL_EXPONENTS = (F(2), F(3))
+
+
+def _coeff_scan_cases(order):
+    """The built-in corpus at ``order`` with the exponents of verify's coeff
+    suite, plus each multiplier-1 entry with its multiplier set to 2 and to
+    1/3 at the general exponents."""
+    cases = []
+    for _, f in load_corpus(order=order):
+        cases.append((f, TANGENT_EXPONENTS if f[1] == 1 else GENERAL_EXPONENTS))
+        if f[1] == 1:
+            for q in (F(2), F(1, 3)):
+                cases.append((TruncatedSeries([0, q] + list(f.coeffs[2:]), order), GENERAL_EXPONENTS))
+    return cases
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+@pytest.mark.parametrize("order", [12, 20])
+def test_coeff_identity_scan_matches_the_fraction_loop(order, mode):
+    # on the full window.  The exact identity holds on every case; float
+    # sums fail at rounding-dependent places, which the scan finds where the
+    # loop does because it multiplies and adds in the loop's order
+    for f, exponents in _coeff_scan_cases(order):
+        spec = UmbralSpec(in_mode(f, mode))
+        for s in exponents:
+            s = s if mode == EXACT else float(s)
+            got = coeff_identity_scan(spec, s, order - 2)
+            assert got == coeff_identity_scan_loop(spec, s, order - 2)
+            assert got is None or mode == FLOAT
+
+
+def _skew_frac_power(monkeypatch, n, k):
+    """frac_power with 1 added at x^k of column n."""
+    real = umbral_module.frac_power
+
+    def skewed(spec, s, n_max=None):
+        U = real(spec, s, n_max)
+        m = U.matrix
+        cols = list(m.cols)
+        cols[n] = cols[n] + Polynomial.monomial(k, 1, m.mode)
+        skewed_m = OperatorMatrix(cols, m.n_in, m.max_out, m.window, m.complete, m.mode)
+        return UmbralOperator(spec, skewed_m, U.provenance)
+
+    monkeypatch.setattr(umbral_module, "frac_power", skewed)
+
+
+def _skew_ladder(monkeypatch, n, k):
+    """The bucc power ladder with 1 added at x^k of column n of phi^1."""
+    real = umbral_module._bucc_powers
+
+    def skewed(spec, n_max):
+        powers = list(real(spec, n_max))
+        P = powers[1]
+        cols = list(P.cols)
+        cols[n] = cols[n] + Polynomial.monomial(k, 1, P.mode)
+        powers[1] = OperatorMatrix(cols, P.n_in, P.max_out, P.window, P.complete, P.mode)
+        return powers
+
+    monkeypatch.setattr(umbral_module, "_bucc_powers", skewed)
+
+
+# (n, k) of the perturbed entry; the ladder's is at n - k = 1, where the
+# weight of phi^1 is [s choose 1]_q q^((n - 1)(s - 1)), nonzero for every
+# exponent of the suite
+@pytest.mark.parametrize("skew, where", [(_skew_frac_power, (5, 2)), (_skew_ladder, (4, 3))])
+def test_coeff_identity_scan_reports_a_perturbed_entry(monkeypatch, skew, where):
+    skew(monkeypatch, *where)
+    for f, exponents in _coeff_scan_cases(12):
+        spec = UmbralSpec(f)
+        for s in exponents:
+            assert coeff_identity_scan(spec, s, 8) == where
+            assert coeff_identity_scan_loop(spec, s, 8) == where
+    report = run_verify("coeff")
+    assert not report["passed"]
+    assert len(report["items"]) == 21
+    n, k = where
+    for item in report["items"]:
+        assert item["status"] == "fail"
+        assert item["first_discrepancy"] == {"col": n, "coeff": k}
 
 
 def test_duality_check():

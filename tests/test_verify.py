@@ -261,6 +261,32 @@ def test_formulas_and_kernel_suites_count_their_integer_view_conversions(monkeyp
     assert counts == {"formulas": 221, "kernel": 921}
 
 
+def test_laguerre_suite_builds_each_alpha_free_factor_once(monkeypatch):
+    # per p, one exp(-x D^(p+1)) shared by the four alpha and one single
+    # exponential per alpha; with the factor built per alpha the count was 24
+    calls = []
+    real = laguerre.exp_loc_nilpotent
+
+    def counted(A):
+        calls.append(A)
+        return real(A)
+
+    monkeypatch.setattr(laguerre, "exp_loc_nilpotent", counted)
+    assert run_verify("laguerre", 7)["passed"]
+    assert len(calls) == 15
+
+
+def test_coeff_suite_reads_the_bucc_ladder_as_integer_views():
+    # the scan reads the ladder's stored views, so no power of it builds
+    # its Polynomial columns, which the spec would keep for its lifetime
+    for name, f in load_corpus():
+        spec = umbral.UmbralSpec(f)
+        assert all(it["status"] == "exact-pass" for it in verify.suite_coeff(name, spec))
+        ladder = spec._bucc_powers[8]
+        assert len(ladder) == 9
+        assert all(power._cols is None for power in ladder)
+
+
 def test_laguerre_suite_builds_each_explicit_row_once(monkeypatch):
     # 132 rows, rows[alpha][n] for 3 p, 4 alpha and n <= 10, read by every
     # check of one p, plus 54 fractional members; with each check building
