@@ -24,7 +24,9 @@ integer numerators over one common denominator.  Every kernel reads and
 writes those views and builds no ``Fraction``; the :class:`Polynomial`
 columns, ``cols``, are built from them on first read.  Every operator power
 comes from one ladder, ``_int_op_powers``; the power sums (exp, log,
-``gen_pow``, h(Q)) and the normal forms stay in that view.
+``gen_pow``, h(Q)) and the normal forms stay in that view, and so does
+``op_inverse``: one pass over the columns, upward in n when column n has
+degree at most n, downward when it has valuation at least n.
 The Pincherle derivatives make no operator product: column m of
 U' = U x - x U is U(x^(m+1)) - x U(x^m), and column m of the n-th
 derivative is sum_k C(n, k) (-1)^(n-k) x^(n-k) U(x^(m+k)), both summed on
@@ -45,6 +47,7 @@ from .scalars import (
     FLOAT,
     _Frozen,
     _add_scaled,
+    _canonical,
     _int_pair,
     _reduced,
     _to_ints,
@@ -397,33 +400,32 @@ def compose_ops(U: OperatorMatrix, V: OperatorMatrix) -> OperatorMatrix:
 
 
 def op_inverse(U: OperatorMatrix) -> OperatorMatrix:
-    """Inverse of a degree-preserving triangular operator, by back-substitution."""
-    zero = coerce(0, U.mode)
-    size = max(U.n_in, U.max_out) + 1
-    cols = []
-    for n in range(U.n_in + 1):
-        # w accumulates the preimage of x^n; r is what is left to reach
-        w = [zero] * size
-        r = [zero] * size
-        r[n] = coerce(1, U.mode)
-        d = n
-        while True:
-            while d >= 0 and not r[d]:
-                d -= 1
-            if d < 0:
-                break
-            if d > U.window:
-                raise WindowUnderflowError("inverse needs columns beyond the window")
-            lead = U.cols[d].coeff(d)
-            if lead == 0:
-                raise PreconditionError("operator is not invertibly triangular")
-            c = r[d] / lead
-            w[d] += c
-            for i, a in U.cols[d].terms():
-                r[i] -= c * a
-            d = max(d, U.cols[d].degree)
-        cols.append(Polynomial(w, U.mode))
-    return OperatorMatrix(cols, U.n_in, U.max_out, U.window, U.complete, U.mode)
+    """Inverse of a triangular operator with a nonzero diagonal: with
+    U x^n = lam_n x^n + R_n, column n of V = U^-1 is (x^n - V R_n) / lam_n,
+    V R_n one ``_apply_ints`` over the columns already found.  n runs upward
+    when every R_n lies below degree n, downward when U is
+    valuation-nondecreasing (a composition operator); others are refused."""
+    views = U._views
+    if U.window < U.n_in or any(any(nums[U.window + 1 :]) for nums, _ in views):
+        raise WindowUnderflowError("inverse needs columns beyond the window")
+    if not any(any(nums[n + 1 :]) for n, (nums, _) in enumerate(views)):
+        order = range(U.n_in + 1)
+    elif U.is_val_nondecreasing():
+        order = range(U.n_in, -1, -1)
+    else:
+        raise PreconditionError("operator is not invertibly triangular")
+    cols = [None] * (U.n_in + 1)
+    for n in order:
+        nums, d = views[n]
+        lam = nums[n] if n < len(nums) else 0
+        if not lam:
+            raise PreconditionError("operator is not invertibly triangular")
+        # V R_n = out / e reads only the columns found so far
+        out, e = _apply_ints(cols, nums[:n] + [0] + nums[n + 1 :], d)
+        col = [-y * d for y in out] + [0] * (n + 1 - len(out))
+        col[n] += e * d
+        cols[n] = _canonical(col, e * lam, U.mode)
+    return OperatorMatrix._from_views(cols, U.n_in, U.max_out, U.window, U.complete, U.mode)
 
 
 def column_discrepancy(a: Polynomial, b: Polynomial, magnitude=0):

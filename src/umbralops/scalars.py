@@ -27,6 +27,10 @@ class ModeMismatchError(TypeError):
     """Raised when exact and float values meet in one operation."""
 
 
+class PreconditionError(ValueError):
+    """A documented operation precondition was violated."""
+
+
 def check_mode(mode: str) -> str:
     if mode not in MODES:
         raise ValueError(f"unknown scalar mode {mode!r}")
@@ -378,6 +382,8 @@ def _qbinom_row(s, q):
                 (x, y), (z, w) = (a - (i - 1) * b, b), (i, 1)
             else:
                 (x, y), (z, w) = _int_pair(q ** (s - i + 1) - 1, mode), _int_pair(q**i - 1, mode)
+                if not z:
+                    raise PreconditionError(f"q-binomial at the root of unity q = {q}: q^{i} - 1 = 0")
             num, den = num * (x * w), den * (y * z)
             views.append((num / den, 1) if mode == FLOAT else (num, den))
         return views[p]

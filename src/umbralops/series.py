@@ -18,6 +18,7 @@ from typing import Iterable, Sequence
 from .scalars import (
     EXACT,
     FLOAT,
+    PreconditionError,
     _ZEROS,
     _Coeffs,
     _add_scaled,
@@ -25,23 +26,19 @@ from .scalars import (
     _int_pair,
     _int_pivot,
     _mul_ints,
+    _qbinom_row,
     _ratios,
     _reduced,
     _to_ints,
     check_mode,
     coerce,
     common_mode,
-    gbinom,
     scalar_from_json,
     scalar_to_json,
 )
 
 
 DEFAULT_ORDER = 12
-
-
-class PreconditionError(ValueError):
-    """A documented operation precondition was violated."""
 
 
 class TruncatedSeries(_Coeffs):
@@ -238,23 +235,23 @@ class TruncatedSeries(_Coeffs):
     def exp(self) -> "TruncatedSeries":
         if self._view[0][0]:
             raise PreconditionError("exp requires f(0) = 0")
-        one = coerce(1, self.mode)
-        return _power_sum(self, TruncatedSeries.one(self.order, self.mode), lambda k: one / math.factorial(k))
+        one = TruncatedSeries.one(self.order, self.mode)
+        return _power_sum(self, one, lambda k: _int_pair(one[0] / math.factorial(k), self.mode))
 
     def log1(self) -> "TruncatedSeries":
-        one = coerce(1, self.mode)
         if not self._has_unit_constant():
             raise PreconditionError("log1 requires f(0) = 1")
-        u = self - TruncatedSeries.one(self.order, self.mode)
-        return _power_sum(u, TruncatedSeries.zero(self.order, self.mode), lambda k: (one if k % 2 else -one) / k)
+        one = TruncatedSeries.one(self.order, self.mode)
+        zero = TruncatedSeries.zero(self.order, self.mode)
+        return _power_sum(self - one, zero, lambda k: _int_pair((-one[0]) ** (k + 1) / k, self.mode))
 
     def pow_scalar(self, alpha) -> "TruncatedSeries":
-        """Generalized binomial series: f^alpha for a series with f(0) = 1."""
+        """Generalized binomial series: f^alpha for a series with f(0) = 1,
+        its binomials gbinom(alpha, k) read from one ``_qbinom_row``."""
         if not self._has_unit_constant():
             raise PreconditionError("pow_scalar requires f(0) = 1")
-        alpha = coerce(alpha, self.mode)
-        u = self - TruncatedSeries.one(self.order, self.mode)
-        return _power_sum(u, TruncatedSeries.one(self.order, self.mode), lambda k: gbinom(alpha, k))
+        one = TruncatedSeries.one(self.order, self.mode)
+        return _power_sum(self - one, one, _qbinom_row(coerce(alpha, self.mode), one[0]))
 
 
 def _int_powers(g: TruncatedSeries, size: int):
@@ -269,15 +266,15 @@ def _int_powers(g: TruncatedSeries, size: int):
 
 
 def _power_sum(u: TruncatedSeries, acc: TruncatedSeries, coeff) -> TruncatedSeries:
-    """acc + sum_{k >= 1} coeff(k) u^k for u(0) = 0, stopping at the first
-    vanishing power: the powers of ``_int_powers`` summed by ``_add_scaled``."""
+    """acc + sum_{k >= 1} (a / b) u^k for u(0) = 0, (a, b) = coeff(k), stopping
+    at the first vanishing power: the powers of ``_int_powers`` summed by
+    ``_add_scaled``."""
     size = u.order + 1
     acc = acc._view
     for k, power in enumerate(islice(_int_powers(u, size), 1, size), 1):
         if not any(power[0]):
             break
-        a, b = _int_pair(coeff(k), u.mode)
-        acc = _add_scaled(acc, a, b, power, size)
+        acc = _add_scaled(acc, *coeff(k), power, size)
     return u._like(*acc)
 
 

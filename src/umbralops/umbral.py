@@ -187,41 +187,28 @@ def _rounded(f: TruncatedSeries) -> TruncatedSeries:
 
 
 def fractional_iterate(f: TruncatedSeries, s) -> TruncatedSeries:
-    """The fractional compositional iterate f^s.
-
-    Integer s works for any multiplier (repeated composition / inversion);
-    non-integer s requires multiplier 1 in exact mode, and any multiplier in
-    float mode via the linearizing coordinate.  At multiplier 1 f^s is
-    rational in f and s, so a float f runs the flow on the exact values, for
-    every s, and rounds each coefficient once: N series products whatever
-    the size of s, where squaring would take O(log |s|) compositions on
-    coefficients that grow with s.
-    """
+    """The fractional compositional iterate f^s: ``UmbralSpec(f).iterate(s)``
+    for a generator (f(0) = 0, f'(0) != 0).  Any other series has only its
+    integer iterates s >= 0, by repeated composition."""
     s = coerce(s, f.mode)
-    if f.mode == FLOAT and f[1] == 1:
-        return _rounded(flow(itlog(_exact(f)), _exact_scalar(s)))
-    if _is_integer(s):
-        k = int(s)
-        base = f if k >= 0 else f.comp_inverse()
-        k = abs(k)
-        # square-and-multiply under composition: O(log |s|) compositions
-        acc = TruncatedSeries.t(f.order, f.mode)
-        while k:
-            if k & 1:
-                acc = acc.compose(base)
-            k >>= 1
-            if k:
-                base = base.compose(base)
-        return acc
-    if f[1] == 1:
-        return flow(itlog(f), s)
-    if f.mode == EXACT:
-        raise PreconditionError(
-            "exact fractional iteration requires multiplier 1 or integer s"
-        )
-    psi = koenigs_coordinate(f)
-    inner = psi.scale(f[1] ** s)
-    return psi.comp_inverse().compose(inner)
+    if f.order >= 1 and f.valuation() == 1:
+        return UmbralSpec(f).iterate(s)
+    if not (_is_integer(s) and s >= 0):
+        raise PreconditionError("a series that is not a generator has only integer iterates s >= 0")
+    return _composed_power(f, int(s))
+
+
+def _composed_power(base: TruncatedSeries, k: int) -> TruncatedSeries:
+    """base composed with itself k >= 0 times, by square-and-multiply under
+    composition: O(log k) compositions."""
+    acc = TruncatedSeries.t(base.order, base.mode)
+    while k:
+        if k & 1:
+            acc = acc.compose(base)
+        k >>= 1
+        if k:
+            base = base.compose(base)
+    return acc
 
 
 # -- umbral specs and operators --------------------------------------------
@@ -255,8 +242,7 @@ class UmbralSpec:
     @cached_property
     def f_inverse(self) -> TruncatedSeries:
         g = self.f.comp_inverse()
-        roundtrip = self.f.compose(g)
-        if roundtrip != TruncatedSeries.t(self.f.order, self.f.mode) and self.mode == EXACT:
+        if self.mode == EXACT and self.f.compose(g) != TruncatedSeries.t(self.order, EXACT):
             raise AssertionError("compositional inverse failed its round trip")
         return g
 
@@ -275,26 +261,30 @@ class UmbralSpec:
         return itlog(_exact(self.f))
 
     def iterate(self, s) -> TruncatedSeries:
-        """fractional_iterate(f, s), computed once per s.  Exact mode reuses
-        the cached iterative logarithm where that takes the flow route
-        (non-integer s, multiplier 1) and the cached compositional inverse
-        for a negative integer s.  Float mode at multiplier 1 takes
-        fractional_iterate's exact flow for every s on one exact iterative
-        logarithm per spec, and rounds each iterate once."""
+        """f^s, once per s; the one router for iterates.  A float f at
+        multiplier 1 rounds the exact flow of the spec's one exact itlog for
+        every s: N series products, where squaring would compose coefficients
+        that grow with s.  Otherwise integer s squares f or the cached f^-1,
+        and other s take the flow at multiplier 1, the exact refusal, or the
+        linearizing coordinate in float mode."""
         s = coerce(s, self.mode)
         if s not in self._iterates:
             self._iterates[s] = self._iterate(s)
         return self._iterates[s]
 
     def _iterate(self, s) -> TruncatedSeries:
-        if self.mode == EXACT:
-            if _is_integer(s) and s < 0:
-                return fractional_iterate(self.f_inverse, -s)
-            if not _is_integer(s) and self.q == 1:
-                return flow(self.itlog_series, s)
-        elif self.q == 1:
+        if self.mode == FLOAT and self.q == 1:
             return _rounded(flow(self._exact_itlog, _exact_scalar(s)))
-        return fractional_iterate(self.f, s)
+        if _is_integer(s):
+            return _composed_power(self.f if s >= 0 else self.f_inverse, abs(int(s)))
+        if self.q == 1:
+            return flow(self.itlog_series, s)
+        if self.mode == EXACT:
+            raise PreconditionError(
+                "exact fractional iteration requires multiplier 1 or integer s"
+            )
+        psi = koenigs_coordinate(self.f)
+        return psi.comp_inverse().compose(psi.scale(self.q**s))
 
     def default_n_max(self) -> int:
         # leave headroom: some constructions consume derivative/inverse

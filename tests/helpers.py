@@ -10,6 +10,7 @@ import pytest
 from umbralops import umbral
 from umbralops.corpus import load_corpus, random_generators
 from umbralops.operators import (
+    OperatorMatrix,
     WindowUnderflowError,
     compose_ops,
     op_add,
@@ -170,3 +171,38 @@ def coeff_identity_scan_loop(spec, s, n_max=8):
             if lhs != rhs:
                 return (n, k)
     return None
+
+
+def op_inverse_loop(U):
+    """The inverse of a triangular operator by back-substitution on
+    ``Fraction``s (floats in float mode), each column read through
+    ``Polynomial.coeff`` and ``terms()``: the oracle for
+    ``operators.op_inverse``.  It is exponential in the order on a
+    valuation-nondecreasing operator and never returns on one that is not
+    triangular."""
+    zero = coerce(0, U.mode)
+    size = max(U.n_in, U.max_out) + 1
+    cols = []
+    for n in range(U.n_in + 1):
+        # w accumulates the preimage of x^n; r is what is left to reach
+        w = [zero] * size
+        r = [zero] * size
+        r[n] = coerce(1, U.mode)
+        d = n
+        while True:
+            while d >= 0 and not r[d]:
+                d -= 1
+            if d < 0:
+                break
+            if d > U.window:
+                raise WindowUnderflowError("inverse needs columns beyond the window")
+            lead = U.cols[d].coeff(d)
+            if lead == 0:
+                raise PreconditionError("operator is not invertibly triangular")
+            c = r[d] / lead
+            w[d] += c
+            for i, a in U.cols[d].terms():
+                r[i] -= c * a
+            d = max(d, U.cols[d].degree)
+        cols.append(Polynomial(w, U.mode))
+    return OperatorMatrix(cols, U.n_in, U.max_out, U.window, U.complete, U.mode)

@@ -408,6 +408,28 @@ def test_manifest_with_zero_multiplier_is_refused_for_every_suite(capsys, tmp_pa
     assert "Traceback" not in err
 
 
+def test_coeff_suite_at_multiplier_minus_one_is_exit_2(capsys, tmp_path):
+    # the q-binomials of the scan divide by q^2 - 1 = 0 at q = -1
+    manifest = tmp_path / "neg.json"
+    manifest.write_text(json.dumps([{"name": "neg", "coeffs": ["-1", "1"]}]))
+    code, out, err = run_cli(capsys, "verify", "--suite", "coeff", "--corpus", str(manifest))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: q-binomial at the root of unity q = -1")
+    assert err.count("\n") == 1
+
+
+def test_series_that_is_not_a_generator_has_integer_iterates_only(capsys):
+    code, out, _ = run_cli(capsys, "series", "iterate", "--f", "0,1", "--s", "2", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["series"]["coeffs"][:6] == ["0", "0", "0", "0", "1", "0"]
+    for s in ("1/2", "-1"):
+        code, out, err = run_cli(capsys, "series", "iterate", "--f", "0,1", "--s", s)
+        assert code == 2, s
+        assert out == ""
+        assert err.startswith("error: a series that is not a generator"), s
+
+
 @pytest.mark.parametrize(
     "manifest",
     [

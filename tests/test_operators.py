@@ -11,6 +11,7 @@ from helpers import (
     assert_same_op,
     in_mode,
     nth_pincherle_explicit_loop,
+    op_inverse_loop,
     pincherle_loop,
 )
 from umbralops import operators, polynomials, scalars
@@ -53,7 +54,7 @@ from umbralops.laguerre import _lag_field_op
 from umbralops.polynomials import Polynomial
 from umbralops.scalars import EXACT, FLOAT
 from umbralops.series import TruncatedSeries, series_from_tail
-from umbralops.umbral import UmbralSpec, _x_times_D_series, itlog, umbral_bucc
+from umbralops.umbral import UmbralSpec, _x_times_D_series, itlog, umbral_bucc, umbral_garsia
 
 F = Fraction
 
@@ -284,6 +285,65 @@ def test_op_inverse():
     C = exp_loc_nilpotent(A)
     inv = op_inverse(C)
     assert first_discrepancy(compose_ops(inv, C), identity_op(6)) is None
+
+
+def _assert_same_inverse(got, want):
+    """Exact inverses are equal to the last bit; float ones agree within the
+    column tolerance."""
+    if got.mode == EXACT:
+        assert_same_op(got, want)
+    else:
+        assert (got.n_in, got.max_out, got.window, got.complete) == (
+            want.n_in, want.max_out, want.window, want.complete
+        )
+        assert first_discrepancy(got, want) is None
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+@pytest.mark.parametrize("order", [12, 20])
+def test_op_inverse_matches_back_substitution_on_bucc_matrices(order, mode):
+    # the upward pass: column n of bucc has degree n
+    for name, f in load_corpus(order=order):
+        U = umbral_bucc(UmbralSpec(in_mode(f, mode))).matrix
+        _assert_same_inverse(op_inverse(U), op_inverse_loop(U))
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+def test_op_inverse_matches_back_substitution_on_composition_operators(mode):
+    # the downward pass; order 12 only, as back-substitution is exponential
+    # in the order on a valuation-nondecreasing operator
+    for name, f in load_corpus(order=12):
+        C = composition_operator(in_mode(f, mode), 12, 12)
+        _assert_same_inverse(op_inverse(C), op_inverse_loop(C))
+
+
+@pytest.mark.parametrize("order", [12, 20, pytest.param(40, marks=pytest.mark.slow)])
+def test_op_inverse_is_the_operator_of_the_inverse_series(order):
+    # C_g^-1 = C_{g^-1}, and phi_f^-1 = phi_{f^-1} (Roman, The Umbral
+    # Calculus, 1984, ch. 3)
+    for name, f in load_corpus(order=order) + random_generators(7, 3, order):
+        spec = UmbralSpec(f)
+        inv = UmbralSpec(spec.f_inverse)
+        C = composition_operator(f, order, order)
+        assert_same_op(op_inverse(C), composition_operator(inv.f, order, order))
+        assert_same_op(op_inverse(umbral_bucc(spec).matrix), umbral_garsia(inv).matrix)
+
+
+def test_op_inverse_refuses_an_operator_that_is_not_triangular():
+    # back-substitution never returned on it
+    U = OperatorMatrix([Polynomial([1, 2]), Polynomial([3, 1])], 1, 1, 1)
+    with pytest.raises(PreconditionError, match="not invertibly triangular"):
+        op_inverse(U)
+    with pytest.raises(PreconditionError, match="not invertibly triangular"):
+        op_inverse(diag_op([1, 0, 2], 2))
+
+
+def test_op_inverse_refuses_columns_beyond_the_window():
+    f = TruncatedSeries([0, 1, 1], 10)
+    with pytest.raises(WindowUnderflowError, match="beyond the window"):
+        op_inverse(composition_operator(f, 5, 10))
+    with pytest.raises(WindowUnderflowError, match="beyond the window"):
+        op_inverse(OperatorMatrix([Polynomial([1]), Polynomial([0, 1])], 1, 1, 0))
 
 
 def test_km_single_term_identity():

@@ -11,6 +11,7 @@ from umbralops.scalars import (
     EXACT,
     FLOAT,
     ModeMismatchError,
+    PreconditionError,
     coerce,
     common_mode,
     format_scalar,
@@ -119,6 +120,14 @@ def test_qbinom_negative_top():
     q = Fraction(2)
     val = qbinom(Fraction(-1), 1, q)
     assert val == (q ** Fraction(-1).numerator - 1) / (q - 1)
+
+
+def test_qbinom_at_a_root_of_unity_is_refused():
+    # [3 choose 1]_q = 1 + q + q^2; from p = 2 the product formula divides
+    # by q^2 - 1, which vanishes at q = -1
+    assert qbinom(3, 1, Fraction(-1)) == 1
+    with pytest.raises(PreconditionError, match="root of unity q = -1"):
+        qbinom(3, 2, Fraction(-1))
 
 
 @given(st.integers(-6, 6), st.integers(0, 5))

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import ORACLE_ORDERS, assert_same_series, in_mode, oracle_generators
+from umbralops import series as series_module
 from umbralops.corpus import load_corpus, random_generators
 from umbralops.scalars import EXACT, FLOAT, gbinom
 from umbralops.series import PreconditionError, TruncatedSeries, series_from_tail
@@ -320,6 +321,20 @@ def test_comp_inverse_exp_log_and_powers_match_the_fraction_loops(order, mode):
             for alpha in (F(1, 2), F(-3), F(2, 7), F(-1, 3)):
                 alpha = float(alpha) if mode == FLOAT else alpha
                 assert_same_series(unit.pow_scalar(alpha), _pow_scalar_loop(unit, alpha))
+
+
+def test_pow_scalar_reads_one_binomial_row(monkeypatch):
+    rows = []
+    real = series_module._qbinom_row
+
+    def counted(s, q):
+        rows.append(s)
+        return real(s, q)
+
+    monkeypatch.setattr(series_module, "_qbinom_row", counted)
+    f = series_from_tail([1, F(1, 2), F(-1, 3)], 12)
+    assert f.exp().pow_scalar(F(2, 7)) == (f.scale(F(2, 7))).exp()
+    assert rows == [F(2, 7)]
 
 
 def test_pow_scalar_keeps_finite_coefficients_when_a_binomial_overflows():

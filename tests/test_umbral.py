@@ -653,6 +653,36 @@ def test_spec_iterate_matches_fractional_iterate():
     assert fspec.iterate(0.5) == fractional_iterate(fspec.f, 0.5)
 
 
+def test_fractional_iterate_on_a_series_that_is_not_a_generator():
+    f = TruncatedSeries([0, 0, 1], 12)
+    assert fractional_iterate(f, 2) == TruncatedSeries([0, 0, 0, 0, 1], 12)
+    assert fractional_iterate(f, 0) == TruncatedSeries.t(12)
+    for s in (F(1, 2), -1):
+        with pytest.raises(PreconditionError, match="not a generator"):
+            fractional_iterate(f, s)
+    with pytest.raises(PreconditionError, match="not a generator"):
+        fractional_iterate(TruncatedSeries([0.0, 0.0, 1.0], 12, FLOAT), 0.5)
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+def test_f_inverse_composes_its_round_trip_in_exact_mode_only(mode, monkeypatch):
+    calls = []
+    real = TruncatedSeries.compose
+
+    def counted(self, g):
+        calls.append(g)
+        return real(self, g)
+
+    monkeypatch.setattr(TruncatedSeries, "compose", counted)
+    spec = UmbralSpec(in_mode(TruncatedSeries([0, 2, 1, F(-1, 3)], 10), mode))
+    roundtrip = 1 if mode == EXACT else 0
+    assert spec.f_inverse.order == 10
+    assert len(calls) == roundtrip
+    # a negative integer iterate composes the cached inverse once, t o f^-1
+    assert spec.iterate(-1) == spec.f_inverse
+    assert len(calls) == roundtrip + 1
+
+
 def test_float_itlog_reports_lost_precision():
     # near multiplier 1 the Koenigs route divides by q - q^m, about (1 - m)/1000,
     # so its V fails the Julia equation by far more than the tolerance
