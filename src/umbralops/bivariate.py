@@ -1,4 +1,4 @@
-"""Minimal exact bivariate polynomial helpers for two-variable identity checks.
+"""Exact bivariate residual for the two-variable convolution identities.
 
 Bivariate polynomials are dicts mapping (x-power, y-power) to a scalar;
 zero coefficients are dropped so that equality is plain dict equality.
@@ -9,17 +9,6 @@ from __future__ import annotations
 import math
 
 from .polynomials import Polynomial
-
-
-def _clean(d: dict) -> dict:
-    return {k: v for k, v in d.items() if v != 0}
-
-
-def biv_sub(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for k, v in b.items():
-        out[k] = out.get(k, 0) - v
-    return _clean(out)
 
 
 def binomial_convolution_residual(p: Polynomial, a, b, n: int) -> dict:
@@ -36,4 +25,4 @@ def binomial_convolution_residual(p: Polynomial, a, b, n: int) -> dict:
         for i, u in px.terms():
             for j, v in py:
                 out[(i, j)] = out.get((i, j), 0) - u * v
-    return _clean(out)
+    return {k: v for k, v in out.items() if v != 0}

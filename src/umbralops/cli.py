@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
@@ -68,8 +69,16 @@ def _parse_tail(text: str, order: int, mode: str) -> TruncatedSeries:
     return series_from_tail(tail, order, mode)
 
 
+def _cell(c):
+    """A result value as JSON; a float result that overflowed to inf or nan
+    is out of range (exit 2) rather than printed."""
+    if isinstance(c, float) and not math.isfinite(c):
+        raise OverflowError(f"float result out of range: {c!r}")
+    return scalar_to_json(c)
+
+
 def _series_row(f: TruncatedSeries):
-    return [scalar_to_json(c) for c in f]
+    return [_cell(c) for c in f]
 
 
 def _poly_text(p: Polynomial) -> str:
@@ -101,7 +110,7 @@ def _poly_table(label: str, polys):
     degree-i polynomial ``polys[i]``, printed as ``<label>_i``."""
     rows, pretty, csv_rows = [], [], []
     for i, poly in enumerate(polys):
-        rows.append([scalar_to_json(poly.coeff(k)) for k in range(i + 1)])
+        rows.append([_cell(poly.coeff(k)) for k in range(i + 1)])
         pretty.append(f"{label}_{i} = {_poly_text(poly)}")
         csv_rows.extend([i, k, format_scalar(poly.coeff(k))] for k in range(i + 1))
     return rows, pretty, csv_rows

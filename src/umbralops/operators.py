@@ -240,15 +240,14 @@ def op_from_D_series(g: TruncatedSeries, n_in: int, max_out: int | None = None) 
     return OperatorMatrix._from_views(views, n_in, max_out, min(n_in, g.order), True, g.mode)
 
 
-def _D_column(terms: list, n: int, w: int = 1) -> list:
-    """Column n of g(D) times the integer w, in the integer view: g's
-    numerator x_k (n)_k w at x^(n-k) for the nonzero ``(k, x_k)`` ``terms``
-    of g, ascending in k."""
+def _D_column(terms: list, n: int) -> list:
+    """Column n of g(D) in the integer view: g's numerator x_k (n)_k at
+    x^(n-k) for the nonzero ``(k, x_k)`` ``terms`` of g, ascending in k."""
     out = [0] * (n + 1)
     for k, x in terms:
         if k > n:
             break
-        out[n - k] = x * (math.perm(n, k) * w)
+        out[n - k] = x * math.perm(n, k)
     return out
 
 

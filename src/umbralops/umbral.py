@@ -351,36 +351,26 @@ def umbral_garsia(spec: UmbralSpec, n_max: int | None = None) -> UmbralOperator:
 
 
 def umbral_steffensen(spec: UmbralSpec, n_max: int | None = None) -> UmbralOperator:
-    """Construction 2: phi = Q' (D/Q)^{xD + 1} with Q = f^{-1}(D).
+    """Construction 2 (the transfer formula): phi = Q' (D/Q)^{xD + 1} with
+    Q = f^{-1}(D).
 
-    The generalized power U^V = sum_m (U - 1)^m binom(V, m) is summed on
-    series: U = b(D) with b = D/Q is shift-invariant, so (U - 1)^m is
-    (b - 1)^m(D), and V = xD + 1 is diagonal, so binom(V, m) scales column
-    n by binom(n + 1, m).  Column n takes the terms m <= n + 1, one power
-    of b - 1 alive at a time: O(N^3) in place of N + 1 matrix products.
-    b(0) = f'(0), so b - 1 is not nilpotent unless the multiplier is 1.
-    The powers come from ``_int_powers``, each column sums over a running
-    common denominator (``_add_scaled``) and Q'(D) (``op_from_D_series``)
-    acts on the sums by ``compose_ops``.
-    """
+    V = xD + 1 is n + 1 on x^n and U = b(D), b = D/Q, commutes with U - 1,
+    so U^V = sum_m binom(V, m) (U - 1)^m takes x^n to U^{n+1} x^n:
+    phi x^n = Q'(D) b(D)^{n+1} x^n.  Column n is read from the power b^{n+1}
+    of one ``_int_powers`` ladder (``_D_column``), and Q'(D)
+    (``op_from_D_series``) acts on the columns by ``compose_ops``."""
     if n_max is None:
         n_max = spec.default_n_max()
     # Q' and D/Q lose one order against f
     _check_order(spec.order - 1, n_max)
-    mode = spec.mode
     finv = spec.f_inverse
-    qprime = finv.derivative()
-    u = finv.shift_down(1).unit_inverse().truncate(n_max) - TruncatedSeries.one(n_max, mode)
-    cols = [([], 1)] * (n_max + 1)
-    for m, (unums, e) in zip(range(n_max + 2), _int_powers(u, n_max + 1)):
-        terms = [(k, x) for k, x in enumerate(unums) if x]
-        if not terms:
-            break
-        # u^m(D) x^n has u^m_k (n)_k at x^(n-k); binom(n + 1, m) = 0 for n < m - 1
-        for n in range(max(m - 1, terms[0][0]), n_max + 1):
-            column = _D_column(terms, n, math.comb(n + 1, m)), e
-            cols[n] = _add_scaled(cols[n], 1, 1, column, n + 1)
-    matrix = compose_ops(op_from_D_series(qprime.truncate(n_max), n_max), _square(cols, n_max, mode))
+    base = finv.shift_down(1).unit_inverse().truncate(n_max)
+    cols = []
+    for n, (bnums, e) in enumerate(islice(_int_powers(base, n_max + 1), 1, n_max + 2)):
+        terms = [(k, x) for k, x in enumerate(bnums) if x]
+        cols.append((_D_column(terms, n), e))
+    qprime = op_from_D_series(finv.derivative().truncate(n_max), n_max)
+    matrix = compose_ops(qprime, _square(cols, n_max, spec.mode))
     return UmbralOperator(spec, matrix, "steffensen")
 
 

@@ -249,13 +249,22 @@ def test_float_umbral_agrees_within_column_tolerance(capsys):
 
 
 def test_float_umbral_reports_ill_conditioning(capsys):
-    # at order 16 steffensen alone drifts beyond the tolerance (column 14);
-    # its binomial sum cancels, the other constructions agree
+    # steffensen's transfer formula takes one power of D/Q per column, with
+    # no cancelling binomial sum: at order 16 the multiplier-1 generator
+    # t + t^2/2 agrees
     code, out, _ = run_cli(
         capsys, "--mode", "float", "--order", "16", "umbral", "--f", "1,0.5", "--formulas", "all"
     )
+    assert code == 0
+    assert "agree" in out
+    # at multiplier 1/2 the float constructions still drift beyond the
+    # tolerance from column 12: steffensen at (12, 0), expitlog at (12, 1)
+    code, out, _ = run_cli(
+        capsys, "--mode", "float", "--order", "16", "umbral", "--f", "0.5,1,-0.25", "--formulas", "all"
+    )
     assert code == 1
-    assert "DISAGREEMENT" in out
+    assert '"steffensen": {"col": 12, "coeff": 0}' in out
+    assert '"expitlog": {"col": 12, "coeff": 1}' in out
 
 
 def test_verify_laguerre_pretty_and_csv(capsys):
@@ -340,6 +349,11 @@ def test_float_overflow_is_exit_2(capsys):
     for argv in (
         ("series", "iterate", "--f", "1e308,1e308", "--s", "0.5"),
         ("laguerre", "--p", "1", "--n", "3", "--s", "1e308"),
+        # results that overflow to inf or nan, not inputs that do
+        ("series", "compose", "--f", "1e200,1e200", "--g", "1e200,1e200"),
+        ("series", "invert", "--f", "1e-200,1e200"),
+        ("umbral", "--f", "1e200,1e200", "--n", "3"),
+        ("laguerre", "--p", "1", "--n", "3", "--alpha", "1e308"),
     ):
         code, out, err = run_cli(capsys, "--mode", "float", *argv)
         assert code == 2, argv

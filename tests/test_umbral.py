@@ -869,6 +869,19 @@ def _steffensen_loop(spec, n_max):
     return compose_ops(op_from_D_series(finv.derivative().truncate(n_max), n_max), powered)
 
 
+def _steffensen_transfer_loop(spec, n_max):
+    mode = spec.mode
+    finv = spec.f_inverse
+    base = finv.shift_down(1).unit_inverse().truncate(n_max)
+    cols = []
+    bpow = TruncatedSeries.one(n_max, mode)
+    for n in range(n_max + 1):
+        bpow = bpow * base
+        cols.append(op_from_D_series(bpow, n).col(n))
+    powered = OperatorMatrix(cols, n_max, n_max, n_max, True, mode)
+    return compose_ops(op_from_D_series(finv.derivative().truncate(n_max), n_max), powered)
+
+
 def _steffensen2_loop(spec, n_max):
     mode = spec.mode
     base = spec.f_inverse.shift_down(1).unit_inverse().truncate(n_max)
@@ -909,7 +922,13 @@ def test_bucc_and_steffensen_match_the_fraction_loops(order, mode):
         spec = UmbralSpec(in_mode(f, mode))
         for n_max in (spec.default_n_max(), 5):
             assert_same_op(umbral_bucc(spec, n_max).matrix, _bucc_loop(spec.f, n_max))
-            assert_same_op(umbral_steffensen(spec, n_max).matrix, _steffensen_loop(spec, n_max))
+            # the transfer formula b^{n+1} in both modes; the binomial sum
+            # sum_m binom(n + 1, m) (b - 1)^m cancels in float mode, so it is
+            # the oracle for exact mode only
+            steffensen = umbral_steffensen(spec, n_max).matrix
+            assert_same_op(steffensen, _steffensen_transfer_loop(spec, n_max))
+            if mode == EXACT:
+                assert_same_op(steffensen, _steffensen_loop(spec, n_max))
             assert_same_op(umbral_steffensen2(spec, n_max).matrix, _steffensen2_loop(spec, n_max))
 
 
