@@ -24,7 +24,7 @@ from .laguerre import (
 )
 from .operators import column_discrepancy, first_discrepancy
 from .polynomials import Polynomial
-from .scalars import EXACT, FLOAT, format_scalar, parse_scalar, scalar_to_json
+from .scalars import _ZEROS, EXACT, FLOAT, format_scalar, parse_scalar, scalar_to_json
 from .series import DEFAULT_ORDER, PreconditionError, TruncatedSeries, series_from_tail
 from .umbral import (
     CONSTRUCTIONS,
@@ -81,12 +81,11 @@ def _series_row(f: TruncatedSeries):
     return [_cell(c) for c in f]
 
 
-def _poly_text(p: Polynomial) -> str:
-    if p.is_zero():
+def _poly_text(coeffs: tuple) -> str:
+    if not coeffs:
         return "0"
     parts = []
-    for k in range(p.degree, -1, -1):
-        c = p.coeff(k)
+    for k, c in reversed(list(enumerate(coeffs))):
         if c == 0:
             continue
         if k == 0:
@@ -110,9 +109,11 @@ def _poly_table(label: str, polys):
     degree-i polynomial ``polys[i]``, printed as ``<label>_i``."""
     rows, pretty, csv_rows = [], [], []
     for i, poly in enumerate(polys):
-        rows.append([_cell(poly.coeff(k)) for k in range(i + 1)])
-        pretty.append(f"{label}_{i} = {_poly_text(poly)}")
-        csv_rows.extend([i, k, format_scalar(poly.coeff(k))] for k in range(i + 1))
+        coeffs = poly.coeffs
+        row = coeffs[: i + 1] + (_ZEROS[poly.mode],) * (i + 1 - len(coeffs))
+        rows.append([_cell(c) for c in row])
+        pretty.append(f"{label}_{i} = {_poly_text(coeffs)}")
+        csv_rows.extend([i, k, format_scalar(c)] for k, c in enumerate(row))
     return rows, pretty, csv_rows
 
 
@@ -184,7 +185,7 @@ def cmd_umbral(args) -> int:
     diffs = {}
     for name in names[1:]:
         diffs[name] = first_discrepancy(base.matrix, ops[name].matrix)
-    table, pretty, csv_rows = _poly_table("phi", base.matrix.cols[: n + 1])
+    table, pretty, csv_rows = _poly_table("phi", [base.matrix.col(i) for i in range(n + 1)])
     agreement = {
         name: None if d is None else {"col": d[0], "coeff": d[1]}
         for name, d in diffs.items()

@@ -239,7 +239,7 @@ def laguerre_p0_float_demo() -> dict:
     U = umbral_bucc(UmbralSpec(f), n_max)
     worst = 0.0
     for n in range(n_max + 1):
-        col = U.matrix.cols[n]
+        col = U.matrix.col(n)
         for k in range(n + 1):
             want = math.exp(-n) if k == n else 0.0
             worst = max(worst, abs(float(col.coeff(k)) - want))

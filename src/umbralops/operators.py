@@ -20,9 +20,9 @@ factor's ``max_out``, which no image can exceed, and its completeness.
 
 An operator stores its columns in the integer view, the idiom of FLINT's
 ``fmpq_poly`` that :class:`Polynomial` uses too: column n is a list of
-integer numerators over one common denominator.  Every kernel reads and
-writes those views and builds no ``Fraction``; the :class:`Polynomial`
-columns, ``cols``, are built from them on first read.  Every operator power
+integer numerators over one common denominator.  Every kernel, sum, scaling
+and comparison works on those views and builds no ``Fraction``; ``cols`` and
+``col(n)`` build :class:`Polynomial` columns on every read.  Every operator power
 comes from one ladder, ``_int_op_powers``; the power sums (exp, log,
 ``gen_pow``, h(Q)) and the normal forms stay in that view, and so does
 ``op_inverse``: one pass over the columns, upward in n when column n has
@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import math
 import operator
-from itertools import islice
+from itertools import islice, zip_longest
 from typing import Sequence
 
 from .polynomials import Polynomial, poly_from_series
@@ -51,6 +51,8 @@ from .scalars import (
     _int_pair,
     _reduced,
     _to_ints,
+    _trimmed,
+    _view_sum,
     check_mode,
     coerce,
     common_mode,
@@ -71,10 +73,10 @@ class OperatorMatrix(_Frozen):
     """The one stored form is ``_views``: column n as an integer view
     ``(nums, d)`` as the kernels leave it, a list that may keep trailing
     zeros over a denominator that may not be reduced.  The kernels read it
-    and never mutate a column's list; ``cols`` builds the canonical
-    :class:`Polynomial` columns from it on first read and keeps them."""
+    and never mutate a column's list; ``cols`` and ``col(n)`` build
+    canonical :class:`Polynomial` columns from it on every read."""
 
-    __slots__ = ("_views", "_cols", "n_in", "max_out", "window", "complete", "mode")
+    __slots__ = ("_views", "n_in", "max_out", "window", "complete", "mode")
 
     def __init__(
         self,
@@ -98,7 +100,7 @@ class OperatorMatrix(_Frozen):
             if c.degree > max_out:
                 raise ValueError("column degree exceeds max_out")
         self._init(
-            _views=[c._view for c in cols], _cols=tuple(cols),
+            _views=[c._view for c in cols],
             n_in=n_in, max_out=max_out, window=window, complete=complete, mode=mode,
         )
 
@@ -110,23 +112,18 @@ class OperatorMatrix(_Frozen):
         ``views`` is stored as it is; nothing is checked."""
         self = object.__new__(cls)
         self._init(
-            _views=views, _cols=None,
+            _views=views,
             n_in=n_in, max_out=max_out, window=window, complete=complete, mode=mode,
         )
         return self
 
     @property
     def cols(self) -> tuple:
-        """The columns as canonical :class:`Polynomial`s, built once."""
-        if self._cols is None:
-            # from a list: tuple() shrinks the tuple it builds from a
-            # generator, and each one freed would grow CPython's free list
-            cols = tuple([Polynomial._from_view(*v, self.mode) for v in self._views])
-            object.__setattr__(self, "_cols", cols)
-        return self._cols
+        """The columns as canonical :class:`Polynomial`s."""
+        return tuple([Polynomial._from_view(*v, self.mode) for v in self._views])
 
     def col(self, n: int) -> Polynomial:
-        return self.cols[n]
+        return Polynomial._from_view(*self._views[n], self.mode)
 
     def __repr__(self):
         return (
@@ -327,15 +324,14 @@ def _sum_shape(U, V):
 
 
 def _columnwise(U: OperatorMatrix, V: OperatorMatrix, op) -> OperatorMatrix:
-    """op on the columns of U and V, shaped by ``_sum_shape``."""
+    """op on the views of U and V (``_view_sum``), shaped by ``_sum_shape``,
+    each cut as its canonical column is, so float signed zeros are kept."""
     mode = common_mode(U.mode, V.mode)
     n_in, max_out, window, complete = _sum_shape(U, V)
-    pairs = zip(U.cols[: n_in + 1], V.cols[: n_in + 1])
-    if complete:
-        cols = [op(a, b) for a, b in pairs]
-    else:
-        cols = [op(a.truncate(max_out), b.truncate(max_out)) for a, b in pairs]
-    return OperatorMatrix(cols, n_in, max_out, window, complete, mode)
+    cap = None if complete else max_out + 1
+    pairs = zip(U._views[: n_in + 1], V._views[: n_in + 1])
+    views = [_view_sum((_trimmed(a[:cap]), c), (_trimmed(b[:cap]), e), op) for (a, c), (b, e) in pairs]
+    return OperatorMatrix._from_views(views, n_in, max_out, window, complete, mode)
 
 
 def op_add(U: OperatorMatrix, V: OperatorMatrix) -> OperatorMatrix:
@@ -347,8 +343,10 @@ def op_sub(U: OperatorMatrix, V: OperatorMatrix) -> OperatorMatrix:
 
 
 def op_scale(U: OperatorMatrix, c) -> OperatorMatrix:
-    cols = [p.scale(c) for p in U.cols]
-    return OperatorMatrix(cols, U.n_in, U.max_out, U.window, U.complete, U.mode)
+    """c U: the integer view (a, b) of c, taken once, times each stored view."""
+    a, b = _int_pair(coerce(c, U.mode), U.mode)
+    views = [([a * x for x in nums], b * d) for nums, d in U._views]
+    return OperatorMatrix._from_views(views, U.n_in, U.max_out, U.window, U.complete, U.mode)
 
 
 def _compose_ints(U: OperatorMatrix, V: OperatorMatrix) -> OperatorMatrix:
@@ -427,37 +425,36 @@ def op_inverse(U: OperatorMatrix) -> OperatorMatrix:
     return OperatorMatrix._from_views(cols, U.n_in, U.max_out, U.window, U.complete, U.mode)
 
 
-def column_discrepancy(a: Polynomial, b: Polynomial, magnitude=0):
-    """First coefficient index where the columns a and b differ, or None.
-
-    Float coefficients differ where they are further apart than
-    FLOAT_COLUMN_TOL times the largest of 1, ``magnitude`` and every
-    coefficient magnitude in the two columns; exact columns must be equal.
-    """
-    mode = common_mode(a.mode, b.mode)
-    if a == b:
-        return None
-    pairs = [(a.coeff(k), b.coeff(k)) for k in range(max(a.degree, b.degree) + 1)]
-    tol = 0
+def _view_discrepancy(a: tuple, b: tuple, mode: str, magnitude=0):
+    """First index where the column views (A, da) and (B, db) differ, or None:
+    exact entries by the cross-products A_k db, B_k da; unequal float columns
+    (d = 1) beyond FLOAT_COLUMN_TOL times the largest of 1, ``magnitude``
+    and every entry."""
+    (A, da), (B, db) = a, b
+    pairs = zip_longest(A, B, fillvalue=0)
     if mode == FLOAT:
+        pairs = list(pairs)
+        if all(x == y for x, y in pairs):
+            return None
         tol = FLOAT_COLUMN_TOL * max([1.0, magnitude] + [abs(c) for pair in pairs for c in pair])
-    for k, (x, y) in enumerate(pairs):
-        if not abs(x - y) <= tol:
-            return k
-    return None
+        return next((k for k, (x, y) in enumerate(pairs) if not abs(x - y) <= tol), None)
+    return next((k for k, (x, y) in enumerate(pairs) if x * db != y * da), None)
+
+
+def column_discrepancy(a: Polynomial, b: Polynomial, magnitude=0):
+    """First coefficient index where the columns a and b differ, or None
+    (``_view_discrepancy``)."""
+    return _view_discrepancy(a._view, b._view, common_mode(a.mode, b.mode), magnitude)
 
 
 def first_discrepancy(U: OperatorMatrix, V: OperatorMatrix):
-    """First (column, coefficient) where U and V differ on the common window,
-    comparing columns with :func:`column_discrepancy`."""
-    common_mode(U.mode, V.mode)
+    """First (column, coefficient) where U and V differ on the common window
+    (``_view_discrepancy``), both capped at max_out if one is incomplete."""
+    mode = common_mode(U.mode, V.mode)
     window = min(U.window, V.window)
-    cap = None if (U.complete and V.complete) else min(U.max_out, V.max_out)
-    for n in range(window + 1):
-        a, b = U.cols[n], V.cols[n]
-        if cap is not None:
-            a, b = a.truncate(cap), b.truncate(cap)
-        k = column_discrepancy(a, b)
+    cap = None if (U.complete and V.complete) else min(U.max_out, V.max_out) + 1
+    for n, ((a, da), (b, db)) in enumerate(zip(U._views[: window + 1], V._views[: window + 1])):
+        k = _view_discrepancy((a[:cap], da), (b[:cap], db), mode)
         if k is not None:
             return (n, k)
     return None

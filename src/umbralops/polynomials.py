@@ -12,6 +12,7 @@ from .scalars import (
     _canonical,
     _mul_ints,
     _to_ints,
+    _trimmed,
     check_mode,
     coerce,
     common_mode,
@@ -26,10 +27,8 @@ class Polynomial(_Coeffs):
 
     def __init__(self, coeffs: Sequence = (), mode: str = EXACT):
         check_mode(mode)
-        coeffs = [coerce(c, mode) for c in coeffs]
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        self._init(_view=_to_ints(coeffs, mode), _values=tuple(coeffs), mode=mode)
+        coeffs = _trimmed([coerce(c, mode) for c in coeffs])
+        self._init(_view=_to_ints(coeffs, mode), mode=mode)
 
     @classmethod
     def _from_view(cls, nums: list, d: int, mode: str) -> "Polynomial":
@@ -38,10 +37,7 @@ class Polynomial(_Coeffs):
         int zeros) in float mode.  Trims trailing zeros but does not check
         ``mode``; ``nums`` is not copied."""
         nums, d = _canonical(nums, d, mode)
-        n = len(nums)
-        while n and not nums[n - 1]:
-            n -= 1
-        return cls._new((nums[:n] if n < len(nums) else nums, d), mode)
+        return cls._new((_trimmed(nums), d), mode)
 
     @classmethod
     def zero(cls, mode: str = EXACT) -> "Polynomial":
@@ -73,7 +69,7 @@ class Polynomial(_Coeffs):
 
     def coeff(self, k: int):
         if 0 <= k < len(self._view[0]):
-            return self.coeffs[k]
+            return self._value(k)
         return _ZEROS[self.mode]
 
     def is_zero(self) -> bool:

@@ -4,7 +4,7 @@ Exact-mode values are rationals.  A single value crosses the API as a
 ``fractions.Fraction`` (always in lowest terms with a positive denominator);
 a coefficient container stores its values as one integer view ``(nums, d)``,
 integer numerators over one reduced denominator, and builds ``Fraction``s
-only when a caller reads them.  Float-mode values are plain ``float``, and a
+on every read, keeping none.  Float-mode values are plain ``float``, and a
 float container stores them as its view with d = 1.  The two modes are never
 mixed silently: containers carry a mode tag and binary operations reject
 operands of different modes.
@@ -123,6 +123,18 @@ def _ratios(nums: list, dens: list, mode: str):
     return [x * (d // b) for x, b in zip(nums, dens)], d
 
 
+def _view_sum(a: tuple, b: tuple, op):
+    """op (add or sub) of the integer views a and b (any nonzero d's) over
+    the lcm of their d's, the shorter list padded with zeros."""
+    (a, da), (b, db) = a, b
+    den = math.lcm(da, db)
+    if den != da:
+        a = [x * (den // da) for x in a]
+    if den != db:
+        b = [y * (den // db) for y in b]
+    return [op(x, y) for x, y in zip_longest(a, b, fillvalue=0)], den
+
+
 def _mul_ints(a: list, b: list, size: int) -> list:
     """The first ``size`` entries of the product of the numerator lists ``a``
     and ``b``: the one integer convolution loop.  On float lists it is the
@@ -144,6 +156,14 @@ def _reduced(nums: list, d: int):
         if g != 1:
             return [x // g for x in nums], d // g
     return nums, d
+
+
+def _trimmed(nums: list) -> list:
+    """``nums`` without its trailing zeros (``nums`` itself if it has none)."""
+    n = len(nums)
+    while n and not nums[n - 1]:
+        n -= 1
+    return nums[:n] if n < len(nums) else nums
 
 
 def _add_scaled(acc: tuple, a, b, power: tuple, size: int):
@@ -188,14 +208,14 @@ class _Coeffs(_Frozen):
     The one stored representation is ``_view``, the reduced integer view
     ``(nums, d)`` of ``_canonical``: the coefficients are ``nums[i] / d``.
     Every ring operation, equality and hashing run on it.  The public
-    values, ``coeffs``, are built from it on first read and kept.
+    values, ``coeffs``, are built from it on every read and never kept.
 
     A subclass supplies ``_key`` (the shape that equality compares besides
     the view), ``_like`` (a same-kind value from an integer view), ``_peer``
     (the checks on a same-kind operand) and ``_product`` (the same-kind
     product).  Operands of another kind are ``NotImplemented``."""
 
-    __slots__ = ("_view", "_values", "mode")
+    __slots__ = ("_view", "mode")
 
     @classmethod
     def _new(cls, view: tuple, mode: str):
@@ -203,16 +223,17 @@ class _Coeffs(_Frozen):
         the one constructor behind the subclasses' ``_from_view``."""
         self = object.__new__(cls)
         object.__setattr__(self, "_view", view)
-        object.__setattr__(self, "_values", None)
         object.__setattr__(self, "mode", mode)
         return self
 
     @property
     def coeffs(self) -> tuple:
-        """The coefficients as ``Fraction``s (exact) or floats, built once."""
-        if self._values is None:
-            object.__setattr__(self, "_values", tuple(_from_ints(*self._view, self.mode)))
-        return self._values
+        """The coefficients as ``Fraction``s (exact) or floats."""
+        return tuple(_from_ints(*self._view, self.mode))
+
+    def _value(self, k: int):
+        """Coefficient k (an index into the view), built alone."""
+        return _from_ints([self._view[0][k]], self._view[1], self.mode)[0]
 
     def __iter__(self):
         return iter(self.coeffs)
@@ -244,18 +265,11 @@ class _Coeffs(_Frozen):
         return nums[:size], d
 
     def _combine(self, other, op):
-        """op (add or sub) on the numerators over the lcm of the two
-        denominators, the shorter operand padded with zeros."""
+        """op (add or sub) on the two views (``_view_sum``)."""
         if type(other) is not type(self):
             return NotImplemented
         self._peer(other)
-        (a, da), (b, db) = self._view, other._view
-        den = math.lcm(da, db)
-        if den != da:
-            a = [x * (den // da) for x in a]
-        if den != db:
-            b = [y * (den // db) for y in b]
-        return self._like([op(x, y) for x, y in zip_longest(a, b, fillvalue=0)], den)
+        return self._like(*_view_sum(self._view, other._view, op))
 
     def __add__(self, other):
         return self._combine(other, operator.add)
@@ -348,7 +362,8 @@ def qbinom(s, p: int, q):
 
     For q != 1 the product formula needs q-powers of s, so s must be an
     integer (any sign) in exact mode; float mode additionally allows real s
-    with positive q.
+    with positive q.  At q = -1, where the formula divides by zero, the
+    value is that of the Laurent polynomial in q (``_qbinom_at_minus_one``).
     """
     if p < 0:
         raise ValueError("qbinom requires p >= 0")
@@ -370,6 +385,8 @@ def _qbinom_row(s, q):
         if infer_mode(s) != EXACT or Fraction(s).denominator != 1:
             raise ValueError("qbinom with q != 1 requires integer s in exact mode")
         s, q = int(Fraction(s)), Fraction(q)
+        if q == -1:
+            return lambda p: (_qbinom_at_minus_one(s, p), 1)
     elif q <= 0:
         raise ValueError("qbinom in float mode requires q > 0")
     views = [(1, 1)]
@@ -382,10 +399,21 @@ def _qbinom_row(s, q):
                 (x, y), (z, w) = (a - (i - 1) * b, b), (i, 1)
             else:
                 (x, y), (z, w) = _int_pair(q ** (s - i + 1) - 1, mode), _int_pair(q**i - 1, mode)
-                if not z:
-                    raise PreconditionError(f"q-binomial at the root of unity q = {q}: q^{i} - 1 = 0")
             num, den = num * (x * w), den * (y * z)
             views.append((num / den, 1) if mode == FLOAT else (num, den))
         return views[p]
 
     return row
+
+
+def _qbinom_at_minus_one(s: int, p: int) -> int:
+    """The Gaussian binomial [s, p]_q at q = -1, an integer: for s >= 0 it
+    is 0 when s is even and p odd, else C(floor(s/2), floor(p/2)); for
+    s = -a < 0, [-a, p]_q = (-1)^p q^-(p a + p (p - 1) / 2) [a + p - 1, p]_q."""
+    sign = 1
+    if s < 0:
+        sign = (-1) ** (p - s * p + p * (p - 1) // 2)
+        s = p - s - 1
+    if s % 2 == 0 and p % 2:
+        return 0
+    return sign * math.comb(s // 2, p // 2)

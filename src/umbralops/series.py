@@ -55,7 +55,7 @@ class TruncatedSeries(_Coeffs):
             coeffs += [_ZEROS[mode]] * (order + 1 - len(coeffs))
         elif len(coeffs) > order + 1:
             raise ValueError("more coefficients than order+1")
-        self._init(_view=_to_ints(coeffs, mode), _values=tuple(coeffs), order=order, mode=mode)
+        self._init(_view=_to_ints(coeffs, mode), order=order, mode=mode)
 
     @classmethod
     def _from_view(cls, nums: list, d: int, order: int, mode: str) -> "TruncatedSeries":
@@ -94,7 +94,7 @@ class TruncatedSeries(_Coeffs):
     # -- basics -------------------------------------------------------
 
     def __getitem__(self, n: int):
-        return self.coeffs[n]
+        return self._value(n)
 
     def _key(self):
         return (self.order, self.mode)

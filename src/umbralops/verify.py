@@ -222,8 +222,8 @@ def suite_kernel(cases, order, seed):
                     continue
                 # Uk on inputs up to x^n0: its first n0 + 1 columns, the
                 # shape of the product Uk 1 with the identity on that range
-                head = OperatorMatrix(
-                    Uk.cols[: n0 + 1], n0, Uk.max_out, min(n0, Uk.window), Uk.complete, Uk.mode
+                head = OperatorMatrix._from_views(
+                    Uk._views[: n0 + 1], n0, Uk.max_out, min(n0, Uk.window), Uk.complete, Uk.mode
                 )
                 term = compose_ops(op_from_x_poly(pk, Uk.max_out), head)
                 rhs = term if rhs is None else op_add(rhs, term)
@@ -358,11 +358,7 @@ def suite_laguerre(cases, order, seed):
             # the field operator lowers degree, so column n of each path is
             # the index-n polynomial
             path1, path2 = laguerre_operator_paths(p, alpha, 10, EXACT, base)
-            bad = [
-                n
-                for n in range(11)
-                if path1.col(n) != path2.col(n) or path2.col(n) != rows[alpha][n]
-            ]
+            bad = [n for n, row in enumerate(rows[alpha]) if not path1.col(n) == path2.col(n) == row]
             where = {"n": bad[0]} if bad else None
             ok_ode = all(_ode_residual(F, p, n, alpha).is_zero() for n, F in enumerate(rows[alpha]))
             case = f"p={p},alpha={alpha}"

@@ -10,8 +10,10 @@ import pytest
 from umbralops import umbral
 from umbralops.corpus import load_corpus, random_generators
 from umbralops.operators import (
+    FLOAT_COLUMN_TOL,
     OperatorMatrix,
     WindowUnderflowError,
+    _sum_shape,
     compose_ops,
     op_add,
     op_from_x_poly,
@@ -19,7 +21,7 @@ from umbralops.operators import (
     op_sub,
 )
 from umbralops.polynomials import Polynomial
-from umbralops.scalars import EXACT, FLOAT, coerce, gbinom, qbinom
+from umbralops.scalars import EXACT, FLOAT, coerce, common_mode, gbinom, qbinom
 from umbralops.series import PreconditionError, TruncatedSeries
 
 # the orders of the oracle tests, which compare an integer-view kernel with
@@ -205,4 +207,60 @@ def op_inverse_loop(U):
                 r[i] -= c * a
             d = max(d, U.cols[d].degree)
         cols.append(Polynomial(w, U.mode))
+    return OperatorMatrix(cols, U.n_in, U.max_out, U.window, U.complete, U.mode)
+
+
+def column_discrepancy_loop(a, b, magnitude=0):
+    """First coefficient index where the Polynomial columns a and b differ,
+    or None, on their canonical coefficients: the oracle for
+    ``operators.column_discrepancy``."""
+    mode = common_mode(a.mode, b.mode)
+    if a == b:
+        return None
+    pairs = [(a.coeff(k), b.coeff(k)) for k in range(max(a.degree, b.degree) + 1)]
+    tol = 0
+    if mode == FLOAT:
+        tol = FLOAT_COLUMN_TOL * max([1.0, magnitude] + [abs(c) for pair in pairs for c in pair])
+    for k, (x, y) in enumerate(pairs):
+        if not abs(x - y) <= tol:
+            return k
+    return None
+
+
+def first_discrepancy_loop(U, V):
+    """``column_discrepancy_loop`` on the Polynomial columns of U and V over
+    the common window, truncated at the smaller max_out when either is
+    incomplete: the oracle for ``operators.first_discrepancy``."""
+    common_mode(U.mode, V.mode)
+    window = min(U.window, V.window)
+    cap = None if (U.complete and V.complete) else min(U.max_out, V.max_out)
+    ucols, vcols = U.cols, V.cols
+    for n in range(window + 1):
+        a, b = ucols[n], vcols[n]
+        if cap is not None:
+            a, b = a.truncate(cap), b.truncate(cap)
+        k = column_discrepancy_loop(a, b)
+        if k is not None:
+            return (n, k)
+    return None
+
+
+def columnwise_loop(U, V, op):
+    """op (``operator.add`` or ``sub``) on the Polynomial columns of U and V,
+    through the validating constructor: the oracle for ``op_add`` and
+    ``op_sub``."""
+    mode = common_mode(U.mode, V.mode)
+    n_in, max_out, window, complete = _sum_shape(U, V)
+    pairs = zip(U.cols[: n_in + 1], V.cols[: n_in + 1])
+    if complete:
+        cols = [op(a, b) for a, b in pairs]
+    else:
+        cols = [op(a.truncate(max_out), b.truncate(max_out)) for a, b in pairs]
+    return OperatorMatrix(cols, n_in, max_out, window, complete, mode)
+
+
+def op_scale_loop(U, c):
+    """``Polynomial.scale`` on each column of U: the oracle for
+    ``operators.op_scale``."""
+    cols = [p.scale(c) for p in U.cols]
     return OperatorMatrix(cols, U.n_in, U.max_out, U.window, U.complete, U.mode)

@@ -5,9 +5,13 @@ import time
 from fractions import Fraction
 
 import pytest
+from helpers import first_discrepancy_loop, in_mode
 
 from umbralops import verify
 from umbralops.cli import main
+from umbralops.corpus import load_corpus, random_generators
+from umbralops.series import TruncatedSeries
+from umbralops.umbral import CONSTRUCTIONS, UmbralSpec
 from umbralops.verify import SUITES
 
 
@@ -267,6 +271,35 @@ def test_float_umbral_reports_ill_conditioning(capsys):
     assert '"expitlog": {"col": 12, "coeff": 1}' in out
 
 
+@pytest.mark.parametrize("order", [12, 16, 20])
+def test_float_umbral_agreement_matches_the_polynomial_comparator(capsys, order):
+    # the float constructions of the corpus, three seeded generators and the
+    # ill-conditioned t/2 + t^2 - t^3/4, compared through the CLI with the
+    # view comparator and here with the Polynomial-path oracle
+    gens = [f for _, f in load_corpus(order=order) + random_generators(7, 3, order)]
+    gens.append(in_mode(TruncatedSeries([0, Fraction(1, 2), 1, Fraction(-1, 4)], order), "float"))
+    agreements = []
+    for f in gens:
+        tail = ",".join(repr(float(c)) for c in f.coeffs[1:])
+        code, out, _ = run_cli(
+            capsys, "--mode", "float", "--order", str(order), "umbral", f"--f={tail}",
+            "--formulas", "all", "--format", "json",
+        )
+        spec = UmbralSpec(in_mode(f, "float"))
+        ops = [build(spec, spec.default_n_max()).matrix for build in CONSTRUCTIONS.values()]
+        want = {}
+        for name, U in zip(list(CONSTRUCTIONS)[1:], ops[1:]):
+            d = first_discrepancy_loop(ops[0], U)
+            want[name] = None if d is None else {"col": d[0], "coeff": d[1]}
+        agreement = json.loads(out)["agreement"]
+        assert agreement == want, tail
+        assert code == (0 if all(d is None for d in want.values()) else 1), tail
+        agreements.append(agreement)
+    if order == 16:
+        assert agreements[-1]["steffensen"] == {"col": 12, "coeff": 0}
+        assert agreements[-1]["expitlog"] == {"col": 12, "coeff": 1}
+
+
 def test_verify_laguerre_pretty_and_csv(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "laguerre")
     assert code == 0
@@ -422,15 +455,16 @@ def test_manifest_with_zero_multiplier_is_refused_for_every_suite(capsys, tmp_pa
     assert "Traceback" not in err
 
 
-def test_coeff_suite_at_multiplier_minus_one_is_exit_2(capsys, tmp_path):
-    # the q-binomials of the scan divide by q^2 - 1 = 0 at q = -1
+def test_coeff_suite_at_multiplier_minus_one_passes(capsys, tmp_path):
+    # the scan takes its q-binomials at q = -1, where the product formula
+    # would divide by q^2 - 1 = 0, as the values of the polynomials in q
     manifest = tmp_path / "neg.json"
     manifest.write_text(json.dumps([{"name": "neg", "coeffs": ["-1", "1"]}]))
-    code, out, err = run_cli(capsys, "verify", "--suite", "coeff", "--corpus", str(manifest))
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: q-binomial at the root of unity q = -1")
-    assert err.count("\n") == 1
+    for suite in ("coeff", "all"):
+        code, out, err = run_cli(capsys, "verify", "--suite", suite, "--corpus", str(manifest))
+        assert code == 0, suite
+        assert err == ""
+        assert out.splitlines()[-1].startswith("PASS"), suite
 
 
 def test_series_that_is_not_a_generator_has_integer_iterates_only(capsys):

@@ -11,7 +11,6 @@ from umbralops.scalars import (
     EXACT,
     FLOAT,
     ModeMismatchError,
-    PreconditionError,
     coerce,
     common_mode,
     format_scalar,
@@ -122,12 +121,27 @@ def test_qbinom_negative_top():
     assert val == (q ** Fraction(-1).numerator - 1) / (q - 1)
 
 
-def test_qbinom_at_a_root_of_unity_is_refused():
-    # [3 choose 1]_q = 1 + q + q^2; from p = 2 the product formula divides
-    # by q^2 - 1, which vanishes at q = -1
-    assert qbinom(3, 1, Fraction(-1)) == 1
-    with pytest.raises(PreconditionError, match="root of unity q = -1"):
-        qbinom(3, 2, Fraction(-1))
+def test_qbinom_at_minus_one_is_the_laurent_polynomial_value():
+    # [3 choose 1]_q = [3 choose 2]_q = 1 + q + q^2; from p = 2 the product
+    # formula divides by q^2 - 1, which vanishes at q = -1, so the value is
+    # the polynomial's.  The oracle is q-Pascal at q = -1,
+    # [s, p] = [s - 1, p - 1] + (-1)^p [s - 1, p], run up from s = 0 and
+    # down to s = -8 from [s, 0] = 1
+    q = Fraction(-1)
+    assert qbinom(3, 1, q) == qbinom(3, 2, q) == 1
+    table = {(0, p): int(p == 0) for p in range(10)}
+    for s in range(1, 12):
+        for p in range(10):
+            table[s, p] = (table[s - 1, p - 1] if p else 0) + (-1) ** p * table[s - 1, p]
+    for s in range(0, -8, -1):
+        for p in range(10):
+            table[s - 1, p] = (-1) ** p * (table[s, p] - (table[s - 1, p - 1] if p else 0))
+    for (s, p), want in table.items():
+        got = qbinom(s, p, q)
+        assert type(got) is Fraction and got == want, (s, p)
+    # float q <= 0 stays refused
+    with pytest.raises(ValueError, match="q > 0"):
+        qbinom(3, 2, -1.0)
 
 
 @given(st.integers(-6, 6), st.integers(0, 5))

@@ -12,22 +12,32 @@ read as the one the public constructor validates, and a kernel must give
 the same operator on either."""
 
 import math
+import operator
 import random
 from fractions import Fraction
 from itertools import islice, zip_longest
 
 import pytest
-from helpers import assert_same_op, in_mode
+from helpers import (
+    assert_same_op,
+    column_discrepancy_loop,
+    columnwise_loop,
+    first_discrepancy_loop,
+    in_mode,
+    op_scale_loop,
+)
 
 from umbralops import operators
 from umbralops.corpus import load_corpus, random_generators
 from umbralops.operators import (
     NormalForm,
     OperatorMatrix,
+    column_discrepancy,
     compose_ops,
     composition_operator,
     diag_op,
     exp_loc_nilpotent,
+    first_discrepancy,
     gen_pow,
     log_unipotent,
     nth_pincherle,
@@ -35,13 +45,14 @@ from umbralops.operators import (
     op_from_D_series,
     op_from_normal_form,
     op_from_x_series,
+    op_scale,
     op_sub,
     normal_form,
     pincherle_derivative,
     series_in_operator,
 )
 from umbralops.polynomials import Polynomial
-from umbralops.scalars import EXACT, FLOAT
+from umbralops.scalars import EXACT, FLOAT, coerce
 from umbralops.series import TruncatedSeries
 from umbralops.umbral import CONSTRUCTIONS, UmbralSpec, _x_times_D_series
 
@@ -315,3 +326,157 @@ def test_float_op_add_and_op_sub_give_positive_zeros_below_the_diagonal(values, 
     diagonal = (values + other if add else values - other).hex()
     for n, col in enumerate(W.cols):
         assert [c.hex() for c in col.coeffs] == ["0x0.0p+0"] * n + [diagonal]
+
+
+def _assert_view_paths_match_the_polynomial_path(U, V, scales):
+    """first_discrepancy, op_add and op_sub of U and V both ways round, and
+    op_scale of U by each of ``scales``, against the Polynomial-path oracles:
+    equal indices, and equal operators (floats by ``float.hex``)."""
+    for A, B in ((U, V), (V, U)):
+        assert first_discrepancy(A, B) == first_discrepancy_loop(A, B)
+        for op, view_op in ((operator.add, op_add), (operator.sub, op_sub)):
+            assert_same_op(view_op(A, B), columnwise_loop(A, B, op))
+    for c in scales:
+        assert_same_op(op_scale(U, c), op_scale_loop(U, c))
+
+
+def _scales(mode):
+    return [3, F(-1, 2), 0] if mode == EXACT else [3.0, -0.5, 0.0, -0.0, 1 + 1e-12, 1 + 1e-6]
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+@pytest.mark.parametrize("order", ORDERS)
+def test_kernel_results_sum_scale_and_compare_as_the_polynomial_path(order, mode):
+    # each kernel result against its rebuild, its scalings (the float -0.0
+    # leaves signed zeros above each column's degree; a float factor
+    # 1 + 1e-12 stays within FLOAT_COLUMN_TOL, 1 + 1e-6 does not) and the
+    # next result, whose shape differs
+    ops = list(_kernel_results(order, mode))
+    near = [F(-1, 2)] if mode == EXACT else [-0.0, 1 + 1e-12, 1 + 1e-6]
+    for U, V in zip(ops, ops[1:] + ops[:1]):
+        for W in [_rebuilt(U)] + [op_scale(U, c) for c in near]:
+            _assert_view_paths_match_the_polynomial_path(U, W, ())
+        _assert_view_paths_match_the_polynomial_path(U, V, _scales(mode))
+        for n in range(min(U.window, V.window) + 1):
+            a, b = U.col(n), V.col(n)
+            assert column_discrepancy(a, b) == column_discrepancy_loop(a, b)
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+@pytest.mark.parametrize("order", ORDERS)
+def test_the_five_constructions_compare_as_the_polynomial_path(order, mode):
+    # every pair of constructions of one generator (in float mode they drift
+    # apart at high columns), and each against the next generator's garsia
+    gens = load_corpus(order=order) + random_generators(7, 3, order)
+    built = []
+    for _, f in gens:
+        spec = UmbralSpec(in_mode(f, mode))
+        built.append([build(spec, spec.default_n_max()).matrix for build in CONSTRUCTIONS.values()])
+    for ops, other in zip(built, built[1:] + built[:1]):
+        for U in ops:
+            for V in ops + other[:1]:
+                assert first_discrepancy(U, V) == first_discrepancy_loop(U, V)
+
+
+def test_exact_views_compare_and_sum_by_value():
+    # unreduced and negative denominators and trailing zeros read as the
+    # canonical columns [1, 2], [0, 1], 0
+    U = OperatorMatrix._from_views([([2, 4], 2), ([0, -3, 0, 0], -3), ([0, 0], 5)], 2, 3, 2, True, EXACT)
+    V = OperatorMatrix([Polynomial([1, 2]), Polynomial([0, 1]), Polynomial([])], 2, 3, 2)
+    W = OperatorMatrix([Polynomial([1, 2]), Polynomial([0, 1, F(1, 7)]), Polynomial([])], 2, 3, 2)
+    assert first_discrepancy(U, V) is None
+    assert first_discrepancy(U, W) == first_discrepancy(W, U) == (1, 2)
+    for A, B in ((U, V), (U, W), (W, U)):
+        _assert_view_paths_match_the_polynomial_path(A, B, _scales(EXACT))
+    assert_same_op(op_sub(U, V), OperatorMatrix([Polynomial()] * 3, 2, 3, 2))
+    assert op_add(U, V).col(0) == Polynomial([2, 4])
+
+
+def test_float_views_compare_and_sum_with_signed_zeros_and_non_finite_entries():
+    nan, inf = float("nan"), float("inf")
+    views = {
+        "signed-zeros": ([-0.0, 1.5, -0.0], 1),
+        "int-zeros": ([0, 1.5], 1),
+        "positive-zeros": ([0.0, 1.5, 0.0, 0.0], 1),
+        "inf": ([inf, 1.0], 1),
+        "inf-again": ([inf, 1.0, -0.0], 1),
+        "inf-other": ([inf, 2.0], 1),
+        "finite": ([1.0, 1.0], 1),
+        "nan": ([nan, 1.0], 1),
+        "nan-again": ([nan, 1.0], 1),
+        "trailing-negative-zero": ([1.0, -0.0], 1),
+        "interior-negative-zeros": ([-0.0, -0.0, 1.0], 1),
+        "longer": ([0.0, 0.0, 2.0], 1),
+    }
+    ops = {
+        name: OperatorMatrix._from_views([([1.0], 1), view], 1, 3, 1, True, FLOAT)
+        for name, view in views.items()
+    }
+    for U in ops.values():
+        for V in ops.values():
+            _assert_view_paths_match_the_polynomial_path(U, V, _scales(FLOAT))
+    # equal columns agree, inf included; any other pair with an inf or a
+    # nan entry differs there (inf - inf is nan); a finite entry against inf
+    # is within the tolerance that inf makes infinite
+    assert first_discrepancy(ops["signed-zeros"], ops["positive-zeros"]) is None
+    assert first_discrepancy(ops["int-zeros"], ops["signed-zeros"]) is None
+    assert first_discrepancy(ops["inf"], ops["inf-again"]) is None
+    assert first_discrepancy(ops["inf"], ops["inf-other"]) == (1, 0)
+    assert first_discrepancy(ops["nan"], ops["nan-again"]) == (1, 0)
+    assert first_discrepancy(ops["inf"], ops["finite"]) is None
+    # the field operation entry by entry: -0.0 - 0.0 is -0.0; a trailing
+    # -0.0 is cut as the canonical column cuts it, so 0 - 0.0 is 0.0 there
+    col = op_sub(ops["interior-negative-zeros"], ops["longer"]).col(1)
+    assert [c.hex() for c in col.coeffs] == ["-0x0.0p+0", "-0x0.0p+0", (-1.0).hex()]
+    col = op_sub(ops["trailing-negative-zero"], ops["longer"]).col(1)
+    assert [c.hex() for c in col.coeffs] == [(1.0).hex(), "0x0.0p+0", (-2.0).hex()]
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+def test_an_incomplete_operand_caps_the_comparison_and_the_sum_at_max_out(mode):
+    # the columns differ only above degree 2, where the incomplete operator
+    # holds no coefficients
+    one = coerce(1, mode)
+    cols = [Polynomial([one] * (n + 1), mode) for n in range(4)]
+    full = OperatorMatrix(cols, 3, 5, 3, True, mode)
+    cut = OperatorMatrix([c.truncate(2) for c in cols], 3, 2, 3, False, mode)
+    other = OperatorMatrix([c.scale(2) for c in cols], 3, 5, 3, True, mode)
+    assert first_discrepancy(full, cut) is None
+    assert first_discrepancy(full, other) == (0, 0)
+    assert first_discrepancy(cut, op_scale(full, 1 + one)) == (0, 0)
+    for U, V in ((full, cut), (cut, other), (full, other)):
+        _assert_view_paths_match_the_polynomial_path(U, V, _scales(mode))
+    assert op_add(full, cut).max_out == 2
+    assert op_add(full, cut).col(3).degree == 2
+
+
+def test_column_discrepancy_scales_the_float_tolerance_by_the_magnitude():
+    # the CLI compares an ODE residual with zero at the tolerance of the
+    # polynomial's largest coefficient
+    resid, zero = Polynomial([0.0, 1e-3], FLOAT), Polynomial.zero(FLOAT)
+    for magnitude, want in ((0, 1), (1e5, 1), (1e7, None)):
+        assert column_discrepancy(resid, zero, magnitude) == want
+        assert column_discrepancy_loop(resid, zero, magnitude) == want
+    exact = Polynomial([0, F(1, 1000)])
+    assert column_discrepancy(exact, Polynomial.zero(), 1e7) == 1
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+def test_operator_sums_scaling_and_comparison_build_no_polynomial(mode, monkeypatch):
+    # they read the stored views, so operators the kernels built run them
+    # with Polynomial._from_view out of reach
+    f = in_mode(TruncatedSeries([0, 1, 1, F(1, 3)], 8), mode)
+    U = composition_operator(f, 8, 8)
+    V = op_from_D_series(f, 8)
+    W = compose_ops(V, V)
+
+    def refuse(*args):
+        raise AssertionError("a Polynomial was built")
+
+    monkeypatch.setattr(Polynomial, "_from_view", classmethod(refuse))
+    assert first_discrepancy(U, V) == (0, 0)
+    assert first_discrepancy(W, W) is None
+    for A, B in ((U, V), (V, W), (W, U)):
+        op_add(A, B)
+        op_sub(A, B)
+        op_scale(A, 3)
