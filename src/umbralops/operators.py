@@ -22,7 +22,13 @@ An operator stores its columns in the integer view, the idiom of FLINT's
 ``fmpq_poly`` that :class:`Polynomial` uses too: column n is a list of
 integer numerators over one common denominator.  Every kernel, sum, scaling
 and comparison works on those views and builds no ``Fraction``; ``cols`` and
-``col(n)`` build :class:`Polynomial` columns on every read.  Every operator power
+``col(n)`` build :class:`Polynomial` columns on every read.  Sums and
+scalings store their views reduced.  The products visit only the nonzero
+entries: ``_apply_ints`` reads each column as its nonzero pairs
+(``_nonzero_views``, built once per product) and skips the columns that
+have vanished, and ``_add_term`` leaves an accumulator column alone where
+the power's column is zero.  The entries are visited in the order of the
+full loop, so float mode keeps its bits.  Every operator power
 comes from one ladder, ``_int_op_powers``; the power sums (exp, log,
 ``gen_pow``, h(Q)) and the normal forms stay in that view, and so does
 ``op_inverse``: one pass over the columns, upward in n when column n has
@@ -49,6 +55,7 @@ from .scalars import (
     _add_scaled,
     _canonical,
     _int_pair,
+    _nonzero,
     _reduced,
     _to_ints,
     _trimmed,
@@ -277,30 +284,39 @@ def composition_operator(g: TruncatedSeries, n_in: int, max_out: int | None = No
 # -- application and algebra --------------------------------------------
 
 
+def _nonzero_views(views) -> list:
+    """Each column view ``(nums, d)`` as ``(_nonzero(nums), d)``, the column
+    form ``_apply_ints`` reads."""
+    return [(_nonzero(nums), d) for nums, d in views]
+
+
 def _apply_ints(cols, nums: list, e: int):
     """The image of the polynomial P / e, P = ``nums``, under the operator
-    whose column d has the integer view ``cols[d] = (C_d, c_d)``; the terms
-    of P beyond the last column are dropped.
+    whose column d is ``cols[d] = (pairs_d, c_d)``: the nonzero ``(i, y)``
+    pairs of its numerators over c_d (``_nonzero_views``); the terms of P
+    beyond the last column are dropped.
 
     The image is sum_d P_d (L / c_d) C_d over e L, L the lcm of the c_d in
-    use: one int list as long as the longest column in use, and its
-    denominator.  Float mode runs the same loop on the floats (every
-    denominator is 1)."""
-    terms = [(x, c) for x, c in zip(nums, cols) if x]
+    use: one int list up to the last nonzero entry of the columns in use, and
+    its denominator.  A column that has vanished (no pairs) is not in use:
+    it adds to neither L nor the length.  Only nonzero entries are visited,
+    in the order of the full loop over the columns, so float mode (every
+    denominator 1) makes the same additions in the same order."""
+    terms = [(x, col) for x, col in zip(nums, cols) if x and col[0]]
     lcm = math.lcm(*[c for _, (_, c) in terms])
-    out = [0] * max([len(cnums) for _, (cnums, _) in terms], default=0)
-    for x, (cnums, c) in terms:
+    out = [0] * max([pairs[-1][0] + 1 for _, (pairs, _) in terms], default=0)
+    for x, (pairs, c) in terms:
         x *= lcm // c
-        for i, y in enumerate(cnums):
-            if y:
-                out[i] += x * y
+        for i, y in pairs:
+            out[i] += x * y
     return out, e * lcm
 
 
 def _apply_raw(U: OperatorMatrix, p: Polynomial) -> Polynomial:
     """sum_d p_d U(x^d) over d <= U.n_in (``_apply_ints``) on the stored
-    columns."""
-    out, d = _apply_ints(U._views, *p._view)
+    columns that p's terms reach."""
+    nums, e = p._view
+    out, d = _apply_ints(_nonzero_views(U._views[: len(nums)]), nums, e)
     return Polynomial._from_view(out, d, U.mode)
 
 
@@ -325,12 +341,16 @@ def _sum_shape(U, V):
 
 def _columnwise(U: OperatorMatrix, V: OperatorMatrix, op) -> OperatorMatrix:
     """op on the views of U and V (``_view_sum``), shaped by ``_sum_shape``,
-    each cut as its canonical column is, so float signed zeros are kept."""
+    each cut as its canonical column is, so float signed zeros are kept, and
+    each sum reduced (``_reduced``)."""
     mode = common_mode(U.mode, V.mode)
     n_in, max_out, window, complete = _sum_shape(U, V)
     cap = None if complete else max_out + 1
     pairs = zip(U._views[: n_in + 1], V._views[: n_in + 1])
-    views = [_view_sum((_trimmed(a[:cap]), c), (_trimmed(b[:cap]), e), op) for (a, c), (b, e) in pairs]
+    views = [
+        _reduced(*_view_sum((_trimmed(a[:cap]), c), (_trimmed(b[:cap]), e), op))
+        for (a, c), (b, e) in pairs
+    ]
     return OperatorMatrix._from_views(views, n_in, max_out, window, complete, mode)
 
 
@@ -343,16 +363,17 @@ def op_sub(U: OperatorMatrix, V: OperatorMatrix) -> OperatorMatrix:
 
 
 def op_scale(U: OperatorMatrix, c) -> OperatorMatrix:
-    """c U: the integer view (a, b) of c, taken once, times each stored view."""
+    """c U: the integer view (a, b) of c, taken once, times each stored view,
+    reduced (``_reduced``)."""
     a, b = _int_pair(coerce(c, U.mode), U.mode)
-    views = [([a * x for x in nums], b * d) for nums, d in U._views]
+    views = [_reduced([a * x for x in nums], b * d) for nums, d in U._views]
     return OperatorMatrix._from_views(views, U.n_in, U.max_out, U.window, U.complete, U.mode)
 
 
 def _compose_ints(U: OperatorMatrix, V: OperatorMatrix) -> OperatorMatrix:
     """The product U V (V acts first) on the stored views: image column n is
-    ``_apply_ints`` of V's column n on U's columns, truncated at the
-    result's max_out and reduced by ``_reduced``.
+    ``_apply_ints`` of V's column n on U's nonzero pairs, built once per
+    product, truncated at the result's max_out and reduced by ``_reduced``.
 
     With V complete, column n is certified while V's columns up to n have
     degree within U's window; every column of U has degree at most
@@ -380,9 +401,10 @@ def _compose_ints(U: OperatorMatrix, V: OperatorMatrix) -> OperatorMatrix:
                 "left factor window does not cover the truncated columns"
             )
         max_out, window, complete = min(U.max_out, V.max_out), V.window, False
+    cols = _nonzero_views(U._views)
     views = []
     for nums, e in V._views:
-        out, d = _apply_ints(U._views, nums, e)
+        out, d = _apply_ints(cols, nums, e)
         del out[max_out + 1 :]
         views.append(_reduced(out, d))
     return OperatorMatrix._from_views(views, V.n_in, max_out, window, complete, U.mode)
@@ -399,9 +421,10 @@ def compose_ops(U: OperatorMatrix, V: OperatorMatrix) -> OperatorMatrix:
 def op_inverse(U: OperatorMatrix) -> OperatorMatrix:
     """Inverse of a triangular operator with a nonzero diagonal: with
     U x^n = lam_n x^n + R_n, column n of V = U^-1 is (x^n - V R_n) / lam_n,
-    V R_n one ``_apply_ints`` over the columns already found.  n runs upward
-    when every R_n lies below degree n, downward when U is
-    valuation-nondecreasing (a composition operator); others are refused."""
+    V R_n one ``_apply_ints`` over the nonzero pairs of the columns already
+    found, each taken once.  n runs upward when every R_n lies below degree
+    n, downward when U is valuation-nondecreasing (a composition operator);
+    others are refused."""
     views = U._views
     if U.window < U.n_in or any(any(nums[U.window + 1 :]) for nums, _ in views):
         raise WindowUnderflowError("inverse needs columns beyond the window")
@@ -412,16 +435,18 @@ def op_inverse(U: OperatorMatrix) -> OperatorMatrix:
     else:
         raise PreconditionError("operator is not invertibly triangular")
     cols = [None] * (U.n_in + 1)
+    found = [None] * (U.n_in + 1)
     for n in order:
         nums, d = views[n]
         lam = nums[n] if n < len(nums) else 0
         if not lam:
             raise PreconditionError("operator is not invertibly triangular")
         # V R_n = out / e reads only the columns found so far
-        out, e = _apply_ints(cols, nums[:n] + [0] + nums[n + 1 :], d)
+        out, e = _apply_ints(found, nums[:n] + [0] + nums[n + 1 :], d)
         col = [-y * d for y in out] + [0] * (n + 1 - len(out))
         col[n] += e * d
         cols[n] = _canonical(col, e * lam, U.mode)
+        found[n] = _nonzero(cols[n][0]), cols[n][1]
     return OperatorMatrix._from_views(cols, U.n_in, U.max_out, U.window, U.complete, U.mode)
 
 
@@ -544,10 +569,18 @@ def _int_op_powers(A: OperatorMatrix):
 
 def _add_term(acc: OperatorMatrix, a, b, power: OperatorMatrix) -> OperatorMatrix:
     """acc + (a / b) power on the stored views: one ``_add_scaled`` pass per
-    column, shaped by ``_sum_shape``.  Float mode passes ``(c, 1)``."""
+    column, shaped by ``_sum_shape``; where the power's column is zero the
+    accumulator's column is kept as it is, cut at the shape's max_out.
+    Float mode passes ``(c, 1)``."""
     n_in, max_out, window, complete = _sum_shape(acc, power)
-    pairs = zip(acc._views[: n_in + 1], power._views[: n_in + 1])
-    cols = [_add_scaled(s, a, b, p, max_out + 1) for s, p in pairs]
+    size = max_out + 1
+    cols = []
+    for s, p in zip(acc._views[: n_in + 1], power._views[: n_in + 1]):
+        if any(p[0]):
+            s = _add_scaled(s, a, b, p, size)
+        elif len(s[0]) > size:
+            s = s[0][:size], s[1]
+        cols.append(s)
     return OperatorMatrix._from_views(cols, n_in, max_out, window, complete, acc.mode)
 
 

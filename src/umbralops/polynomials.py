@@ -11,6 +11,7 @@ from .scalars import (
     _Coeffs,
     _canonical,
     _mul_ints,
+    _nonzero,
     _to_ints,
     _trimmed,
     check_mode,
@@ -94,7 +95,7 @@ class Polynomial(_Coeffs):
         (a, da), (b, db) = self._view, other._view
         if not a or not b:
             return Polynomial.zero(self.mode)
-        return self._like(_mul_ints(a, b, len(a) + len(b) - 1), da * db)
+        return self._like(_mul_ints(a, _nonzero(b), len(a) + len(b) - 1), da * db)
 
     def shift(self, k: int) -> "Polynomial":
         """Multiply by x^k."""

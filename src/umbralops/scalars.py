@@ -135,16 +135,28 @@ def _view_sum(a: tuple, b: tuple, op):
     return [op(x, y) for x, y in zip_longest(a, b, fillvalue=0)], den
 
 
-def _mul_ints(a: list, b: list, size: int) -> list:
+def _nonzero(nums: list) -> list:
+    """The ``(j, y)`` pairs of the nonzero entries of ``nums``, ascending in
+    j: the operand form of the kernels, which visit nothing else.  A float
+    entry counts when it is truthy, so -0.0 is left out and inf and nan
+    are kept, as the kernels' ``if y`` tests did."""
+    return [(j, y) for j, y in enumerate(nums) if y]
+
+
+def _mul_ints(a: list, pairs: list, size: int) -> list:
     """The first ``size`` entries of the product of the numerator lists ``a``
-    and ``b``: the one integer convolution loop.  On float lists it is the
-    float product, in the same order of additions."""
+    and ``b``, given as ``pairs = _nonzero(b)``: the one integer convolution
+    loop.  It visits only the nonzero entries of both, in the order of the
+    full double loop, so on float lists it is the float product with the
+    same additions in the same order."""
     out = [0] * size
     for i, x in enumerate(a[:size]):
         if x:
-            for j, y in enumerate(b[: size - i], i):
-                if y:
-                    out[j] += x * y
+            top = size - i
+            for j, y in pairs:
+                if j >= top:
+                    break
+                out[i + j] += x * y
     return out
 
 

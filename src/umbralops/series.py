@@ -26,6 +26,7 @@ from .scalars import (
     _int_pair,
     _int_pivot,
     _mul_ints,
+    _nonzero,
     _qbinom_row,
     _ratios,
     _reduced,
@@ -128,7 +129,7 @@ class TruncatedSeries(_Coeffs):
     def _product(self, other: "TruncatedSeries") -> "TruncatedSeries":
         """Series product truncated at the order (``scalars._mul_ints``)."""
         (a, da), (b, db) = self._view, other._view
-        return self._like(_mul_ints(a, b, self.order + 1), da * db)
+        return self._like(_mul_ints(a, _nonzero(b), self.order + 1), da * db)
 
     # perfbench/tracing.py looks the traced methods up in the class's own
     # __dict__, so the product is bound here as well as in _Coeffs
@@ -174,15 +175,17 @@ class TruncatedSeries(_Coeffs):
         """f(g(t)) truncated at the common order; requires g(0) = 0.
 
         Horner evaluation on the stored views f = a / d and g = G / e:
-        acc <- acc G + a_k, each product one ``_mul_ints`` reduced by
-        ``_reduced``, each constant one ``_add_scaled``.  Float mode runs the
-        same loop with d = e = 1, skipping zero coefficients."""
+        acc <- acc G + a_k, each product one ``_mul_ints`` on G's nonzero
+        pairs (built once) reduced by ``_reduced``, each constant one
+        ``_add_scaled``.  Float mode runs the same loop with d = e = 1,
+        skipping zero coefficients."""
         self._peer(g)
         if g._view[0][0]:
             raise PreconditionError("compose requires ord(g) >= 1 (g(0) = 0)")
         size = self.order + 1
         a, d = self._view
         G, e = g._view
+        G = _nonzero(G)
         acc = [0] * size, 1
         for c in reversed(a):
             acc = _reduced(_mul_ints(acc[0], G, size), acc[1] * e)
@@ -256,13 +259,15 @@ class TruncatedSeries(_Coeffs):
 
 def _int_powers(g: TruncatedSeries, size: int):
     """g^0, g^1, ... in the integer view: the first ``size`` numerators of
-    each power over its denominator, one ``_mul_ints`` and one ``_reduced``
-    per power.  It is the one ladder of series powers."""
+    each power over its denominator, one ``_mul_ints`` on g's nonzero pairs
+    (built once for the whole ladder) and one ``_reduced`` per power.  It is
+    the one ladder of series powers."""
     nums, d = g._view
+    pairs = _nonzero(nums)
     power = [1] + [0] * (size - 1), 1
     while True:
         yield power
-        power = _reduced(_mul_ints(power[0], nums, size), power[1] * d)
+        power = _reduced(_mul_ints(power[0], pairs, size), power[1] * d)
 
 
 def _power_sum(u: TruncatedSeries, acc: TruncatedSeries, coeff) -> TruncatedSeries:

@@ -21,6 +21,7 @@ from .operators import (
     _apply_ints,
     _D_column,
     _int_op_powers,
+    _nonzero_views,
     compose_ops,
     composition_operator,
     diag_op,
@@ -43,6 +44,7 @@ from .scalars import (
     _add_scaled,
     _int_pair,
     _mul_ints,
+    _nonzero,
     _qbinom_row,
     _ratios,
     _reduced,
@@ -68,8 +70,9 @@ def itlog(f: TruncatedSeries) -> TruncatedSeries:
     truncated at N = f.order.  Delta raises the valuation by at least one,
     so at most N steps of O(N^2) each give V in O(N^3) scalar operations.
     The loop runs in the integer view: the columns of C_f are the powers of
-    f's numerators (``_int_powers``), Delta is ``_apply_ints`` and the sum is
-    ``_add_scaled``, and the result is built from that view.
+    f's numerators (``_int_powers``), taken once as their nonzero pairs,
+    Delta is ``_apply_ints`` and the sum is ``_add_scaled``, and the result
+    is built from that view.
     This V is rational in f, so a float f runs it on its exact value and
     rounds each coefficient once.
 
@@ -94,7 +97,7 @@ def itlog(f: TruncatedSeries) -> TruncatedSeries:
     else:
         size = f.order + 1
         # column j of C_f is f^j truncated at t^N
-        cols = list(islice(_int_powers(f, size), size))
+        cols = _nonzero_views(islice(_int_powers(f, size), size))
         delta = [0, 1], 1
         v = [0] * size, 1
         for k in range(1, size):
@@ -148,9 +151,9 @@ def flow(V: TruncatedSeries, s) -> TruncatedSeries:
     g^s = sum_k s^k/k! (V D)^k t, and V D raises the valuation by one when
     ord(V) >= 2 (required in both modes), so N = V.order terms are exact.
     The term and the sum stay in the integer view: each term is V's
-    numerators times the last term's derivative (``_mul_ints``, reduced by
-    ``_reduced``), added by ``_add_scaled``; the result is built from that
-    view.
+    numerators times the nonzero pairs of the last term's derivative
+    (``_mul_ints``, reduced by ``_reduced``), added by ``_add_scaled``; the
+    result is built from that view.
     Float mode runs on the exact values of V and s and rounds once.
     """
     s = coerce(s, V.mode)
@@ -163,7 +166,8 @@ def flow(V: TruncatedSeries, s) -> TruncatedSeries:
     g = cur = TruncatedSeries.t(V.order, EXACT).int_view()
     for k in range(1, V.order):
         cnums, e = cur
-        cur = _reduced(_mul_ints(nums, [i * x for i, x in enumerate(cnums)][1:], size), d * e)
+        deriv = _nonzero([i * x for i, x in enumerate(cnums)][1:])
+        cur = _reduced(_mul_ints(nums, deriv, size), d * e)
         g = _add_scaled(g, s.numerator**k, s.denominator**k * math.factorial(k), cur, size)
     return TruncatedSeries._from_view(*g, V.order, EXACT)
 

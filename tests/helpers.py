@@ -264,3 +264,32 @@ def op_scale_loop(U, c):
     ``operators.op_scale``."""
     cols = [p.scale(c) for p in U.cols]
     return OperatorMatrix(cols, U.n_in, U.max_out, U.window, U.complete, U.mode)
+
+
+def mul_ints_loop(a, b, size):
+    """The integer convolution as the double loop over every entry of the
+    numerator lists a and b, skipping the zero ones: the oracle for
+    ``scalars._mul_ints``, which is handed only b's nonzero pairs."""
+    out = [0] * size
+    for i, x in enumerate(a[:size]):
+        if x:
+            for j, y in enumerate(b[: size - i], i):
+                if y:
+                    out[j] += x * y
+    return out
+
+
+def apply_ints_loop(cols, nums, e):
+    """The image of nums / e under the column views ``cols``, looping over
+    every entry of every column in use, vanished columns too, which count in
+    the lcm and the output length: the oracle for ``operators._apply_ints``,
+    which is handed only the columns' nonzero pairs."""
+    terms = [(x, c) for x, c in zip(nums, cols) if x]
+    lcm = math.lcm(*[c for _, (_, c) in terms])
+    out = [0] * max([len(cnums) for _, (cnums, _) in terms], default=0)
+    for x, (cnums, c) in terms:
+        x *= lcm // c
+        for i, y in enumerate(cnums):
+            if y:
+                out[i] += x * y
+    return out, e * lcm

@@ -454,7 +454,7 @@ def _tangent_corpus(order):
 
 
 @pytest.mark.parametrize("mode", [EXACT, FLOAT])
-@pytest.mark.parametrize("order", [12, 16])
+@pytest.mark.parametrize("order", [12, 16, pytest.param(28, marks=pytest.mark.slow)])
 def test_exp_of_x_itlog_D_matches_the_fraction_loop(order, mode):
     for name, f in _tangent_corpus(order):
         v = itlog(in_mode(f, mode))
@@ -463,7 +463,7 @@ def test_exp_of_x_itlog_D_matches_the_fraction_loop(order, mode):
 
 
 @pytest.mark.parametrize("mode", [EXACT, FLOAT])
-@pytest.mark.parametrize("order", [12, 16])
+@pytest.mark.parametrize("order", [12, 16, pytest.param(28, marks=pytest.mark.slow)])
 def test_log_of_bucc_matches_the_fraction_loop(order, mode):
     for name, f in _tangent_corpus(order):
         U = umbral_bucc(UmbralSpec(in_mode(f, mode))).matrix

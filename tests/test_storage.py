@@ -19,11 +19,13 @@ from itertools import islice, zip_longest
 
 import pytest
 from helpers import (
+    apply_ints_loop,
     assert_same_op,
     column_discrepancy_loop,
     columnwise_loop,
     first_discrepancy_loop,
     in_mode,
+    mul_ints_loop,
     op_scale_loop,
 )
 
@@ -52,7 +54,7 @@ from umbralops.operators import (
     series_in_operator,
 )
 from umbralops.polynomials import Polynomial
-from umbralops.scalars import EXACT, FLOAT, coerce
+from umbralops.scalars import EXACT, FLOAT, _mul_ints, _nonzero, coerce
 from umbralops.series import TruncatedSeries
 from umbralops.umbral import CONSTRUCTIONS, UmbralSpec, _x_times_D_series
 
@@ -364,6 +366,24 @@ def test_kernel_results_sum_scale_and_compare_as_the_polynomial_path(order, mode
 
 @pytest.mark.parametrize("mode", [EXACT, FLOAT])
 @pytest.mark.parametrize("order", ORDERS)
+def test_operator_sums_and_scalings_store_reduced_views(order, mode):
+    # op_add, op_sub and op_scale store each column view reduced,
+    # gcd(d, *nums) = 1, as the Polynomial columns they replaced were; a
+    # float view keeps d = 1.  The operands are the kernel results and the
+    # expitlog matrices of the multiplier-1 corpus, whose sums log_unipotent
+    # takes
+    expitlog = CONSTRUCTIONS["expitlog"]
+    tangent = [f for _, f in load_corpus(order=order) if f[1] == 1]
+    ops = list(_kernel_results(order, mode))
+    ops += [expitlog(UmbralSpec(in_mode(f, mode))).matrix for f in tangent]
+    for U, V in zip(ops, ops[1:] + ops[:1]):
+        for W in [op_add(U, V), op_sub(U, V), op_sub(U, U)] + [op_scale(U, c) for c in _scales(mode)]:
+            for nums, d in W._views:
+                assert d == 1 if mode == FLOAT else math.gcd(d, *nums) == 1
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+@pytest.mark.parametrize("order", ORDERS)
 def test_the_five_constructions_compare_as_the_polynomial_path(order, mode):
     # every pair of constructions of one generator (in float mode they drift
     # apart at high columns), and each against the next generator's garsia
@@ -480,3 +500,81 @@ def test_operator_sums_scaling_and_comparison_build_no_polynomial(mode, monkeypa
         op_add(A, B)
         op_sub(A, B)
         op_scale(A, 3)
+
+
+# -- the kernels' walk over nonzero entries against the full loops ----------
+#
+# _mul_ints and _apply_ints visit only the nonzero pairs of their operands
+# and skip vanished columns.  The oracles are the loops they replaced, which
+# test every entry.  The float operands hold -0.0, inf, nan and int zeros, so
+# any change in which entries are visited, or in what order, shows in the
+# bits.
+
+_FLOAT_SPECIALS = [-0.0, 0.0, 0, math.inf, -math.inf, math.nan, 1e-200, -1e300]
+
+
+def _numerators(rng, size, mode):
+    """A numerator list of ``size`` entries, about a third of them zero:
+    ints, or floats with the specials and int zeros among them."""
+    if mode == EXACT:
+        return [0 if rng.random() < 0.35 else rng.randint(-40, 40) for _ in range(size)]
+    return [
+        rng.choice(_FLOAT_SPECIALS) if rng.random() < 0.2 else 0 if rng.random() < 0.3 else rng.uniform(-9, 9)
+        for _ in range(size)
+    ]
+
+
+def _bits(entries):
+    """The entries with their types, floats by ``float.hex``."""
+    return [(type(v), v.hex() if isinstance(v, float) else v) for v in entries]
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+@pytest.mark.parametrize("seed", range(4))
+def test_mul_ints_on_nonzero_pairs_matches_the_full_loop(seed, mode):
+    rng = random.Random(seed)
+    for _ in range(300):
+        a = _numerators(rng, rng.randint(0, 14), mode)
+        b = _numerators(rng, rng.randint(0, 14), mode)
+        size = rng.randint(0, 16)
+        assert _bits(_mul_ints(a, _nonzero(b), size)) == _bits(mul_ints_loop(a, b, size))
+
+
+def _column_views(rng, count, mode):
+    """``count`` column views: random, all-zero (float -0.0 and 0.0 among
+    them) or empty, over small denominators in exact mode and d = 1 in
+    float mode."""
+    views = []
+    for _ in range(count):
+        kind = rng.random()
+        size = rng.randint(1, 12)
+        if kind < 0.2:
+            nums = []
+        elif kind < 0.4:
+            nums = [rng.choice((0, -0.0, 0.0)) if mode == FLOAT else 0 for _ in range(size)]
+        else:
+            nums = _numerators(rng, size, mode)
+        views.append((nums, rng.choice((1, 2, 3, 6, 35)) if mode == EXACT else 1))
+    return views
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+@pytest.mark.parametrize("seed", range(4))
+def test_apply_ints_on_nonzero_pairs_matches_the_full_loop(seed, mode):
+    # the walk leaves vanished columns out of the lcm and the length, so its
+    # denominator divides the loop's and the loop's extra entries are int
+    # zeros; the values are equal, floats to the bit
+    rng = random.Random(seed)
+    for _ in range(200):
+        cols = _column_views(rng, rng.randint(0, 10), mode)
+        nums = _numerators(rng, rng.randint(0, 12), mode)
+        e = rng.choice((1, 4, 15)) if mode == EXACT else 1
+        got, d = operators._apply_ints(operators._nonzero_views(cols), nums, e)
+        want, dw = apply_ints_loop(cols, nums, e)
+        assert dw % d == 0 and len(got) <= len(want)
+        assert all(type(v) is int and v == 0 for v in want[len(got) :])
+        if mode == EXACT:
+            assert [F(v, d) for v in got] == [F(v, dw) for v in want[: len(got)]]
+        else:
+            assert d == dw == 1
+            assert _bits(got) == _bits(want[: len(got)])
