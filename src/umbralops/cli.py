@@ -29,6 +29,7 @@ from .series import DEFAULT_ORDER, PreconditionError, TruncatedSeries, series_fr
 from .umbral import (
     CONSTRUCTIONS,
     UmbralSpec,
+    _col_coeff,
     fractional_iterate,
     itlog,
 )
@@ -182,15 +183,9 @@ def cmd_umbral(args) -> int:
     ops = {name: CONSTRUCTIONS[name](spec, spec.default_n_max()) for name in names}
     base_name = names[0]
     base = ops[base_name]
-    diffs = {}
-    for name in names[1:]:
-        diffs[name] = first_discrepancy(base.matrix, ops[name].matrix)
+    agreement = {name: _col_coeff(first_discrepancy(base.matrix, ops[name].matrix)) for name in names[1:]}
     table, pretty, csv_rows = _poly_table("phi", [base.matrix.col(i) for i in range(n + 1)])
-    agreement = {
-        name: None if d is None else {"col": d[0], "coeff": d[1]}
-        for name, d in diffs.items()
-    }
-    if any(d is not None for d in diffs.values()):
+    if any(d is not None for d in agreement.values()):
         pretty.append("DISAGREEMENT: " + json.dumps(agreement))
     elif len(names) > 1:
         pretty.append(
@@ -204,7 +199,7 @@ def cmd_umbral(args) -> int:
         "pretty": pretty,
     }
     _emit(payload, args.format, csv_rows=csv_rows)
-    return 0 if all(d is None for d in diffs.values()) else 1
+    return 0 if all(d is None for d in agreement.values()) else 1
 
 
 def cmd_laguerre(args) -> int:
@@ -274,7 +269,8 @@ def cmd_verify(args) -> int:
         corpus_path=args.corpus,
         order=args.order,
     )
-    # laguerre cross-sequence and generating-function items carry no window
+    # every item has umbral._check_item's keys; the laguerre cross-sequence
+    # and generating-function items certify no window and carry no window key
     if args.format == "pretty":
         for item in report["items"]:
             status = item["status"]

@@ -33,6 +33,7 @@ from .operators import (
 from .polynomials import Polynomial
 from .scalars import EXACT, FLOAT, _int_pair, _qbinom_row, _ratios, coerce
 from .series import DEFAULT_ORDER, PreconditionError, TruncatedSeries
+from .umbral import _check_item
 
 
 @dataclass(frozen=True)
@@ -171,12 +172,9 @@ def _ode_residual(F: Polynomial, p: int, n: int, alpha) -> Polynomial:
 
 
 def _biv_report(identity: str, resid: dict | set) -> dict:
-    keys = sorted(resid)
-    return {
-        "identity": identity,
-        "status": "exact-pass" if not resid else "fail",
-        "first_discrepancy": list(keys[0]) if keys else None,
-    }
+    """The entry of a bivariate residual: no window, and the smallest
+    nonzero (i, n) key as a list on failure."""
+    return _check_item(identity, None, not resid, list(min(resid)) if resid else None)
 
 
 def cross_sequence_check(p: int, n: int, alpha, beta) -> dict:

@@ -22,15 +22,15 @@ An operator stores its columns in the integer view, the idiom of FLINT's
 ``fmpq_poly`` that :class:`Polynomial` uses too: column n is a list of
 integer numerators over one common denominator.  Every kernel, sum, scaling
 and comparison works on those views and builds no ``Fraction``; ``cols`` and
-``col(n)`` build :class:`Polynomial` columns on every read.  Sums and
-scalings store their views reduced.  The products visit only the nonzero
-entries: ``_apply_ints`` reads each column as its nonzero pairs
-(``_nonzero_views``, built once per product) and skips the columns that
-have vanished, and ``_add_term`` leaves an accumulator column alone where
-the power's column is zero.  The entries are visited in the order of the
-full loop, so float mode keeps its bits.  Every operator power
-comes from one ladder, ``_int_op_powers``; the power sums (exp, log,
-``gen_pow``, h(Q)) and the normal forms stay in that view, and so does
+``col(n)`` build :class:`Polynomial` columns on every read.  Sums,
+scalings and the power sums store their views reduced.  The products visit
+only the nonzero entries: ``_apply_ints`` reads each column as its nonzero
+pairs (``_nonzero_views``, built once per product) and skips the columns
+that have vanished, and ``_add_term`` leaves an accumulator column alone
+where the power's column is zero.  The entries are visited in the order of
+the full loop, so float mode keeps its bits.  Every operator power comes
+from one ladder, ``_int_op_powers``; the power sums (exp, log, ``gen_pow``,
+h(Q)) and the normal forms stay in that view, and so does
 ``op_inverse``: one pass over the columns, upward in n when column n has
 degree at most n, downward when it has valuation at least n.
 The Pincherle derivatives make no operator product: column m of
@@ -452,17 +452,17 @@ def op_inverse(U: OperatorMatrix) -> OperatorMatrix:
 
 def _view_discrepancy(a: tuple, b: tuple, mode: str, magnitude=0):
     """First index where the column views (A, da) and (B, db) differ, or None:
-    exact entries by the cross-products A_k db, B_k da; unequal float columns
-    (d = 1) beyond FLOAT_COLUMN_TOL times the largest of 1, ``magnitude``
-    and every entry."""
+    exact entries by the cross-products A_k db, B_k da; float entries (d = 1)
+    that are unequal and farther apart than FLOAT_COLUMN_TOL times the largest
+    of 1, ``magnitude`` and every finite entry, so an inf or a nan differs
+    from anything but the same inf."""
     (A, da), (B, db) = a, b
     pairs = zip_longest(A, B, fillvalue=0)
     if mode == FLOAT:
         pairs = list(pairs)
-        if all(x == y for x, y in pairs):
-            return None
-        tol = FLOAT_COLUMN_TOL * max([1.0, magnitude] + [abs(c) for pair in pairs for c in pair])
-        return next((k for k, (x, y) in enumerate(pairs) if not abs(x - y) <= tol), None)
+        finite = [abs(c) for pair in pairs for c in pair if math.isfinite(c)]
+        tol = FLOAT_COLUMN_TOL * max([1.0, magnitude] + finite)
+        return next((k for k, (x, y) in enumerate(pairs) if x != y and not abs(x - y) <= tol), None)
     return next((k for k, (x, y) in enumerate(pairs) if x * db != y * da), None)
 
 
@@ -584,6 +584,13 @@ def _add_term(acc: OperatorMatrix, a, b, power: OperatorMatrix) -> OperatorMatri
     return OperatorMatrix._from_views(cols, n_in, max_out, window, complete, acc.mode)
 
 
+def _stopped(acc: OperatorMatrix) -> OperatorMatrix:
+    """A power sum's accumulator as the sum stores it: each view reduced
+    once (``_reduced``), where ``_add_term`` keeps the running lcm."""
+    views = [_reduced(*v) for v in acc._views]
+    return OperatorMatrix._from_views(views, acc.n_in, acc.max_out, acc.window, acc.complete, acc.mode)
+
+
 def _power_sum(A: OperatorMatrix, acc: OperatorMatrix, coeff, name: str) -> OperatorMatrix:
     """acc + sum_{k >= 1} coeff(k) A^k for A that strictly lowers degree or
     strictly raises valuation, stopping at the first power that vanishes on
@@ -596,7 +603,7 @@ def _power_sum(A: OperatorMatrix, acc: OperatorMatrix, coeff, name: str) -> Oper
     powers = islice(_int_op_powers(A), 1, None)
     for k, power in zip(range(1, _series_termination_bound(A) + 1), powers):
         if power.is_window_zero():
-            return acc
+            return _stopped(acc)
         a, b = _int_pair(coeff(k), A.mode)
         acc = _add_term(acc, a, b, power)
     raise PreconditionError(f"{name} series did not terminate")
@@ -644,7 +651,7 @@ def gen_pow(U: OperatorMatrix, V: OperatorMatrix, term_bound: int | None = None)
     else:
         if auto and term_bound is None:
             raise PreconditionError("gen_pow series did not terminate")
-    return acc
+    return _stopped(acc)
 
 
 # -- normal forms ----------------------------------------------------------
@@ -750,4 +757,4 @@ def series_in_operator(h: TruncatedSeries, Q: OperatorMatrix) -> OperatorMatrix:
     for x, power in zip(nums, _int_op_powers(Q)):
         if x:
             acc = _add_term(acc, x, d, power)
-    return acc
+    return _stopped(acc)

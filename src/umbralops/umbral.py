@@ -548,14 +548,28 @@ def julia_residual(f: TruncatedSeries, v: TruncatedSeries) -> TruncatedSeries:
     return vt.compose(ft) - f.derivative().truncate(order) * vt
 
 
-def _check_item(identity: str, window: int, d) -> dict:
-    """A report entry from a first_discrepancy-style (column, coefficient)."""
-    return {
-        "identity": identity,
-        "window": window,
-        "status": "exact-pass" if d is None else "fail",
-        "first_discrepancy": None if d is None else {"col": d[0], "coeff": d[1]},
-    }
+def _col_coeff(d):
+    """A first_discrepancy (column, coefficient) as a report writes it."""
+    return None if d is None else {"col": d[0], "coeff": d[1]}
+
+
+def _check_item(identity: str, window, ok: bool, where=None) -> dict:
+    """The one builder of a report entry.  On failure ``first_discrepancy``
+    is ``where``: a first_discrepancy tuple reads ``{"col", "coeff"}``
+    (``_col_coeff``), any other location is written as it is.  A window of
+    None writes no ``window`` key."""
+    item = {"identity": identity}
+    if window is not None:
+        item["window"] = window
+    item["status"] = "exact-pass" if ok else "fail"
+    item["first_discrepancy"] = None if ok else _col_coeff(where) if isinstance(where, tuple) else where
+    return item
+
+
+def _compare_item(identity: str, lhs: OperatorMatrix, rhs: OperatorMatrix) -> dict:
+    """The entry of lhs = rhs on their common window."""
+    d = first_discrepancy(lhs, rhs)
+    return _check_item(identity, min(lhs.window, rhs.window), d is None, d)
 
 
 def genfun_check(U: UmbralOperator, t_order: int) -> dict:
@@ -565,8 +579,7 @@ def genfun_check(U: UmbralOperator, t_order: int) -> dict:
     against that matrix."""
     if t_order > min(U.spec.order, U.matrix.window):
         raise PreconditionError("t_order exceeds the available window")
-    expected = umbral_garsia(U.spec, t_order).matrix
-    return _check_item("generating-function", t_order, first_discrepancy(U.matrix, expected))
+    return _compare_item("generating-function", U.matrix, umbral_garsia(U.spec, t_order).matrix)
 
 
 def pincherle_ode_residual(U: UmbralOperator) -> OperatorMatrix:
@@ -633,34 +646,14 @@ def group_law_checks(spec: UmbralSpec, s, t) -> dict:
     phi_s = frac_power(spec, s, n_max).matrix
     phi_t = frac_power(spec, t, n_max).matrix
     phi_st = frac_power(spec, s + t, n_max).matrix
-    product = compose_ops(phi_s, phi_t)
-    items = [
-        _check_item(
-            "power-additivity",
-            min(phi_st.window, product.window),
-            first_discrepancy(phi_st, product),
-        )
-    ]
     q_t = delta_operator(spec, t, n_max)
     q_tm = delta_operator(spec, t - s, n_max)
-    lhs = compose_ops(q_t, phi_s)
-    rhs = compose_ops(phi_s, q_tm)
-    items.append(
-        _check_item("delta-conjugation", min(lhs.window, rhs.window), first_discrepancy(lhs, rhs))
-    )
-    fm_s = spec.iterate(-s)
-    fm_t = spec.iterate(-t)
-    diamond = fm_s.compose(fm_t)
-    direct = spec.iterate(-s - t)
-    ok = diamond == direct
-    items.append(
-        {
-            "identity": "delta-diamond-law",
-            "window": spec.order,
-            "status": "exact-pass" if ok else "fail",
-            "first_discrepancy": None,
-        }
-    )
+    diamond = spec.iterate(-s).compose(spec.iterate(-t))
+    items = [
+        _compare_item("power-additivity", phi_st, compose_ops(phi_s, phi_t)),
+        _compare_item("delta-conjugation", compose_ops(q_t, phi_s), compose_ops(phi_s, q_tm)),
+        _check_item("delta-diamond-law", spec.order, diamond == spec.iterate(-s - t)),
+    ]
     return {"items": items, "passed": all(i["status"] == "exact-pass" for i in items)}
 
 
@@ -676,8 +669,5 @@ def duality_check(spec: UmbralSpec) -> dict:
         spec.mode,
     )
     candidate = op_from_normal_form(rebuilt, n_max, n_max)
-    phi = umbral_bucc(spec, n_max).matrix
-    return _check_item(
-        "x-D-swap-duality", min(candidate.window, phi.window), first_discrepancy(candidate, phi)
-    )
+    return _compare_item("x-D-swap-duality", candidate, umbral_bucc(spec, n_max).matrix)
 

@@ -2,10 +2,12 @@
 
 A per-case suite takes one corpus entry, its name and its UmbralSpec; a
 corpus-wide suite takes every (name, spec) case with the order and the seed.
-Each returns a list of report items; an item names the identity being
-checked, the case (corpus entry or parameter point), the exactness window on
-which it was certified, a pass/fail status, and the first discrepancy when
-one exists.  Identity failures are report content, never exceptions.
+Each returns a list of report items, all written by one builder
+(``umbral._check_item``) with their keys in one order: the suite, the
+identity being checked, the case (corpus entry or parameter point), the
+exactness window on which it was certified (none for the two bivariate
+Laguerre identities), a pass/fail status, and the first discrepancy when one
+exists.  Identity failures are report content, never exceptions.
 """
 
 from __future__ import annotations
@@ -59,6 +61,8 @@ from .series import DEFAULT_ORDER, PreconditionError, TruncatedSeries
 from .umbral import (
     CONSTRUCTIONS,
     UmbralSpec,
+    _check_item,
+    _compare_item,
     coeff_identity_scan,
     duality_check,
     extract_generator_field,
@@ -77,27 +81,18 @@ from .umbral import (
 SCHEMA_VERSION = 1
 
 
-def _item(suite, identity, case, window, ok, where=None):
-    return {
-        "suite": suite,
-        "identity": identity,
-        "case": case,
-        "window": window,
-        "status": "exact-pass" if ok else "fail",
-        "first_discrepancy": None if ok else where,
-    }
-
-
 def _from_report(suite, case, report):
-    out = dict(report)
-    out["suite"] = suite
-    out["case"] = case
-    return out
+    """A ``_check_item`` entry placed in a suite and a case, in the one key
+    order: suite, identity, case, window, status, first_discrepancy."""
+    return {"suite": suite, "identity": report["identity"], "case": case, **report}
+
+
+def _item(suite, identity, case, window, ok, where=None):
+    return _from_report(suite, case, _check_item(identity, window, ok, where))
 
 
 def _compare(suite, identity, case, lhs, rhs):
-    d = first_discrepancy(lhs, rhs)
-    return _item(suite, identity, case, min(lhs.window, rhs.window), d is None, d)
+    return _from_report(suite, case, _compare_item(identity, lhs, rhs))
 
 
 def suite_formulas(name, spec):
@@ -170,16 +165,8 @@ def suite_coeff(name, spec):
     items = []
     for s in exponents:
         bad = coeff_identity_scan(spec, s, n_max)
-        items.append(
-            _item(
-                "coeff",
-                "fractional-coefficient-identity",
-                f"{name}[s={s}]",
-                n_max,
-                bad is None,
-                None if bad is None else {"col": bad[0], "coeff": bad[1]},
-            )
-        )
+        case = f"{name}[s={s}]"
+        items.append(_item("coeff", "fractional-coefficient-identity", case, n_max, bad is None, bad))
     return items
 
 
@@ -203,8 +190,8 @@ def suite_kernel(cases, order, seed):
 
     # commutator [D, x] = 1 via the derivative rule x' = 1 and D' = 1
     dprime = pincherle_derivative(d_op(n0 + 1))
-    ok = first_discrepancy(dprime, identity_op(dprime.n_in, dprime.max_out)) is None
-    items.append(_item("kernel", "commutator-D-x", "D", dprime.window, ok))
+    one = identity_op(dprime.n_in, dprime.max_out)
+    items.append(_compare("kernel", "commutator-D-x", "D", dprime, one))
 
     # Leibniz rule and the derivation property on seeded sparse operators
     for i in range(25):
@@ -254,12 +241,9 @@ def suite_kernel(cases, order, seed):
 
     # x^n D^n equals the falling factorial of the degree operator
     for n in range(5):
-        dn = d_power_op(n, n0)
-        lhs = compose_ops(op_from_x_poly(Polynomial.monomial(n, 1), n0), dn)
-        falling = [math.perm(m, n) for m in range(n0 + 1)]
-        rhs = diag_op(falling, n0)
-        d = first_discrepancy(lhs, rhs)
-        items.append(_item("kernel", "degree-falling-factorial", f"n={n}", n0, d is None, d))
+        lhs = compose_ops(op_from_x_poly(Polynomial.monomial(n, 1), n0), d_power_op(n, n0))
+        rhs = diag_op([math.perm(m, n) for m in range(n0 + 1)], n0)
+        items.append(_compare("kernel", "degree-falling-factorial", f"n={n}", lhs, rhs))
 
     # exponentiation identity: sum x^n V^n / n! = (e^x)^V for V = f(D) - D
     f = TruncatedSeries([0, 1, 1], order)
@@ -281,8 +265,7 @@ def suite_kernel(cases, order, seed):
             continue
         U = umbral_bucc(g_spec).matrix
         back = exp_loc_nilpotent(log_unipotent(U))
-        d = first_discrepancy(U, back)
-        items.append(_item("kernel", "exp-log-roundtrip", name, U.window, d is None, d))
+        items.append(_compare("kernel", "exp-log-roundtrip", name, U, back))
 
     # normal-form round trip and the x/D swap on random tables
     for i in range(10):
@@ -318,10 +301,8 @@ def suite_kernel(cases, order, seed):
     for k in range(n_max):
         hs.append(hs[-1] * diff)
     km = km_operator(gs, hs, d_op(n_max))
-    d = first_discrepancy(km, umbral_bucc(spec, n_max).matrix)
-    items.append(
-        _item("kernel", "two-sided-expansion", "f=t+t^2", min(km.window, n_max), d is None, d)
-    )
+    direct = umbral_bucc(spec, n_max).matrix
+    items.append(_compare("kernel", "two-sided-expansion", "f=t+t^2", km, direct))
 
     # placement of the binomial factors matters: search for an operator pair
     # where the two orderings of the generalized power differ

@@ -213,16 +213,16 @@ def op_inverse_loop(U):
 def column_discrepancy_loop(a, b, magnitude=0):
     """First coefficient index where the Polynomial columns a and b differ,
     or None, on their canonical coefficients: the oracle for
-    ``operators.column_discrepancy``."""
+    ``operators.column_discrepancy``.  Float entries differ when unequal and
+    farther apart than the tolerance of the finite entries."""
     mode = common_mode(a.mode, b.mode)
-    if a == b:
-        return None
     pairs = [(a.coeff(k), b.coeff(k)) for k in range(max(a.degree, b.degree) + 1)]
     tol = 0
     if mode == FLOAT:
-        tol = FLOAT_COLUMN_TOL * max([1.0, magnitude] + [abs(c) for pair in pairs for c in pair])
+        finite = [abs(c) for pair in pairs for c in pair if math.isfinite(c)]
+        tol = FLOAT_COLUMN_TOL * max([1.0, magnitude] + finite)
     for k, (x, y) in enumerate(pairs):
-        if not abs(x - y) <= tol:
+        if x != y and not abs(x - y) <= tol:
             return k
     return None
 

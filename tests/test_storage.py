@@ -367,19 +367,31 @@ def test_kernel_results_sum_scale_and_compare_as_the_polynomial_path(order, mode
 @pytest.mark.parametrize("mode", [EXACT, FLOAT])
 @pytest.mark.parametrize("order", ORDERS)
 def test_operator_sums_and_scalings_store_reduced_views(order, mode):
-    # op_add, op_sub and op_scale store each column view reduced,
-    # gcd(d, *nums) = 1, as the Polynomial columns they replaced were; a
-    # float view keeps d = 1.  The operands are the kernel results and the
-    # expitlog matrices of the multiplier-1 corpus, whose sums log_unipotent
-    # takes
-    expitlog = CONSTRUCTIONS["expitlog"]
-    tangent = [f for _, f in load_corpus(order=order) if f[1] == 1]
-    ops = list(_kernel_results(order, mode))
-    ops += [expitlog(UmbralSpec(in_mode(f, mode))).matrix for f in tangent]
+    # op_add, op_sub, op_scale and the four power sums (exp, log, gen_pow and
+    # h(Q)) store each column view reduced, gcd(d, *nums) = 1, as the
+    # Polynomial columns they replaced were; a float view keeps d = 1.  The
+    # power sums are taken on the multiplier-1 corpus: its expitlog matrices
+    # (an exp), their logs, h(Q) = f(bucc) and the kernel's (e^x)^V; the
+    # operands of the sums are those and the kernel results
+    expitlog, bucc = CONSTRUCTIONS["expitlog"], CONSTRUCTIONS["bucc"]
+    sums = []
+    for _, f in load_corpus(order=order):
+        if f[1] != 1:
+            continue
+        spec = UmbralSpec(in_mode(f, mode))
+        n = spec.default_n_max()
+        M = expitlog(spec).matrix
+        V = op_from_D_series((spec.f - TruncatedSeries.t(order, mode)).truncate(n), n)
+        exp_x = in_mode(TruncatedSeries([F(1, math.factorial(k)) for k in range(n + 1)], n), mode)
+        sums += [M, log_unipotent(M), series_in_operator(spec.f.truncate(n), bucc(spec).matrix)]
+        sums.append(gen_pow(op_from_x_series(exp_x, n, n), V))
+    ops = list(_kernel_results(order, mode)) + sums
+    stored = list(sums)
     for U, V in zip(ops, ops[1:] + ops[:1]):
-        for W in [op_add(U, V), op_sub(U, V), op_sub(U, U)] + [op_scale(U, c) for c in _scales(mode)]:
-            for nums, d in W._views:
-                assert d == 1 if mode == FLOAT else math.gcd(d, *nums) == 1
+        stored += [op_add(U, V), op_sub(U, V), op_sub(U, U)] + [op_scale(U, c) for c in _scales(mode)]
+    for W in stored:
+        for nums, d in W._views:
+            assert d == 1 if mode == FLOAT else math.gcd(d, *nums) == 1
 
 
 @pytest.mark.parametrize("mode", [EXACT, FLOAT])
@@ -421,6 +433,7 @@ def test_float_views_compare_and_sum_with_signed_zeros_and_non_finite_entries():
         "inf": ([inf, 1.0], 1),
         "inf-again": ([inf, 1.0, -0.0], 1),
         "inf-other": ([inf, 2.0], 1),
+        "minus-inf": ([-inf, 1.0], 1),
         "finite": ([1.0, 1.0], 1),
         "nan": ([nan, 1.0], 1),
         "nan-again": ([nan, 1.0], 1),
@@ -435,15 +448,16 @@ def test_float_views_compare_and_sum_with_signed_zeros_and_non_finite_entries():
     for U in ops.values():
         for V in ops.values():
             _assert_view_paths_match_the_polynomial_path(U, V, _scales(FLOAT))
-    # equal columns agree, inf included; any other pair with an inf or a
-    # nan entry differs there (inf - inf is nan); a finite entry against inf
-    # is within the tolerance that inf makes infinite
+    # equal entries agree, inf included; an inf or a nan entry differs from
+    # anything else, and the tolerance scales with the finite entries only,
+    # so the finite entries beside an inf are compared as without it
     assert first_discrepancy(ops["signed-zeros"], ops["positive-zeros"]) is None
     assert first_discrepancy(ops["int-zeros"], ops["signed-zeros"]) is None
     assert first_discrepancy(ops["inf"], ops["inf-again"]) is None
-    assert first_discrepancy(ops["inf"], ops["inf-other"]) == (1, 0)
+    assert first_discrepancy(ops["inf"], ops["inf-other"]) == (1, 1)
     assert first_discrepancy(ops["nan"], ops["nan-again"]) == (1, 0)
-    assert first_discrepancy(ops["inf"], ops["finite"]) is None
+    assert first_discrepancy(ops["inf"], ops["finite"]) == (1, 0)
+    assert first_discrepancy(ops["inf"], ops["minus-inf"]) == (1, 0)
     # the field operation entry by entry: -0.0 - 0.0 is -0.0; a trailing
     # -0.0 is cut as the canonical column cuts it, so 0 - 0.0 is 0.0 there
     col = op_sub(ops["interior-negative-zeros"], ops["longer"]).col(1)

@@ -123,6 +123,63 @@ def test_verify_all_report_digest_at_order_40():
     )
 
 
+ITEM_KEYS = ("suite", "identity", "case", "window", "status", "first_discrepancy")
+NO_WINDOW = {"laguerre-cross-sequence", "laguerre-genfun"}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_every_item_has_the_keys_in_one_order(seed):
+    # one builder writes every item; the two bivariate Laguerre identities
+    # certify no window and write no window key
+    items = run_verify("all", seed)["items"]
+    for it in items:
+        keys = tuple(k for k in ITEM_KEYS if k != "window" or it["identity"] not in NO_WINDOW)
+        assert tuple(it) == keys, it
+    assert sum(it["identity"] in NO_WINDOW for it in items) == 9
+
+
+def _add_x_to_column_4(M):
+    """M with x added to column 4: still unipotent, so every suite runs."""
+    views = list(M._views)
+    nums, d = views[4]
+    views[4] = [nums[0], nums[1] + d] + nums[2:], d
+    return OperatorMatrix._from_views(views, M.n_in, M.max_out, M.window, M.complete, M.mode)
+
+
+def _skew_bucc(monkeypatch):
+    real = umbral._bucc_matrix
+    monkeypatch.setattr(umbral, "_bucc_matrix", lambda f, n_max: _add_x_to_column_4(real(f, n_max)))
+
+
+def _skew_garsia(monkeypatch):
+    # the garsia matrices that frac_power and genfun_check build
+    real = umbral.umbral_garsia
+
+    def skewed(spec, n_max=None):
+        U = real(spec, n_max)
+        return umbral.UmbralOperator(spec, _add_x_to_column_4(U.matrix), U.provenance)
+
+    monkeypatch.setattr(umbral, "umbral_garsia", skewed)
+
+
+@pytest.mark.parametrize(
+    "skew, suites",
+    [
+        (_skew_bucc, {"formulas", "kernel", "duality", "genfun"}),
+        (_skew_garsia, {"genfun", "group"}),
+    ],
+)
+def test_failing_operator_comparisons_read_col_and_coeff(monkeypatch, skew, suites):
+    skew(monkeypatch)
+    report = run_verify("formulas,kernel,duality,genfun,group")
+    failed = [it for it in report["items"] if it["status"] == "fail"]
+    assert {it["suite"] for it in failed} == suites
+    for it in failed:
+        where = it["first_discrepancy"]
+        assert list(where) == ["col", "coeff"], it
+        assert where["col"] <= 4 <= it["window"]
+
+
 def test_laguerre_path_disagreement_is_a_failed_item(monkeypatch):
     real = laguerre.laguerre_operator_paths
 
