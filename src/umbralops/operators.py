@@ -735,14 +735,17 @@ def km_operator(
     hs: Sequence[TruncatedSeries],
     Q: OperatorMatrix,
 ) -> OperatorMatrix:
-    """Finite sum of products g_k(x) * h_k(Q) for series g_k in x, h_k in t."""
+    """Finite sum of products g_k(x) * h_k(Q) for series g_k in x, h_k in t.
+    One ladder of powers of Q (``_int_op_powers``), up to the longest h_k,
+    is built per call and read by every h_k."""
     if len(gs) != len(hs):
         raise ValueError("gs and hs must have equal length")
+    size = max((len(h._view[0]) for h in hs), default=0)
+    powers = list(islice(_int_op_powers(Q), size))
     acc = None
     for g, h in zip(gs, hs):
         gop = op_from_x_series(g, Q.n_in, Q.max_out)
-        hq = series_in_operator(h, Q)
-        term = compose_ops(gop, hq)
+        term = compose_ops(gop, _series_on_powers(h, powers, Q))
         acc = term if acc is None else op_add(acc, term)
     if acc is None:
         raise ValueError("empty expansion")
@@ -751,10 +754,16 @@ def km_operator(
 
 def series_in_operator(h: TruncatedSeries, Q: OperatorMatrix) -> OperatorMatrix:
     """sum_j h_j Q^j, truncated at the order of h: the powers of
-    ``_int_op_powers`` summed by ``_add_term`` on h's numerators."""
+    ``_int_op_powers`` summed by ``_series_on_powers``."""
+    return _series_on_powers(h, _int_op_powers(Q), Q)
+
+
+def _series_on_powers(h: TruncatedSeries, powers, Q: OperatorMatrix) -> OperatorMatrix:
+    """sum_j h_j powers[j] for the powers Q^0, Q^1, ... of Q, added by
+    ``_add_term`` on h's numerators and stopped by ``_stopped``."""
     acc = zero_op(Q.n_in, Q.max_out, Q.mode)
     nums, d = h._view
-    for x, power in zip(nums, _int_op_powers(Q)):
+    for x, power in zip(nums, powers):
         if x:
             acc = _add_term(acc, x, d, power)
     return _stopped(acc)

@@ -48,7 +48,6 @@ from .scalars import (
     _qbinom_row,
     _ratios,
     _reduced,
-    _to_ints,
     coerce,
 )
 from .series import PreconditionError, TruncatedSeries, _int_powers
@@ -150,26 +149,41 @@ def flow(V: TruncatedSeries, s) -> TruncatedSeries:
 
     g^s = sum_k s^k/k! (V D)^k t, and V D raises the valuation by one when
     ord(V) >= 2 (required in both modes), so N = V.order terms are exact.
-    The term and the sum stay in the integer view: each term is V's
-    numerators times the nonzero pairs of the last term's derivative
-    (``_mul_ints``, reduced by ``_reduced``), added by ``_add_scaled``; the
-    result is built from that view.
+    It runs in two steps: the s-free terms (V D)^k t (``_lie_terms``), then
+    one weighted sum of them for s (``_lie_sum``).  Nothing is kept between
+    calls; a spec keeps the terms of its own itlog (``UmbralSpec.iterate``).
     Float mode runs on the exact values of V and s and rounds once.
     """
     s = coerce(s, V.mode)
     if V.mode == FLOAT:
         return _rounded(flow(_exact(V), _exact_scalar(s)))
+    return _lie_sum(_lie_terms(V), s, V.order)
+
+
+def _lie_terms(V: TruncatedSeries) -> list:
+    """The terms (V D)^k t, k < N = V.order, of flow's Lie series as integer
+    views, for an exact V with ord(V) >= 2: each is V's numerators times the
+    nonzero pairs of the last term's derivative (``_mul_ints``), reduced by
+    ``_reduced``.  They do not depend on s."""
     nums, d = V._view
     if any(nums[:2]):
         raise PreconditionError("flow requires ord(V) >= 2")
     size = V.order + 1
-    g = cur = TruncatedSeries.t(V.order, EXACT).int_view()
-    for k in range(1, V.order):
-        cnums, e = cur
+    terms = [TruncatedSeries.t(V.order, EXACT).int_view()]
+    for _ in range(1, V.order):
+        cnums, e = terms[-1]
         deriv = _nonzero([i * x for i, x in enumerate(cnums)][1:])
-        cur = _reduced(_mul_ints(nums, deriv, size), d * e)
-        g = _add_scaled(g, s.numerator**k, s.denominator**k * math.factorial(k), cur, size)
-    return TruncatedSeries._from_view(*g, V.order, EXACT)
+        terms.append(_reduced(_mul_ints(nums, deriv, size), d * e))
+    return terms
+
+
+def _lie_sum(terms: list, s: Fraction, order: int) -> TruncatedSeries:
+    """sum_k s^k/k! terms[k] for an exact s: one ``_add_scaled`` pass per
+    term, in k order, and the exact series built from the sum's view."""
+    g = terms[0]
+    for k in range(1, len(terms)):
+        g = _add_scaled(g, s.numerator**k, s.denominator**k * math.factorial(k), terms[k], order + 1)
+    return TruncatedSeries._from_view(*g, order, EXACT)
 
 
 def _exact_scalar(x: float) -> Fraction:
@@ -180,8 +194,17 @@ def _exact_scalar(x: float) -> Fraction:
 
 
 def _exact(f: TruncatedSeries) -> TruncatedSeries:
-    nums, d = _to_ints([_exact_scalar(c) for c in f], EXACT)
-    return TruncatedSeries._from_view(nums, d, f.order, EXACT)
+    """The exact value of f: each entry of its view as an integer ratio,
+    which is exact for an int and for a finite float (a dyadic rational).
+    An exact f keeps its view."""
+    nums, d = f._view
+    try:
+        ratios = [x.as_integer_ratio() for x in nums]
+    except (OverflowError, ValueError):
+        x = next(x for x in nums if not math.isfinite(x))
+        raise PreconditionError(f"non-finite float {x!r} has no exact value") from None
+    e = math.lcm(*(b for _, b in ratios))
+    return TruncatedSeries._from_view([a * (e // b) for a, b in ratios], d * e, f.order, EXACT)
 
 
 def _rounded(f: TruncatedSeries) -> TruncatedSeries:
@@ -219,8 +242,13 @@ def _composed_power(base: TruncatedSeries, k: int) -> TruncatedSeries:
 
 
 class UmbralSpec:
-    """A generator series f with f(0) = 0, f'(0) != 0, plus cached derived
-    series (compositional inverse, iterative logarithm, iterates)."""
+    """A generator series f with f(0) = 0, f'(0) != 0, plus what is derived
+    from it, each built once and kept: the compositional inverse, the
+    iterative logarithm, the Lie-series terms of the one exact itlog, the
+    iterates f^s, and per n_max the bucc matrix and its power ladder, the
+    expitlog matrix and the frac_power matrices.  The spec keeps series,
+    views and matrices, never an UmbralOperator, which would refer back to
+    the spec: a cycle that only the cyclic collector frees."""
 
     def __init__(self, f: TruncatedSeries):
         if f.order < 1 or f.valuation() != 1:
@@ -229,6 +257,8 @@ class UmbralSpec:
         self._iterates = {}
         self._bucc = {}
         self._bucc_powers = {}
+        self._expitlog = {}
+        self._frac_powers = {}
 
     @property
     def q(self):
@@ -252,25 +282,36 @@ class UmbralSpec:
 
     @cached_property
     def itlog_series(self) -> TruncatedSeries:
-        """itlog(f).  A float f at multiplier 1 rounds the spec's one exact
-        itlog (``_exact_itlog``, which its iterates share) and runs itlog's
-        precision check on it."""
-        if self.mode == FLOAT and self.q == 1:
+        """itlog(f).  At multiplier 1 this is the spec's one exact itlog
+        (``_exact_itlog``), which a float f rounds and runs itlog's precision
+        check on."""
+        if self.q != 1:
+            return itlog(self.f)
+        if self.mode == FLOAT:
             return _julia_checked(self.f, _rounded(self._exact_itlog))
-        return itlog(self.f)
+        return self._exact_itlog
 
     @cached_property
     def _exact_itlog(self) -> TruncatedSeries:
-        """The exact itlog of the exact value of a float f at multiplier 1."""
+        """The itlog of the exact value of f (``_exact``: f itself when it is
+        exact) at multiplier 1."""
         return itlog(_exact(self.f))
 
+    @cached_property
+    def _flow_terms(self) -> list:
+        """The s-free Lie-series terms (V D)^k t (``_lie_terms``) of the one
+        exact itlog V: every multiplier-1 iterate, in either mode, is their
+        weighted sum (``_lie_sum``)."""
+        return _lie_terms(self._exact_itlog)
+
     def iterate(self, s) -> TruncatedSeries:
-        """f^s, once per s; the one router for iterates.  A float f at
-        multiplier 1 rounds the exact flow of the spec's one exact itlog for
-        every s: N series products, where squaring would compose coefficients
-        that grow with s.  Otherwise integer s squares f or the cached f^-1,
-        and other s take the flow at multiplier 1, the exact refusal, or the
-        linearizing coordinate in float mode."""
+        """f^s, once per s; the one router for iterates.  At multiplier 1,
+        every s of a float f and every non-integer s of an exact f is the
+        flow of the spec's one exact itlog: one weighted sum of its Lie terms
+        (``_flow_terms``, built once), which a float f rounds once, where
+        squaring would compose coefficients that grow with s.  Otherwise
+        integer s squares f or the cached f^-1, and other s take the exact
+        refusal or the linearizing coordinate in float mode."""
         s = coerce(s, self.mode)
         if s not in self._iterates:
             self._iterates[s] = self._iterate(s)
@@ -278,17 +319,22 @@ class UmbralSpec:
 
     def _iterate(self, s) -> TruncatedSeries:
         if self.mode == FLOAT and self.q == 1:
-            return _rounded(flow(self._exact_itlog, _exact_scalar(s)))
+            return _rounded(_lie_sum(self._flow_terms, _exact_scalar(s), self.order))
         if _is_integer(s):
             return _composed_power(self.f if s >= 0 else self.f_inverse, abs(int(s)))
         if self.q == 1:
-            return flow(self.itlog_series, s)
+            return _lie_sum(self._flow_terms, s, self.order)
         if self.mode == EXACT:
             raise PreconditionError(
                 "exact fractional iteration requires multiplier 1 or integer s"
             )
         psi = koenigs_coordinate(self.f)
         return psi.comp_inverse().compose(psi.scale(self.q**s))
+
+    @cached_property
+    def _tangent_part(self) -> "UmbralSpec":
+        """The spec of f / q, tangent to the identity: f = (q t) o (f / q)."""
+        return UmbralSpec(self.f.scale(1 / self.q))
 
     def default_n_max(self) -> int:
         # leave headroom: some constructions consume derivative/inverse
@@ -408,8 +454,6 @@ def umbral_bucc(spec: UmbralSpec, n_max: int | None = None) -> UmbralOperator:
     n_max and kept on the spec."""
     if n_max is None:
         n_max = spec.default_n_max()
-    # the spec keeps the matrix, not an UmbralOperator, which would refer
-    # back to the spec: a cycle that only the cyclic collector frees
     if n_max not in spec._bucc:
         spec._bucc[n_max] = _bucc_matrix(spec.f, n_max)
     return UmbralOperator(spec, spec._bucc[n_max], "bucc")
@@ -450,19 +494,24 @@ def umbral_exp_itlog(spec: UmbralSpec, n_max: int | None = None) -> UmbralOperat
 
     Multiplier q != 1 is handled by factoring f = (q t) o (f / q): the
     diagonal stretch by q^n is prepended to the exponential of the
-    tangent-to-identity part.
+    tangent-to-identity part, whose spec (``_tangent_part``, with its itlog)
+    the spec keeps.  The matrix depends on the spec and n_max only, so it
+    is built once per n_max and kept on the spec, as bucc's is.
     """
     if n_max is None:
         n_max = spec.default_n_max()
+    if n_max not in spec._expitlog:
+        spec._expitlog[n_max] = _exp_itlog_matrix(spec, n_max)
+    return UmbralOperator(spec, spec._expitlog[n_max], "expitlog")
+
+
+def _exp_itlog_matrix(spec: UmbralSpec, n_max: int) -> OperatorMatrix:
     q = spec.q
     if q == 1:
-        matrix = exp_loc_nilpotent(_x_times_D_series(spec.itlog_series, n_max))
-        return UmbralOperator(spec, matrix, "expitlog")
-    reduced = UmbralSpec(spec.f.scale(1 / q))
-    inner = umbral_exp_itlog(reduced, n_max).matrix
+        return exp_loc_nilpotent(_x_times_D_series(spec.itlog_series, n_max))
+    inner = umbral_exp_itlog(spec._tangent_part, n_max).matrix
     qpow = [q**n for n in range(n_max + 1)]
-    matrix = compose_ops(diag_op(qpow, n_max, mode=spec.mode), inner)
-    return UmbralOperator(spec, matrix, "expitlog")
+    return compose_ops(diag_op(qpow, n_max, mode=spec.mode), inner)
 
 
 def _x_times_D_series(v: TruncatedSeries, n_max: int) -> OperatorMatrix:
@@ -510,12 +559,18 @@ def frac_power(spec: UmbralSpec, s, n_max: int | None = None) -> UmbralOperator:
     Mullin-Rota theory of polynomials of binomial type", 1973), so phi^s is
     garsia's construction on spec.iterate(s).  Integer s works for any
     multiplier; non-integer s needs multiplier 1 in exact mode, where
-    spec.iterate raises otherwise.  The paper's formula exp(s x V(D)) with
-    V = itlog(f) is kept as the test oracle.
+    spec.iterate raises otherwise.  The matrix is built once per (s, n_max),
+    with n_max resolved to the default first, and kept on the spec.  The
+    paper's formula exp(s x V(D)) with V = itlog(f) is kept as the test
+    oracle.
     """
     s = coerce(s, spec.mode)
-    matrix = umbral_garsia(UmbralSpec(spec.iterate(s)), n_max).matrix
-    return UmbralOperator(spec, matrix, f"fractional[{s}]")
+    if n_max is None:
+        n_max = spec.default_n_max()
+    key = s, n_max
+    if key not in spec._frac_powers:
+        spec._frac_powers[key] = umbral_garsia(UmbralSpec(spec.iterate(s)), n_max).matrix
+    return UmbralOperator(spec, spec._frac_powers[key], f"fractional[{s}]")
 
 
 def extract_generator_field(U: UmbralOperator) -> TruncatedSeries:

@@ -21,7 +21,18 @@ from umbralops.operators import (
     op_sub,
 )
 from umbralops.polynomials import Polynomial
-from umbralops.scalars import EXACT, FLOAT, coerce, common_mode, gbinom, qbinom
+from umbralops.scalars import (
+    EXACT,
+    FLOAT,
+    _add_scaled,
+    _mul_ints,
+    _nonzero,
+    _reduced,
+    coerce,
+    common_mode,
+    gbinom,
+    qbinom,
+)
 from umbralops.series import PreconditionError, TruncatedSeries
 
 # the orders of the oracle tests, which compare an integer-view kernel with
@@ -293,3 +304,26 @@ def apply_ints_loop(cols, nums, e):
             if y:
                 out[i] += x * y
     return out, e * lcm
+
+
+def flow_loop(V, s):
+    """The time-s flow sum_k s^k/k! (V D)^k t with each term built as it is
+    added, one loop per call: the oracle for ``umbral.flow`` and the
+    multiplier-1 iterates, which evaluate terms built once.  A float V runs
+    on the exact values of V and s and rounds each coefficient once."""
+    s = coerce(s, V.mode)
+    if V.mode == FLOAT:
+        exact = TruncatedSeries([Fraction(c) for c in V.coeffs], V.order)
+        g = flow_loop(exact, Fraction(s))
+        return TruncatedSeries([float(c) for c in g.coeffs], V.order, FLOAT)
+    nums, d = V.int_view()
+    if any(nums[:2]):
+        raise PreconditionError("flow requires ord(V) >= 2")
+    size = V.order + 1
+    g = cur = TruncatedSeries.t(V.order, EXACT).int_view()
+    for k in range(1, V.order):
+        cnums, e = cur
+        deriv = _nonzero([i * x for i, x in enumerate(cnums)][1:])
+        cur = _reduced(_mul_ints(nums, deriv, size), d * e)
+        g = _add_scaled(g, s.numerator**k, s.denominator**k * math.factorial(k), cur, size)
+    return TruncatedSeries._from_view(*g, V.order, EXACT)

@@ -11,6 +11,7 @@ from helpers import (
     assert_same_op,
     assert_same_series,
     coeff_identity_scan_loop,
+    flow_loop,
     in_mode,
     oracle_generators,
     split_by_multiplier,
@@ -606,13 +607,15 @@ def test_group_law_checks_compute_itlog_once(monkeypatch):
 
 
 def test_group_law_checks_compute_each_iterate_once(monkeypatch):
+    # each multiplier-1 iterate is one evaluation of the spec's Lie terms
     exponents = []
+    real = umbral_module._lie_sum
 
-    def counting_flow(V, s):
+    def counting_sum(terms, s, order):
         exponents.append(s)
-        return flow(V, s)
+        return real(terms, s, order)
 
-    monkeypatch.setattr(umbral_module, "flow", counting_flow)
+    monkeypatch.setattr(umbral_module, "_lie_sum", counting_sum)
     spec = UmbralSpec(TruncatedSeries([0, 1, 1, F(-1, 3), 2], 12))
     report = group_law_checks(spec, F(1, 2), F(1, 3))
     # s, t, s + t, -t, t - s, -s, -s - t: -t is asked for twice
@@ -627,6 +630,29 @@ def test_group_law_checks_compute_each_iterate_once(monkeypatch):
         ],
         "passed": True,
     }
+
+
+@pytest.mark.parametrize("order", ORACLE_ORDERS)
+def test_flow_and_spec_iterates_match_the_flow_loop(order):
+    # flow builds the Lie terms per call and a spec once; both sum them per
+    # s as the loop does, so exact results are equal and floats keep their
+    # bits.  A float spec's iterate rounds the exact flow of the exact itlog
+    tangent, _ = split_by_multiplier(load_corpus(order=order) + random_generators(7, 3, order))
+    exponents = (F(1, 2), F(1, 3), F(-1, 2), F(-5, 6), F(1, 6), F(3, 2))
+    for name, f in tangent:
+        exact = UmbralSpec(f)
+        v = exact.itlog_series
+        spec = UmbralSpec(in_mode(f, FLOAT))
+        fv = spec.itlog_series
+        exact_v = itlog(_exact_value(spec.f))
+        for s in exponents:
+            want = flow_loop(v, s)
+            assert_same_series(flow(v, s), want)
+            assert_same_series(exact.iterate(s), want)
+            assert_same_series(flow(fv, float(s)), flow_loop(fv, float(s)))
+            rounded = flow_loop(exact_v, F(float(s)))
+            want = TruncatedSeries([float(c) for c in rounded.coeffs], order, FLOAT)
+            assert_same_series(spec.iterate(float(s)), want)
 
 
 def test_negative_integer_iterates_use_the_cached_inverse(monkeypatch):

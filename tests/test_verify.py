@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import sys
 
 import pytest
 
@@ -273,6 +274,50 @@ def test_run_verify_builds_each_bucc_matrix_once(monkeypatch):
     assert len(set(calls)) == 23
 
 
+def test_group_and_coeff_suites_build_each_specs_lie_terms_once(monkeypatch):
+    # every multiplier-1 iterate of a spec evaluates the Lie terms of its one
+    # itlog, built once: for each of the 5 tangent corpus generators and the
+    # 3 seeded ones.  When the iterate router called flow, each new exponent
+    # rebuilt them
+    calls = []
+    real = umbral._lie_terms
+
+    def counted(V):
+        calls.append(V)
+        return real(V)
+
+    monkeypatch.setattr(umbral, "_lie_terms", counted)
+    assert run_verify("group,coeff", 7)["passed"]
+    tangent, _ = split_by_multiplier(load_corpus() + random_generators(7, 3, 12))
+    assert sorted(map(repr, calls)) == sorted(repr(umbral.itlog(f)) for _, f in tangent)
+
+
+def test_verify_all_builds_each_expitlog_and_frac_power_matrix_once(monkeypatch):
+    # expitlog: one exponential per tangent spec (8) and per general spec's
+    # tangent part (3), shared by the formulas and itlog suites, which built
+    # 19.  frac_power: per tangent spec the group suite's 6 exponents at the
+    # default n_max and the coeff suite's 3 at n_max 8 (72), per general spec
+    # 3 and 2 (15), and the Laguerre suite's 6; 117 when the group suite
+    # built s = 1/2 twice more and the coeff suite once more per tangent spec
+    exps, garsia = [], []
+    real_exp, real_garsia = umbral.exp_loc_nilpotent, umbral.umbral_garsia
+
+    def counted_exp(A):
+        exps.append(A)
+        return real_exp(A)
+
+    def counted_garsia(spec, n_max=None):
+        if sys._getframe(1).f_code.co_name == "frac_power":
+            garsia.append((spec.f, n_max))
+        return real_garsia(spec, n_max)
+
+    monkeypatch.setattr(umbral, "exp_loc_nilpotent", counted_exp)
+    monkeypatch.setattr(umbral, "umbral_garsia", counted_garsia)
+    assert run_verify("all", 7)["passed"]
+    assert len(exps) == 11
+    assert len(garsia) == 93
+
+
 def test_kernel_suite_makes_219_operator_products(monkeypatch):
     # the Pincherle derivatives are column differences with no operator
     # product; built from products by x-multiplication matrices, and
@@ -303,7 +348,9 @@ def test_formulas_and_kernel_suites_count_their_integer_view_conversions(monkeyp
     # (D/Q)^(n + 1) and builds no TruncatedSeries.one for a binomial sum:
     # formulas went from 221 to 210, one conversion fewer per generator.
     # op_scale takes its scalar's integer view once, not once per column:
-    # kernel went from 921 to 553
+    # kernel went from 921 to 553.  km_operator builds one ladder of powers
+    # of Q for all its h_k, not one per h_k, so ten fewer ladders build an
+    # identity operator: kernel went from 553 to 543
     real = scalars._to_ints
     calls = []
 
@@ -319,7 +366,7 @@ def test_formulas_and_kernel_suites_count_their_integer_view_conversions(monkeyp
         calls.clear()
         assert run_verify(suite, 7)["passed"]
         counts[suite] = len(calls)
-    assert counts == {"formulas": 210, "kernel": 553}
+    assert counts == {"formulas": 210, "kernel": 543}
 
 
 def test_laguerre_suite_builds_each_alpha_free_factor_once(monkeypatch):
