@@ -11,7 +11,9 @@ falling factorial, and the ODE residual of F = sum_j c_j x^j is one pass over
 F's integer view: r_j = (n - j) c_j + p (j + alpha) perm(j + p, p) c_{j+p}.
 The identity checks have private cores that take the polynomials as rows, and
 the operator paths a shared alpha-free factor, so a caller that needs several
-checks of one (p, alpha) builds each polynomial and operator once.
+checks of one (p, alpha) builds each polynomial and operator once.  The two
+paths take their exponentials by different algorithms: the factor of path
+(i) as powers of the conjugated x, path (ii) as a matrix power series.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .operators import (
 from .polynomials import Polynomial
 from .scalars import EXACT, FLOAT, _int_pair, _qbinom_row, _ratios, coerce
 from .series import DEFAULT_ORDER, PreconditionError, TruncatedSeries
-from .umbral import _check_item
+from .umbral import _check_item, _exp_x_field
 
 
 @dataclass(frozen=True)
@@ -99,8 +101,11 @@ def laguerre_operator_paths(p: int, alpha, n_in: int, mode: str = EXACT, base=No
 
 
 def _alpha_free_factor(p: int, n_in: int, mode: str = EXACT) -> OperatorMatrix:
-    """exp(-x D^{p+1}), the factor of path (i) that no alpha enters."""
-    return exp_loc_nilpotent(_lag_field_op(p, 0, n_in, mode))
+    """exp(-x D^{p+1}), the factor of path (i) that no alpha enters: the
+    exponential of x v(D) with v = -t^{p+1}, as powers of the conjugated x
+    (``_exp_x_field``), where path (ii) sums the matrix power series."""
+    v = TruncatedSeries([0] * (p + 1) + [-1], max(n_in, p + 1), mode)
+    return _exp_x_field(v, n_in)
 
 
 def _laguerre_sum(p: int, n: int, alpha, s, mode: str) -> Polynomial:

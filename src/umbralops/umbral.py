@@ -25,7 +25,6 @@ from .operators import (
     compose_ops,
     composition_operator,
     diag_op,
-    exp_loc_nilpotent,
     first_discrepancy,
     log_unipotent,
     normal_form,
@@ -42,6 +41,7 @@ from .scalars import (
     FLOAT,
     _Frozen,
     _add_scaled,
+    _canonical,
     _int_pair,
     _mul_ints,
     _nonzero,
@@ -492,8 +492,11 @@ def _bucc_matrix(f: TruncatedSeries, n_max: int) -> OperatorMatrix:
 def umbral_exp_itlog(spec: UmbralSpec, n_max: int | None = None) -> UmbralOperator:
     """Construction 6 (the flow form): phi = exp(x itlog(f)(D)).
 
-    Multiplier q != 1 is handled by factoring f = (q t) o (f / q): the
-    diagonal stretch by q^n is prepended to the exponential of the
+    The exponential is taken as powers of the conjugated x
+    (``_exp_x_field``): phi x^n = (x W(D))^n 1 with x W(D) = phi x phi^-1,
+    where W is a Lie series in the series ring, in O(N^3).  Multiplier
+    q != 1 is handled by factoring f = (q t) o (f / q): the diagonal
+    stretch by q^n is prepended to the exponential of the
     tangent-to-identity part, whose spec (``_tangent_part``, with its itlog)
     the spec keeps.  The matrix depends on the spec and n_max only, so it
     is built once per n_max and kept on the spec, as bucc's is.
@@ -508,18 +511,56 @@ def umbral_exp_itlog(spec: UmbralSpec, n_max: int | None = None) -> UmbralOperat
 def _exp_itlog_matrix(spec: UmbralSpec, n_max: int) -> OperatorMatrix:
     q = spec.q
     if q == 1:
-        return exp_loc_nilpotent(_x_times_D_series(spec.itlog_series, n_max))
+        return _exp_x_field(spec.itlog_series, n_max)
     inner = umbral_exp_itlog(spec._tangent_part, n_max).matrix
     qpow = [q**n for n in range(n_max + 1)]
     return compose_ops(diag_op(qpow, n_max, mode=spec.mode), inner)
 
 
-def _x_times_D_series(v: TruncatedSeries, n_max: int) -> OperatorMatrix:
-    """The operator x * v(D) as a square matrix; strictly lowers degree when
-    ord(v) >= 2."""
+def _exp_x_field(v: TruncatedSeries, n_max: int) -> OperatorMatrix:
+    """exp(x v(D)) as a square matrix, for ord(v) >= 2, in O(N^3): as the
+    powers of the conjugated x.  With A = x v(D), A 1 = 0, so e^A 1 = 1 and
+    e^A x^n = (x W(D))^n 1 for x W(D) = e^A x e^-A (``_conjugated_x``):
+    column n + 1 is one ``_apply_ints`` of column n over the columns of
+    W(D) (``_D_column``), shifted by x.  W is put into v's mode once
+    (``_canonical``), so a float v rounds it once."""
+    wnums, e = _canonical(*_conjugated_x(v, n_max), v.mode)
+    terms = _nonzero(wnums)
+    field = _nonzero_views([(_D_column(terms, n), e) for n in range(n_max)])
+    cols = [Polynomial.one(v.mode)._view]
+    for _ in range(n_max):
+        out, c = _apply_ints(field, *cols[-1])
+        cols.append(_reduced([0] + out, c))
+    return _square(cols, n_max, v.mode)
+
+
+def _conjugated_x(v: TruncatedSeries, n_max: int) -> tuple:
+    """The series W with e^A x e^-A = x W(D) for A = x v(D), ord(v) >= 2, as
+    an exact integer view of its n_max coefficients below t^n_max, which
+    are all that act on the columns up to n_max.
+
+    The operators x w(D) bracket as vector fields,
+    [x v(D), x w(D)] = x (v' w - v w')(D), so by Hadamard's lemma
+    W = sum_k W_k / k! with W_0 = 1 and W_{k+1} = v' W_k - v W_k': two
+    ``_mul_ints`` and one ``_reduced`` per step, summed by ``_add_scaled``.
+    ord W_k >= k, so the sum stops at the first W_k that vanishes, or after
+    n_max terms.  It runs on the exact value of v (``_exact``)."""
+    nums, d = _exact(v)._view
+    if any(nums[:2]):
+        raise PreconditionError("exp(x v(D)) requires ord(v) >= 2")
     _check_order(v.order, n_max)
-    vD = op_from_D_series(v.truncate(n_max), n_max)
-    return _square([(([0] + nums)[: n_max + 1], d) for nums, d in vD._views], n_max, v.mode)
+    nums = nums[: n_max + 1]
+    dnums = [i * x for i, x in enumerate(nums)][1:]
+    w = total = [int(n == 0) for n in range(n_max)], 1
+    for k in range(1, n_max):
+        wnums, e = w
+        a = _mul_ints(dnums, _nonzero(wnums), n_max)
+        b = _mul_ints(nums, _nonzero([i * x for i, x in enumerate(wnums)][1:]), n_max)
+        w = _reduced([x - y for x, y in zip(a, b)], d * e)
+        if not any(w[0]):
+            break
+        total = _add_scaled(total, 1, math.factorial(k), w, n_max)
+    return total
 
 
 CONSTRUCTIONS = {

@@ -2,6 +2,7 @@
 this directory on ``sys.path`` for the test files in it)."""
 
 import math
+import random
 from fractions import Fraction
 from functools import cache
 
@@ -15,7 +16,9 @@ from umbralops.operators import (
     WindowUnderflowError,
     _sum_shape,
     compose_ops,
+    exp_loc_nilpotent,
     op_add,
+    op_from_D_series,
     op_from_x_poly,
     op_scale,
     op_sub,
@@ -33,7 +36,7 @@ from umbralops.scalars import (
     gbinom,
     qbinom,
 )
-from umbralops.series import PreconditionError, TruncatedSeries
+from umbralops.series import PreconditionError, TruncatedSeries, series_from_tail
 
 # the orders of the oracle tests, which compare an integer-view kernel with
 # the Fraction loop it replaced
@@ -50,6 +53,20 @@ def oracle_generators(order):
         if f[1] == 1
         for q in (Fraction(2), Fraction(-1, 2))
     ]
+
+
+def dense_generators(seed, count, order):
+    """``count`` generators t + c2 t^2 + ... + c8 t^8 with every ci nonzero,
+    numerator +-1..3 over 1..4: the shape of the benchmark's deep-o28
+    generators ``dense-<seed>-<i>``."""
+    rng = random.Random(seed)
+    out = []
+    for i in range(count):
+        tail = [Fraction(1)] + [
+            Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 4)) for _ in range(2, 9)
+        ]
+        out.append((f"dense-{seed}-{i}", series_from_tail(tail, order)))
+    return out
 
 
 def split_by_multiplier(corpus):
@@ -327,3 +344,18 @@ def flow_loop(V, s):
         cur = _reduced(_mul_ints(nums, deriv, size), d * e)
         g = _add_scaled(g, s.numerator**k, s.denominator**k * math.factorial(k), cur, size)
     return TruncatedSeries._from_view(*g, V.order, EXACT)
+
+
+def x_times_D_series(v, n_max):
+    """The operator x v(D) as a square matrix, which strictly lowers degree
+    when ord(v) >= 2."""
+    umbral._check_order(v.order, n_max)
+    vD = op_from_D_series(v.truncate(n_max), n_max)
+    return umbral._square([(([0] + nums)[: n_max + 1], d) for nums, d in vD._views], n_max, v.mode)
+
+
+def exp_x_field_loop(v, n_max):
+    """exp(x v(D)) as the matrix power series of x v(D) (``exp_loc_nilpotent``):
+    the oracle for ``umbral._exp_x_field``, which takes the exponential as
+    powers of the conjugated x."""
+    return exp_loc_nilpotent(x_times_D_series(v, n_max))

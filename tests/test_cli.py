@@ -102,18 +102,25 @@ def test_laguerre_check_flag(capsys):
 def test_laguerre_check_builds_the_operator_paths_once(capsys, monkeypatch):
     from umbralops import laguerre
 
-    calls = []
-    real = laguerre.exp_loc_nilpotent
+    # one alpha-free factor exp(-x D^3) as powers of the conjugated x and
+    # one single matrix exponential; both were matrix exponentials before
+    fields, exps = [], []
+    real_field, real_exp = laguerre._exp_x_field, laguerre.exp_loc_nilpotent
 
-    def counted(A):
-        calls.append(A)
-        return real(A)
+    def counted_field(v, n_max):
+        fields.append(v)
+        return real_field(v, n_max)
 
-    monkeypatch.setattr(laguerre, "exp_loc_nilpotent", counted)
+    def counted_exp(A):
+        exps.append(A)
+        return real_exp(A)
+
+    monkeypatch.setattr(laguerre, "_exp_x_field", counted_field)
+    monkeypatch.setattr(laguerre, "exp_loc_nilpotent", counted_exp)
     code, out, _ = run_cli(capsys, "laguerre", "--p", "2", "--n", "5", "--alpha", "1", "--check")
     assert code == 0
     assert "identity grid: pass" in out
-    assert len(calls) == 2
+    assert (len(fields), len(exps)) == (1, 1)
 
 
 def test_laguerre_check_builds_each_row_once(capsys, monkeypatch):
@@ -262,13 +269,14 @@ def test_float_umbral_reports_ill_conditioning(capsys):
     assert code == 0
     assert "agree" in out
     # at multiplier 1/2 the float constructions still drift beyond the
-    # tolerance from column 12: steffensen at (12, 0), expitlog at (12, 1)
+    # tolerance from column 12: steffensen at (12, 0), and expitlog, which
+    # rounds its conjugated x once, from column 13, at (13, 1)
     code, out, _ = run_cli(
         capsys, "--mode", "float", "--order", "16", "umbral", "--f", "0.5,1,-0.25", "--formulas", "all"
     )
     assert code == 1
     assert '"steffensen": {"col": 12, "coeff": 0}' in out
-    assert '"expitlog": {"col": 12, "coeff": 1}' in out
+    assert '"expitlog": {"col": 13, "coeff": 1}' in out
 
 
 @pytest.mark.parametrize("order", [12, 16, 20])
@@ -297,7 +305,7 @@ def test_float_umbral_agreement_matches_the_polynomial_comparator(capsys, order)
         agreements.append(agreement)
     if order == 16:
         assert agreements[-1]["steffensen"] == {"col": 12, "coeff": 0}
-        assert agreements[-1]["expitlog"] == {"col": 12, "coeff": 1}
+        assert agreements[-1]["expitlog"] == {"col": 13, "coeff": 1}
 
 
 def test_verify_laguerre_pretty_and_csv(capsys):

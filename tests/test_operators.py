@@ -13,6 +13,7 @@ from helpers import (
     nth_pincherle_explicit_loop,
     op_inverse_loop,
     pincherle_loop,
+    x_times_D_series,
 )
 from umbralops import operators, polynomials, scalars
 from umbralops.operators import (
@@ -54,7 +55,7 @@ from umbralops.laguerre import _lag_field_op
 from umbralops.polynomials import Polynomial
 from umbralops.scalars import EXACT, FLOAT
 from umbralops.series import TruncatedSeries, series_from_tail
-from umbralops.umbral import UmbralSpec, _x_times_D_series, itlog, umbral_bucc, umbral_garsia
+from umbralops.umbral import UmbralSpec, itlog, umbral_bucc, umbral_garsia
 
 F = Fraction
 
@@ -415,7 +416,7 @@ def test_normal_form_rows_match_kernels(coeffs, mode):
     assert row0.cols == op_from_D_series(g, n).cols
     v = g - TruncatedSeries.one(n, mode).scale(g[0])
     row1 = op_from_normal_form(NormalForm({(1, k): c for k, c in enumerate(v)}, mode), n, n)
-    assert row1.cols == _x_times_D_series(v, n).cols
+    assert row1.cols == x_times_D_series(v, n).cols
 
 
 # -- the power sum in the integer view against the Fraction loop ------------
@@ -458,7 +459,7 @@ def _tangent_corpus(order):
 def test_exp_of_x_itlog_D_matches_the_fraction_loop(order, mode):
     for name, f in _tangent_corpus(order):
         v = itlog(in_mode(f, mode))
-        A = _x_times_D_series(v, order - 2)
+        A = x_times_D_series(v, order - 2)
         assert_same_op(exp_loc_nilpotent(A), _exp_loop(A))
 
 

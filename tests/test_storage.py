@@ -27,6 +27,7 @@ from helpers import (
     in_mode,
     mul_ints_loop,
     op_scale_loop,
+    x_times_D_series,
 )
 
 from umbralops import operators
@@ -56,7 +57,7 @@ from umbralops.operators import (
 from umbralops.polynomials import Polynomial
 from umbralops.scalars import EXACT, FLOAT, _mul_ints, _nonzero, coerce
 from umbralops.series import TruncatedSeries
-from umbralops.umbral import CONSTRUCTIONS, UmbralSpec, _x_times_D_series
+from umbralops.umbral import CONSTRUCTIONS, UmbralSpec
 
 F = Fraction
 
@@ -295,7 +296,7 @@ def _kernel_results(order, mode):
         yield series_in_operator(spec.f.truncate(n), bucc)
         yield gen_pow(op_from_x_series(exp_x, n, n), V)
         if spec.q == 1:
-            field = _x_times_D_series(spec.itlog_series, n)
+            field = x_times_D_series(spec.itlog_series, n)
             yield from (field, exp_loc_nilpotent(field), log_unipotent(bucc))
     yield diag_op([F(-1, 3), 2, 0, F(5, 7)] if mode == EXACT else [-1.0, 2.5, -0.0, 0.0], 3, 5, mode)
 

@@ -11,16 +11,20 @@ from helpers import (
     assert_same_op,
     assert_same_series,
     coeff_identity_scan_loop,
+    dense_generators,
+    exp_x_field_loop,
     flow_loop,
     in_mode,
     oracle_generators,
     split_by_multiplier,
+    x_times_D_series,
 )
 from umbralops.corpus import load_corpus, random_generators
 from umbralops.operators import (
     OperatorMatrix,
     apply_op,
     column_discrepancy,
+    diag_op,
     composition_operator,
     compose_ops,
     exp_loc_nilpotent,
@@ -39,7 +43,8 @@ from umbralops.umbral import (
     CONSTRUCTIONS,
     UmbralOperator,
     UmbralSpec,
-    _x_times_D_series,
+    _conjugated_x,
+    _exp_x_field,
     coeff_identity_scan,
     delta_operator,
     duality_check,
@@ -235,10 +240,80 @@ def test_exp_field_matches_flow_generator():
         for s in (1, 2, F(1, 2)):
             vs = v.scale(s)
             n_max = 8
-            lhs = exp_loc_nilpotent(_x_times_D_series(vs, n_max))
+            lhs = exp_loc_nilpotent(x_times_D_series(vs, n_max))
             spec = UmbralSpec(flow(v, s))
             rhs = umbral_bucc(spec, n_max).matrix
             assert first_discrepancy(lhs, rhs) is None
+            assert first_discrepancy(_exp_x_field(vs, n_max), rhs) is None
+
+
+# -- expitlog as powers of the conjugated x ----------------------------------
+#
+# umbral_exp_itlog takes exp(x V(D)) as the powers of x W(D), the conjugate of
+# x by the exponential.  The oracle is the matrix power series it replaced:
+# exp_loc_nilpotent of the matrix of x V(D).  Exact results must be equal and
+# canonical, with the same shape fields.
+
+
+def _expitlog_generators(order):
+    """The multiplier-1 corpus, random_generators(s, 3, order) for s in 0-2
+    and three generators of the deep-o28 shape."""
+    tangent, _ = split_by_multiplier(load_corpus(order=order))
+    seeded = [g for s in range(3) for g in random_generators(s, 3, order)]
+    return tangent + seeded + dense_generators(7, 3, order)
+
+
+@pytest.mark.parametrize("order", [12, 20, 28, pytest.param(40, marks=pytest.mark.slow)])
+def test_expitlog_matches_the_matrix_exponential(order):
+    for name, f in _expitlog_generators(order):
+        spec = UmbralSpec(f)
+        got = umbral_exp_itlog(spec).matrix
+        want = exp_x_field_loop(spec.itlog_series, spec.default_n_max())
+        assert got.to_json() == want.to_json(), name
+        assert_same_op(got, want)
+
+
+@pytest.mark.parametrize("order", [12, 20])
+def test_general_expitlog_is_the_stretched_tangent_exponential(order):
+    # multiplier q != 1: the diagonal q^n times the oracle's exponential of
+    # the tangent part f / q
+    _, general = split_by_multiplier(oracle_generators(order))
+    for name, f in general:
+        spec = UmbralSpec(f)
+        n = spec.default_n_max()
+        inner = exp_x_field_loop(spec._tangent_part.itlog_series, n)
+        want = compose_ops(diag_op([spec.q**k for k in range(n + 1)], n), inner)
+        assert_same_op(umbral_exp_itlog(spec).matrix, want)
+
+
+@pytest.mark.parametrize("order", [12, 20])
+def test_conjugated_x_is_f_prime_at_the_inverse(order):
+    # phi x phi^-1 = x / Q'(D) with Q = f^-1 (the recurrence
+    # p_{n+1} = x Q'(D)^-1 p_n of Roman, The Umbral Calculus, 1984, ch. 3),
+    # so W (f^-1)' = 1 and W = f' o f^-1 below t^n_max, from the Lie series
+    # of V = itlog(f) alone
+    for name, f in _expitlog_generators(order):
+        spec = UmbralSpec(f)
+        n = spec.default_n_max()
+        W = TruncatedSeries._from_view(*_conjugated_x(spec.itlog_series, n), n - 1, EXACT)
+        finv = spec.f_inverse.truncate(n - 1)
+        assert W * spec.f_inverse.derivative().truncate(n - 1) == TruncatedSeries.one(n - 1), name
+        assert W == f.derivative().truncate(n - 1).compose(finv), name
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+def test_exp_x_field_refuses_a_field_of_order_below_two(mode):
+    for coeffs in ([1], [0, 1], [0, F(1, 2), 1], [F(-3), 0, 1]):
+        v = in_mode(TruncatedSeries(coeffs, 8), mode)
+        with pytest.raises(PreconditionError, match="ord"):
+            _exp_x_field(v, 6)
+    v = in_mode(TruncatedSeries([0, 0, F(1, 2), 1], 8), mode)
+    with pytest.raises(PreconditionError, match="order too small"):
+        _exp_x_field(v, 9)
+    # the zero field and an empty window give the identity
+    for n_max in (0, 1, 6):
+        E = _exp_x_field(in_mode(TruncatedSeries([0], 8), mode), n_max)
+        assert E.to_json() == identity_op(n_max, mode=mode).to_json()
 
 
 def test_extract_field_roundtrip():
@@ -339,7 +414,7 @@ def test_steffensen_equals_operator_generalized_power(order):
 
 def _exp_of_scaled_itlog(spec, s, n_max):
     """The paper's formula for phi^s: exp(s x V(D)) with V = itlog(f)."""
-    return exp_loc_nilpotent(_x_times_D_series(spec.itlog_series.scale(s), n_max))
+    return exp_loc_nilpotent(x_times_D_series(spec.itlog_series.scale(s), n_max))
 
 
 @pytest.mark.parametrize("order", [12, 16, pytest.param(20, marks=pytest.mark.slow)])

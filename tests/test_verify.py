@@ -295,26 +295,38 @@ def test_group_and_coeff_suites_build_each_specs_lie_terms_once(monkeypatch):
 def test_verify_all_builds_each_expitlog_and_frac_power_matrix_once(monkeypatch):
     # expitlog: one exponential per tangent spec (8) and per general spec's
     # tangent part (3), shared by the formulas and itlog suites, which built
-    # 19.  frac_power: per tangent spec the group suite's 6 exponents at the
-    # default n_max and the coeff suite's 3 at n_max 8 (72), per general spec
-    # 3 and 2 (15), and the Laguerre suite's 6; 117 when the group suite
-    # built s = 1/2 twice more and the coeff suite once more per tangent spec
-    exps, garsia = [], []
-    real_exp, real_garsia = umbral.exp_loc_nilpotent, umbral.umbral_garsia
+    # 19.  Each is taken as powers of the conjugated x (_exp_x_field), and
+    # none by the matrix power series exp_loc_nilpotent, which the kernel
+    # and Laguerre suites still call.  frac_power: per tangent spec the
+    # group suite's 6 exponents at the default n_max and the coeff suite's 3
+    # at n_max 8 (72), per general spec 3 and 2 (15), and the Laguerre
+    # suite's 6; 117 when the group suite built s = 1/2 twice more and the
+    # coeff suite once more per tangent spec
+    exps, matrix_exps, garsia = [], [], []
+    real_exp, real_garsia = umbral._exp_x_field, umbral.umbral_garsia
+    real_matrix_exp = operators.exp_loc_nilpotent
 
-    def counted_exp(A):
-        exps.append(A)
-        return real_exp(A)
+    def counted_exp(v, n_max):
+        exps.append(v)
+        return real_exp(v, n_max)
+
+    def counted_matrix_exp(A):
+        matrix_exps.append(sys._getframe(1).f_globals["__name__"])
+        return real_matrix_exp(A)
 
     def counted_garsia(spec, n_max=None):
         if sys._getframe(1).f_code.co_name == "frac_power":
             garsia.append((spec.f, n_max))
         return real_garsia(spec, n_max)
 
-    monkeypatch.setattr(umbral, "exp_loc_nilpotent", counted_exp)
+    monkeypatch.setattr(umbral, "_exp_x_field", counted_exp)
+    for module in (operators, umbral, laguerre, verify):
+        if hasattr(module, "exp_loc_nilpotent"):
+            monkeypatch.setattr(module, "exp_loc_nilpotent", counted_matrix_exp)
     monkeypatch.setattr(umbral, "umbral_garsia", counted_garsia)
     assert run_verify("all", 7)["passed"]
     assert len(exps) == 11
+    assert set(matrix_exps) == {"umbralops.laguerre", "umbralops.verify"}
     assert len(garsia) == 93
 
 
@@ -350,7 +362,10 @@ def test_formulas_and_kernel_suites_count_their_integer_view_conversions(monkeyp
     # op_scale takes its scalar's integer view once, not once per column:
     # kernel went from 921 to 553.  km_operator builds one ladder of powers
     # of Q for all its h_k, not one per h_k, so ten fewer ladders build an
-    # identity operator: kernel went from 553 to 543
+    # identity operator: kernel went from 553 to 543.  expitlog takes its
+    # exponential as powers of the conjugated x, with no identity operator
+    # and no power-series coefficient to convert, only its constant column
+    # 1: formulas went from 210 to 131, 90 conversions fewer and 11 more
     real = scalars._to_ints
     calls = []
 
@@ -366,22 +381,47 @@ def test_formulas_and_kernel_suites_count_their_integer_view_conversions(monkeyp
         calls.clear()
         assert run_verify(suite, 7)["passed"]
         counts[suite] = len(calls)
-    assert counts == {"formulas": 210, "kernel": 543}
+    assert counts == {"formulas": 131, "kernel": 543}
 
 
 def test_laguerre_suite_builds_each_alpha_free_factor_once(monkeypatch):
-    # per p, one exp(-x D^(p+1)) shared by the four alpha and one single
-    # exponential per alpha; with the factor built per alpha the count was 24
-    calls = []
-    real = laguerre.exp_loc_nilpotent
+    # per p, one exp(-x D^(p+1)) shared by the four alpha, as powers of the
+    # conjugated x, and one single matrix exponential per alpha; with the
+    # factor built per alpha the count was 24, and 15 when both kinds were
+    # matrix exponentials
+    fields, exps = [], []
+    real_field, real_exp = laguerre._exp_x_field, laguerre.exp_loc_nilpotent
 
-    def counted(A):
-        calls.append(A)
-        return real(A)
+    def counted_field(v, n_max):
+        fields.append(v)
+        return real_field(v, n_max)
 
-    monkeypatch.setattr(laguerre, "exp_loc_nilpotent", counted)
+    def counted_exp(A):
+        exps.append(A)
+        return real_exp(A)
+
+    monkeypatch.setattr(laguerre, "_exp_x_field", counted_field)
+    monkeypatch.setattr(laguerre, "exp_loc_nilpotent", counted_exp)
     assert run_verify("laguerre", 7)["passed"]
-    assert len(calls) == 15
+    assert (len(fields), len(exps)) == (3, 12)
+
+
+def test_verify_all_builds_each_fields_lie_terms_once(monkeypatch):
+    # the Lie terms of the 8 tangent specs' itlogs (group and coeff suites),
+    # of the Laguerre suite's 3 fields -t^(p+1), each shared by its flows at
+    # s = 1 and 1/2, and of the 3 Laguerre generators' itlogs (the
+    # fractional members at s = 1/2); two flow calls per field made it 17
+    calls = []
+    real = umbral._lie_terms
+
+    def counted(V):
+        calls.append(V)
+        return real(V)
+
+    for module in (umbral, verify):
+        monkeypatch.setattr(module, "_lie_terms", counted)
+    assert run_verify("all", 7)["passed"]
+    assert len(calls) == 14
 
 
 def test_coeff_suite_reads_the_bucc_ladder_as_integer_views(monkeypatch):
