@@ -237,7 +237,7 @@ def op_from_D_series(g: TruncatedSeries, n_in: int, max_out: int | None = None) 
     if max_out is None:
         max_out = n_in
     nums, d = g.int_view()
-    terms = [(k, x) for k, x in enumerate(nums) if x]
+    terms = _nonzero(nums)
     if terms and n_in - terms[0][0] > max_out:
         raise ValueError("column degree exceeds max_out")
     views = [(_D_column(terms, n), d) for n in range(n_in + 1)]

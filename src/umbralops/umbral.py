@@ -64,51 +64,39 @@ def itlog(f: TruncatedSeries) -> TruncatedSeries:
     """Iterative logarithm: the generator V of the fractional-iteration flow
     of f, i.e. the unique series with C_f = e^{V(x)D} on truncations.
 
-    For multiplier f'(0) = 1, V is the x-column of log(C_f), computed as one
-    vector: V = sum_k (-1)^{k+1}/k Delta^k x with Delta p = C_f p - p
-    truncated at N = f.order.  Delta raises the valuation by at least one,
-    so at most N steps of O(N^2) each give V in O(N^3) scalar operations.
-    The loop runs in the integer view: the columns of C_f are the powers of
-    f's numerators (``_int_powers``), taken once as their nonzero pairs,
-    Delta is ``_apply_ints`` and the sum is ``_add_scaled``, and the result
-    is built from that view.
-    This V is rational in f, so a float f runs it on its exact value and
-    rounds each coefficient once.
-
-    Exact mode requires multiplier 1 (the tangent-to-identity case); float
-    mode additionally handles other multipliers via the linearizing
-    coordinate, and raises PreconditionError when V fails the Julia equation
-    by more than FLOAT_COLUMN_TOL times max(1, max |V_n|).
+    An exact f with multiplier f'(0) = 1 runs the loop below; every other
+    generator is ``UmbralSpec(f).itlog_series``, the one router for itlog.
+    The loop takes V as the x-column of log(C_f), computed as one vector:
+    V = sum_k (-1)^{k+1}/k Delta^k x with Delta p = C_f p - p truncated at
+    N = f.order.  Delta raises the valuation by at least one, so at most N
+    steps of O(N^2) each give V in O(N^3) scalar operations.  The loop runs
+    in the integer view: the columns of C_f are the powers of f's numerators
+    (``_int_powers``), taken once as their nonzero pairs, Delta is
+    ``_apply_ints`` and the sum is ``_add_scaled``, and the result is built
+    from that view.
     """
     if f.order < 1 or f[0] != 0:
         raise PreconditionError("itlog requires f(0) = 0")
-    q = f[1]
-    if q != 1:
-        if f.mode == EXACT:
-            raise PreconditionError("exact itlog requires multiplier f'(0) = 1")
-        if q == 0:
-            raise PreconditionError("itlog requires f'(0) != 0")
-        psi = koenigs_coordinate(f)
-        den = psi.derivative().pad(f.order)
-        out = (psi * den.unit_inverse()).scale(math.log(q))
-    elif f.mode == FLOAT:
-        out = _rounded(itlog(_exact(f)))
-    else:
-        size = f.order + 1
-        # column j of C_f is f^j truncated at t^N
-        cols = _nonzero_views(islice(_int_powers(f, size), size))
-        delta = [0, 1], 1
-        v = [0] * size, 1
-        for k in range(1, size):
-            image = _apply_ints(cols, *delta)
-            delta = _reduced(*_add_scaled(image, -1, 1, delta, size))
-            if not any(delta[0]):
-                break
-            v = _add_scaled(v, 1 if k % 2 else -1, k, delta, size)
-        if any(v[0][:2]):
-            raise AssertionError("iterative logarithm must vanish to second order")
-        return TruncatedSeries._from_view(*v, f.order, EXACT)
-    return _julia_checked(f, out)
+    if f[1] == 0:
+        raise PreconditionError(
+            "exact itlog requires multiplier f'(0) = 1" if f.mode == EXACT else "itlog requires f'(0) != 0"
+        )
+    if f[1] != 1 or f.mode == FLOAT:
+        return UmbralSpec(f).itlog_series
+    size = f.order + 1
+    # column j of C_f is f^j truncated at t^N
+    cols = _nonzero_views(islice(_int_powers(f, size), size))
+    delta = [0, 1], 1
+    v = [0] * size, 1
+    for k in range(1, size):
+        image = _apply_ints(cols, *delta)
+        delta = _reduced(*_add_scaled(image, -1, 1, delta, size))
+        if not any(delta[0]):
+            break
+        v = _add_scaled(v, 1 if k % 2 else -1, k, delta, size)
+    if any(v[0][:2]):
+        raise AssertionError("iterative logarithm must vanish to second order")
+    return TruncatedSeries._from_view(*v, f.order, EXACT)
 
 
 def _julia_checked(f: TruncatedSeries, v: TruncatedSeries) -> TruncatedSeries:
@@ -149,15 +137,14 @@ def flow(V: TruncatedSeries, s) -> TruncatedSeries:
 
     g^s = sum_k s^k/k! (V D)^k t, and V D raises the valuation by one when
     ord(V) >= 2 (required in both modes), so N = V.order terms are exact.
-    It runs in two steps: the s-free terms (V D)^k t (``_lie_terms``), then
-    one weighted sum of them for s (``_lie_sum``).  Nothing is kept between
-    calls; a spec keeps the terms of its own itlog (``UmbralSpec.iterate``).
-    Float mode runs on the exact values of V and s and rounds once.
+    On the exact values of V and s it takes the s-free terms (V D)^k t
+    (``_lie_terms``), then their weighted sum for s (``_lie_sum``) in V's
+    mode (``_in_mode``).  Nothing is kept between calls; a spec keeps the
+    terms of its own itlog (``UmbralSpec.iterate``).
     """
     s = coerce(s, V.mode)
-    if V.mode == FLOAT:
-        return _rounded(flow(_exact(V), _exact_scalar(s)))
-    return _lie_sum(_lie_terms(V), s, V.order)
+    exact_v, exact_s = _exact(V), _exact_scalar(s)
+    return _in_mode(_lie_sum(_lie_terms(exact_v), exact_s, V.order), V.mode)
 
 
 def _lie_terms(V: TruncatedSeries) -> list:
@@ -186,11 +173,12 @@ def _lie_sum(terms: list, s: Fraction, order: int) -> TruncatedSeries:
     return TruncatedSeries._from_view(*g, order, EXACT)
 
 
-def _exact_scalar(x: float) -> Fraction:
-    """Every finite float is a dyadic rational, so Fraction(x) is exact."""
-    if not math.isfinite(x):
-        raise PreconditionError(f"non-finite float {x!r} has no exact value")
-    return Fraction(x)
+def _exact_scalar(x) -> Fraction:
+    """The exact value of a float or a Fraction (a finite float is dyadic)."""
+    try:
+        return Fraction(*x.as_integer_ratio())
+    except (OverflowError, ValueError):
+        raise PreconditionError(f"non-finite float {x!r} has no exact value") from None
 
 
 def _exact(f: TruncatedSeries) -> TruncatedSeries:
@@ -207,10 +195,10 @@ def _exact(f: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries._from_view([a * (e // b) for a, b in ratios], d * e, f.order, EXACT)
 
 
-def _rounded(f: TruncatedSeries) -> TruncatedSeries:
-    # the float view divides each numerator by d, int by int, which Python
-    # rounds correctly: float(Fraction) of each coefficient
-    return TruncatedSeries._from_view(*f.int_view(), f.order, FLOAT)
+def _in_mode(f: TruncatedSeries, mode: str) -> TruncatedSeries:
+    """An exact f in ``mode``: the canonical exact series, or each
+    coefficient rounded once (Python rounds int / int correctly)."""
+    return TruncatedSeries._from_view(*f.int_view(), f.order, mode)
 
 
 def fractional_iterate(f: TruncatedSeries, s) -> TruncatedSeries:
@@ -245,10 +233,11 @@ class UmbralSpec:
     """A generator series f with f(0) = 0, f'(0) != 0, plus what is derived
     from it, each built once and kept: the compositional inverse, the
     iterative logarithm, the Lie-series terms of the one exact itlog, the
-    iterates f^s, and per n_max the bucc matrix and its power ladder, the
-    expitlog matrix and the frac_power matrices.  The spec keeps series,
-    views and matrices, never an UmbralOperator, which would refer back to
-    the spec: a cycle that only the cyclic collector frees."""
+    linearizing coordinate and its inverse, the iterates f^s, and per n_max
+    the bucc matrix and its power ladder, the expitlog matrix and the
+    frac_power matrices.  The spec keeps series, views and matrices, never
+    an UmbralOperator, which would refer back to the spec: a cycle that only
+    the cyclic collector frees."""
 
     def __init__(self, f: TruncatedSeries):
         if f.order < 1 or f.valuation() != 1:
@@ -282,20 +271,37 @@ class UmbralSpec:
 
     @cached_property
     def itlog_series(self) -> TruncatedSeries:
-        """itlog(f).  At multiplier 1 this is the spec's one exact itlog
-        (``_exact_itlog``), which a float f rounds and runs itlog's precision
-        check on."""
-        if self.q != 1:
-            return itlog(self.f)
-        if self.mode == FLOAT:
-            return _julia_checked(self.f, _rounded(self._exact_itlog))
-        return self._exact_itlog
+        """itlog(f), the one router for itlog: at multiplier 1 the spec's
+        one exact itlog (``_exact_itlog``), which a float f rounds once;
+        otherwise the exact refusal, or log(q) psi / psi' on the spec's
+        linearizing coordinate (``_koenigs``) in float mode.  Every float
+        result runs the Julia precision check (``_julia_checked``)."""
+        if self.mode == EXACT:
+            if self.q != 1:
+                raise PreconditionError("exact itlog requires multiplier f'(0) = 1")
+            return self._exact_itlog
+        if self.q == 1:
+            v = _in_mode(self._exact_itlog, FLOAT)
+        else:
+            psi = self._koenigs
+            v = (psi * psi.derivative().pad(self.order).unit_inverse()).scale(math.log(self.q))
+        return _julia_checked(self.f, v)
 
     @cached_property
     def _exact_itlog(self) -> TruncatedSeries:
         """The itlog of the exact value of f (``_exact``: f itself when it is
         exact) at multiplier 1."""
         return itlog(_exact(self.f))
+
+    @cached_property
+    def _koenigs(self) -> TruncatedSeries:
+        """psi = ``koenigs_coordinate(f)``, for itlog and the iterates."""
+        return koenigs_coordinate(self.f)
+
+    @cached_property
+    def _koenigs_inverse(self) -> TruncatedSeries:
+        """psi^-1, built only when a non-integer iterate needs it."""
+        return self._koenigs.comp_inverse()
 
     @cached_property
     def _flow_terms(self) -> list:
@@ -308,28 +314,24 @@ class UmbralSpec:
         """f^s, once per s; the one router for iterates.  At multiplier 1,
         every s of a float f and every non-integer s of an exact f is the
         flow of the spec's one exact itlog: one weighted sum of its Lie terms
-        (``_flow_terms``, built once), which a float f rounds once, where
-        squaring would compose coefficients that grow with s.  Otherwise
-        integer s squares f or the cached f^-1, and other s take the exact
-        refusal or the linearizing coordinate in float mode."""
+        (``_flow_terms``, built once) at the exact value of s, put in the
+        spec's mode (``_in_mode``), where squaring would compose coefficients
+        that grow with s.  Otherwise integer s squares f or the cached f^-1,
+        and other s take the exact refusal or, in float mode,
+        psi^-1(q^s psi) on the spec's linearizing coordinate (``_koenigs``)."""
         s = coerce(s, self.mode)
         if s not in self._iterates:
             self._iterates[s] = self._iterate(s)
         return self._iterates[s]
 
     def _iterate(self, s) -> TruncatedSeries:
-        if self.mode == FLOAT and self.q == 1:
-            return _rounded(_lie_sum(self._flow_terms, _exact_scalar(s), self.order))
+        if self.q == 1 and (self.mode == FLOAT or not _is_integer(s)):
+            return _in_mode(_lie_sum(self._flow_terms, _exact_scalar(s), self.order), self.mode)
         if _is_integer(s):
             return _composed_power(self.f if s >= 0 else self.f_inverse, abs(int(s)))
-        if self.q == 1:
-            return _lie_sum(self._flow_terms, s, self.order)
         if self.mode == EXACT:
-            raise PreconditionError(
-                "exact fractional iteration requires multiplier 1 or integer s"
-            )
-        psi = koenigs_coordinate(self.f)
-        return psi.comp_inverse().compose(psi.scale(self.q**s))
+            raise PreconditionError("exact fractional iteration requires multiplier 1 or integer s")
+        return self._koenigs_inverse.compose(self._koenigs.scale(self.q**s))
 
     @cached_property
     def _tangent_part(self) -> "UmbralSpec":
@@ -417,8 +419,7 @@ def umbral_steffensen(spec: UmbralSpec, n_max: int | None = None) -> UmbralOpera
     base = finv.shift_down(1).unit_inverse().truncate(n_max)
     cols = []
     for n, (bnums, e) in enumerate(islice(_int_powers(base, n_max + 1), 1, n_max + 2)):
-        terms = [(k, x) for k, x in enumerate(bnums) if x]
-        cols.append((_D_column(terms, n), e))
+        cols.append((_D_column(_nonzero(bnums), n), e))
     qprime = op_from_D_series(finv.derivative().truncate(n_max), n_max)
     matrix = compose_ops(qprime, _square(cols, n_max, spec.mode))
     return UmbralOperator(spec, matrix, "steffensen")
@@ -439,8 +440,7 @@ def umbral_steffensen2(spec: UmbralSpec, n_max: int | None = None) -> UmbralOper
     cols = [Polynomial.one(mode)._view]
     powers = islice(_int_powers(base, n_max + 1), 1, n_max + 1)
     for n, (bnums, e) in enumerate(powers, 1):
-        terms = [(k, x) for k, x in enumerate(bnums) if x]
-        cols.append(([0] + _D_column(terms, n - 1), e))
+        cols.append(([0] + _D_column(_nonzero(bnums), n - 1), e))
     return UmbralOperator(spec, _square(cols, n_max, mode), "steffensen2")
 
 
@@ -479,7 +479,7 @@ def _bucc_matrix(f: TruncatedSeries, n_max: int) -> OperatorMatrix:
     cols = [([], 1)] * (n_max + 1)
     for k, (gnums, e) in zip(range(n_max + 1), _int_powers(g, n_max + 1)):
         # (f(D) - D)^k applied to x^n, then multiplied by x^k / k!
-        terms = [(j, x) for j, x in enumerate(gnums) if x]
+        terms = _nonzero(gnums)
         if not terms:
             break
         a, b = _int_pair(one / math.factorial(k), mode)

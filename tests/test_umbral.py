@@ -1070,6 +1070,62 @@ def test_float_spec_itlog_series_rounds_the_spec_exact_itlog(monkeypatch):
     assert [c.hex() for c in spec.itlog_series] == [c.hex() for c in real(f)]
 
 
+def test_float_spec_builds_one_koenigs_coordinate(monkeypatch):
+    # itlog and every non-integer iterate at q != 1 share the spec's psi;
+    # each of the four built its own before
+    calls = []
+    real = umbral_module.koenigs_coordinate
+
+    def counted(f):
+        calls.append(f)
+        return real(f)
+
+    monkeypatch.setattr(umbral_module, "koenigs_coordinate", counted)
+    f = TruncatedSeries([0.0, 2.0, 1.0, -0.5], 12, FLOAT)
+    spec = UmbralSpec(f)
+    v = spec.itlog_series
+    halves = [spec.iterate(s) for s in (0.5, 1 / 3)]
+    frac_power(spec, 0.25)
+    assert len(calls) == 1
+    psi = real(f)
+    want = (psi * psi.derivative().pad(12).unit_inverse()).scale(math.log(2.0))
+    assert [c.hex() for c in v] == [c.hex() for c in want]
+    for s, got in zip((0.5, 1 / 3), halves):
+        want = psi.comp_inverse().compose(psi.scale(2.0**s))
+        assert [c.hex() for c in got] == [c.hex() for c in want], s
+
+
+@pytest.mark.parametrize("q", [1, 2, F(1, 2)])
+def test_itlog_is_the_spec_itlog_series(q):
+    for tail in ([1, F(1, 2), F(-1, 4)], [1, 1, F(-1, 3), 2], [1, F(-1, 2)]):
+        exact = series_from_tail([c * q for c in tail], 12)
+        f = TruncatedSeries([float(c) for c in exact.coeffs], 12, FLOAT)
+        assert [c.hex() for c in itlog(f)] == [c.hex() for c in UmbralSpec(f).itlog_series], (q, tail)
+        if q == 1:
+            assert itlog(exact) == UmbralSpec(exact).itlog_series, tail
+
+
+@pytest.mark.parametrize(
+    "coeffs, mode, msg",
+    [
+        ([1, 1], EXACT, "itlog requires f(0) = 0"),
+        ([1.0, 1.0], FLOAT, "itlog requires f(0) = 0"),
+        ([0, 0, 1], EXACT, "exact itlog requires multiplier f'(0) = 1"),
+        ([0.0, 0.0, 1.0], FLOAT, "itlog requires f'(0) != 0"),
+        ([0, 2, 1], EXACT, "exact itlog requires multiplier f'(0) = 1"),
+    ],
+)
+def test_itlog_refusals_keep_their_messages(coeffs, mode, msg):
+    f = TruncatedSeries(coeffs, 6, mode)
+    with pytest.raises(PreconditionError) as err:
+        itlog(f)
+    assert type(err.value) is PreconditionError and str(err.value) == msg
+    if f.valuation() == 1:
+        with pytest.raises(PreconditionError) as err:
+            UmbralSpec(f).itlog_series
+        assert str(err.value) == msg
+
+
 def test_float_spec_itlog_series_runs_the_precision_check(monkeypatch):
     f = TruncatedSeries([0.0, 1.0, 0.5, -0.25], 12, FLOAT)
     bad = TruncatedSeries([0.0, 0.0, 0.0, 1.0], 10, FLOAT)
