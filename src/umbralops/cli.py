@@ -15,6 +15,7 @@ import math
 import os
 import re
 import sys
+from fractions import Fraction
 
 from .laguerre import (
     _ode_residual,
@@ -24,7 +25,7 @@ from .laguerre import (
 )
 from .operators import column_discrepancy, first_discrepancy
 from .polynomials import Polynomial
-from .scalars import _ZEROS, EXACT, FLOAT, format_scalar, parse_scalar, scalar_to_json
+from .scalars import _ZEROS, EXACT, FLOAT, format_scalar, parse_scalar
 from .series import DEFAULT_ORDER, PreconditionError, TruncatedSeries, series_from_tail
 from .umbral import (
     CONSTRUCTIONS,
@@ -70,12 +71,25 @@ def _parse_tail(text: str, order: int, mode: str) -> TruncatedSeries:
     return series_from_tail(tail, order, mode)
 
 
+def _text(c) -> str:
+    """An exact result value as text.  One whose numerator or denominator
+    has more digits than Python converts to text is refused (exit 2) in the
+    CLI's words; the interpreter's limit stays as it is."""
+    try:
+        return format_scalar(c)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise UsageError(f"a result has more than {limit} digits to print; try a lower --order") from None
+
+
 def _cell(c):
     """A result value as JSON; a float result that overflowed to inf or nan
     is out of range (exit 2) rather than printed."""
-    if isinstance(c, float) and not math.isfinite(c):
-        raise OverflowError(f"float result out of range: {c!r}")
-    return scalar_to_json(c)
+    if isinstance(c, float):
+        if not math.isfinite(c):
+            raise OverflowError(f"float result out of range: {c!r}")
+        return c
+    return _text(Fraction(c))
 
 
 def _series_row(f: TruncatedSeries):
@@ -90,7 +104,7 @@ def _poly_text(coeffs: tuple) -> str:
         if c == 0:
             continue
         if k == 0:
-            parts.append(format_scalar(c))
+            parts.append(_text(c))
         else:
             mono = "x" if k == 1 else f"x^{k}"
             if c == 1:
@@ -98,7 +112,7 @@ def _poly_text(coeffs: tuple) -> str:
             elif c == -1:
                 parts.append(f"-{mono}")
             else:
-                parts.append(f"{format_scalar(c)}*{mono}")
+                parts.append(f"{_text(c)}*{mono}")
     out = parts[0]
     for part in parts[1:]:
         out += " - " + part[1:] if part.startswith("-") else " + " + part
@@ -114,7 +128,7 @@ def _poly_table(label: str, polys):
         row = coeffs[: i + 1] + (_ZEROS[poly.mode],) * (i + 1 - len(coeffs))
         rows.append([_cell(c) for c in row])
         pretty.append(f"{label}_{i} = {_poly_text(coeffs)}")
-        csv_rows.extend([i, k, format_scalar(c)] for k, c in enumerate(row))
+        csv_rows.extend([i, k, _text(c)] for k, c in enumerate(row))
     return rows, pretty, csv_rows
 
 
@@ -249,8 +263,8 @@ def cmd_laguerre(args) -> int:
         pretty.append("identity grid: " + ("FAIL" if check_fail else "pass"))
     payload = {
         "p": args.p,
-        "alpha": scalar_to_json(alpha),
-        "s": scalar_to_json(s),
+        "alpha": _cell(alpha),
+        "s": _cell(s),
         "rows": rows,
         "pretty": pretty,
     }

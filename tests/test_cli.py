@@ -1,6 +1,7 @@
 """Command-line interface: formats, exit codes, determinism."""
 
 import json
+import sys
 import time
 from fractions import Fraction
 
@@ -400,6 +401,16 @@ def test_float_overflow_is_exit_2(capsys):
         assert code == 2, argv
         assert out == ""
         assert err.startswith("error:"), argv
+
+
+@pytest.mark.parametrize("fmt", ["pretty", "json", "csv"])
+def test_result_beyond_the_digit_limit_is_exit_2_in_the_cli_words(capsys, fmt):
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run_cli(capsys, "series", "itlog", "--f", "1,1e400", "--format", fmt)
+    assert (code, out) == (2, "")
+    assert err == f"error: a result has more than {limit} digits to print; try a lower --order\n"
+    # the interpreter's limit is not raised
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_laguerre_p0_message_names_the_float_demo(capsys):

@@ -1033,6 +1033,67 @@ def test_bucc_and_steffensen_match_the_fraction_loops(order, mode):
             assert_same_op(umbral_steffensen2(spec, n_max).matrix, _steffensen2_loop(spec, n_max))
 
 
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+def test_steffensen_constructions_share_one_dq_ladder(monkeypatch, mode):
+    # the transfer and Rodrigues formulas read the powers of D/Q from one
+    # ladder per n_max, kept on the spec
+    ladders = []
+    real = umbral_module._int_powers
+
+    def counted(g, size):
+        ladders.append(size)
+        return real(g, size)
+
+    monkeypatch.setattr(umbral_module, "_int_powers", counted)
+    f = in_mode(TruncatedSeries([0, 1, 1, F(-1, 3), 2, F(1, 5)], 14), mode)
+    spec = UmbralSpec(f)
+    n_maxes = (spec.default_n_max(), 7)
+    for n_max in n_maxes:
+        umbral_steffensen(spec, n_max)
+        umbral_steffensen2(spec, n_max)
+    # one ladder per n_max, the second n_max its own
+    assert ladders == [n_max + 1 for n_max in n_maxes]
+    for n_max in n_maxes:
+        assert_same_op(umbral_steffensen(spec, n_max).matrix, umbral_steffensen(UmbralSpec(f), n_max).matrix)
+        assert_same_op(umbral_steffensen2(spec, n_max).matrix, umbral_steffensen2(UmbralSpec(f), n_max).matrix)
+
+
+def test_delta_operator_at_one_is_the_spec_iterate_in_float_mode():
+    # a float spec holds one f^-1 for the delta operators: the iterate at -1
+    for seed in range(3):
+        for _, f in random_generators(seed, 3, 16):
+            spec = UmbralSpec(in_mode(f, FLOAT))
+            n = spec.default_n_max()
+            want = op_from_D_series(spec.iterate(-1.0).truncate(n), n)
+            assert_same_op(delta_operator(spec, 1), want)
+
+
+def test_float_diamond_law_passes_within_the_column_tolerance():
+    gens = load_corpus(order=16) + [g for seed in range(10) for g in random_generators(seed, 3, 16)]
+    for name, f in gens:
+        spec = UmbralSpec(in_mode(f, FLOAT))
+        pairs = ((0.5, 0.5), (0.5, 1 / 3), (-1.0, 0.5)) if spec.q == 1 else ((2.0, 3.0),)
+        for s, t in pairs:
+            item = group_law_checks(spec, s, t)["items"][2]
+            assert item["identity"] == "delta-diamond-law"
+            assert item["status"] == "exact-pass", (name, s, t)
+
+
+def test_exact_diamond_law_failure_names_its_coefficient():
+    spec = UmbralSpec(TruncatedSeries([0, 1, 1, F(-1, 3), 2], 12))
+    wrong = spec.iterate(F(-5, 6)) + TruncatedSeries([0] * 7 + [F(1, 9)], 12)
+    spec._iterates[F(-5, 6)] = wrong
+    report = group_law_checks(spec, F(1, 2), F(1, 3))
+    assert [it["status"] for it in report["items"]] == ["exact-pass", "exact-pass", "fail"]
+    assert report["items"][2] == {
+        "identity": "delta-diamond-law",
+        "window": 12,
+        "status": "fail",
+        "first_discrepancy": {"coeff": 7},
+    }
+    assert not report["passed"]
+
+
 def test_float_spec_computes_one_exact_itlog_across_iterates(monkeypatch):
     modes = []
     real = umbral_module.itlog
