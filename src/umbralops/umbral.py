@@ -65,16 +65,11 @@ def itlog(f: TruncatedSeries) -> TruncatedSeries:
     """Iterative logarithm: the generator V of the fractional-iteration flow
     of f, i.e. the unique series with C_f = e^{V(x)D} on truncations.
 
-    An exact f with multiplier f'(0) = 1 runs the loop below; every other
-    generator is ``UmbralSpec(f).itlog_series``, the one router for itlog.
-    The loop takes V as the x-column of log(C_f), computed as one vector:
-    V = sum_k (-1)^{k+1}/k Delta^k x with Delta p = C_f p - p truncated at
-    N = f.order.  Delta raises the valuation by at least one, so at most N
-    steps of O(N^2) each give V in O(N^3) scalar operations.  The loop runs
-    in the integer view: the columns of C_f are the powers of f's numerators
-    (``_int_powers``), taken once as their nonzero pairs, Delta is
-    ``_apply_ints`` and the sum is ``_add_scaled``, and the result is built
-    from that view.
+    An exact f with multiplier f'(0) = 1 takes V as the x-column of
+    log(C_f) = log(I + Delta): the log sum (``_log_sum``) of the differences
+    Delta^k x (``_forward_differences``).  Every other generator is
+    ``UmbralSpec(f).itlog_series``, the one router for itlog, which at
+    multiplier 1 takes the same log sum of the differences its spec keeps.
     """
     if f.order < 1 or f[0] != 0:
         raise PreconditionError("itlog requires f(0) = 0")
@@ -84,20 +79,60 @@ def itlog(f: TruncatedSeries) -> TruncatedSeries:
         )
     if f[1] != 1 or f.mode == FLOAT:
         return UmbralSpec(f).itlog_series
+    return _log_sum(_forward_differences(f), f.order)
+
+
+def _forward_differences(f: TruncatedSeries) -> list:
+    """The nonzero differences Delta^m x, m = 0..M, of an exact f with
+    multiplier 1, as reduced integer views: Delta p = C_f p - p truncated at
+    N = f.order.  Delta raises the valuation by at least one, so M < N and
+    the M steps of O(N^2) each take O(N^3) scalar operations.  The loop runs
+    in the integer view: the columns of C_f are the powers of f's numerators
+    (``_int_powers``), taken once as their nonzero pairs, and C_f is
+    ``_apply_ints``."""
     size = f.order + 1
     # column j of C_f is f^j truncated at t^N
     cols = _nonzero_views(islice(_int_powers(f, size), size))
-    delta = [0, 1], 1
-    v = [0] * size, 1
-    for k in range(1, size):
-        image = _apply_ints(cols, *delta)
-        delta = _reduced(*_add_scaled(image, -1, 1, delta, size))
+    diffs = [([0, 1], 1)]
+    for _ in range(1, size):
+        image = _apply_ints(cols, *diffs[-1])
+        delta = _reduced(*_add_scaled(image, -1, 1, diffs[-1], size))
         if not any(delta[0]):
             break
-        v = _add_scaled(v, 1 if k % 2 else -1, k, delta, size)
+        diffs.append(delta)
+    return diffs
+
+
+def _log_sum(diffs: list, order: int) -> TruncatedSeries:
+    """log(I + Delta) x = sum_k (-1)^{k+1}/k Delta^k x for the differences
+    ``diffs`` (``_forward_differences``): one ``_add_scaled`` pass per
+    difference, in k order, and the exact series built from the sum's view."""
+    size = order + 1
+    v = [0] * size, 1
+    for k in range(1, len(diffs)):
+        v = _add_scaled(v, 1 if k % 2 else -1, k, diffs[k], size)
     if any(v[0][:2]):
         raise AssertionError("iterative logarithm must vanish to second order")
-    return TruncatedSeries._from_view(*v, f.order, EXACT)
+    return TruncatedSeries._from_view(*v, order, EXACT)
+
+
+def _newton_sum(diffs: list, s: Fraction, order: int) -> TruncatedSeries:
+    """(I + Delta)^s x = sum_m C(s, m) Delta^m x for an exact s and the
+    differences ``diffs`` (``_forward_differences``): Newton's
+    forward-difference series of the integer iterates, exact for every s
+    because Delta is nilpotent on truncations.  One ``_add_scaled`` pass per
+    difference, in m order, stopping at the first zero weight (an integer
+    s >= 0 needs the first s + 1), and the exact series built from the sum's
+    view."""
+    size = order + 1
+    g, weight = ([0] * size, 1), Fraction(1)
+    for m, diff in enumerate(diffs):
+        if m:
+            weight = weight * (s - m + 1) / m
+            if not weight:
+                break
+        g = _add_scaled(g, weight.numerator, weight.denominator, diff, size)
+    return TruncatedSeries._from_view(*g, order, EXACT)
 
 
 def _julia_checked(f: TruncatedSeries, v: TruncatedSeries) -> TruncatedSeries:
@@ -140,8 +175,10 @@ def flow(V: TruncatedSeries, s) -> TruncatedSeries:
     ord(V) >= 2 (required in both modes), so N = V.order terms are exact.
     On the exact values of V and s it takes the s-free terms (V D)^k t
     (``_lie_terms``), then their weighted sum for s (``_lie_sum``) in V's
-    mode (``_in_mode``).  Nothing is kept between calls; a spec keeps the
-    terms of its own itlog (``UmbralSpec.iterate``).
+    mode (``_in_mode``).  Nothing is kept between calls.  It serves fields
+    given without their time-1 map (the Laguerre fields); a spec takes the
+    iterates of its f from the differences of C_f instead
+    (``UmbralSpec.iterate``).
     """
     s = coerce(s, V.mode)
     exact_v, exact_s = _exact(V), _exact_scalar(s)
@@ -204,8 +241,10 @@ def _in_mode(f: TruncatedSeries, mode: str) -> TruncatedSeries:
 
 def fractional_iterate(f: TruncatedSeries, s) -> TruncatedSeries:
     """The fractional compositional iterate f^s: ``UmbralSpec(f).iterate(s)``
-    for a generator (f(0) = 0, f'(0) != 0).  Any other series has only its
-    integer iterates s >= 0, by repeated composition."""
+    for a generator (f(0) = 0, f'(0) != 0), so each call builds a spec; at
+    multiplier 1 that is one differences loop (``_forward_differences``).
+    Any other series has only its integer iterates s >= 0, by repeated
+    composition."""
     s = coerce(s, f.mode)
     if f.order >= 1 and f.valuation() == 1:
         return UmbralSpec(f).iterate(s)
@@ -216,11 +255,11 @@ def fractional_iterate(f: TruncatedSeries, s) -> TruncatedSeries:
 
 def _composed_power(base: TruncatedSeries, k: int) -> TruncatedSeries:
     """base composed with itself k >= 0 times, by square-and-multiply under
-    composition: O(log k) compositions."""
-    acc = TruncatedSeries.t(base.order, base.mode)
+    composition: O(log k) compositions, the first factor taken as it is."""
+    acc = None if k else TruncatedSeries.t(base.order, base.mode)
     while k:
         if k & 1:
-            acc = acc.compose(base)
+            acc = base if acc is None else acc.compose(base)
         k >>= 1
         if k:
             base = base.compose(base)
@@ -233,7 +272,8 @@ def _composed_power(base: TruncatedSeries, k: int) -> TruncatedSeries:
 class UmbralSpec:
     """A generator series f with f(0) = 0, f'(0) != 0, plus what is derived
     from it, each built once and kept: the compositional inverse, the
-    iterative logarithm, the Lie-series terms of the one exact itlog, the
+    iterative logarithm, at multiplier 1 the differences Delta^m x of
+    C_f = I + Delta that give both the itlog and every iterate, the
     linearizing coordinate and its inverse, the iterates f^s, and per n_max
     the bucc matrix and its power ladder, the ladder of powers of D/Q that
     both Steffensen constructions read, the expitlog matrix and the
@@ -267,10 +307,16 @@ class UmbralSpec:
 
     @cached_property
     def f_inverse(self) -> TruncatedSeries:
-        g = self.f.comp_inverse()
-        if self.mode == EXACT and self.f.compose(g) != TruncatedSeries.t(self.order, EXACT):
-            raise AssertionError("compositional inverse failed its round trip")
-        return g
+        """f^-1: in exact mode ``iterate(-1)`` at multiplier 1 (the Newton
+        series of the spec's differences) and Lagrange inversion
+        (``comp_inverse``) otherwise, checked by the round trip f o f^-1 = t;
+        in float mode ``comp_inverse``."""
+        if self.mode == EXACT:
+            g = self.iterate(-1) if self.q == 1 else self.f.comp_inverse()
+            if self.f.compose(g) != TruncatedSeries.t(self.order, EXACT):
+                raise AssertionError("compositional inverse failed its round trip")
+            return g
+        return self.f.comp_inverse()
 
     @cached_property
     def itlog_series(self) -> TruncatedSeries:
@@ -291,10 +337,16 @@ class UmbralSpec:
         return _julia_checked(self.f, v)
 
     @cached_property
+    def _differences(self) -> list:
+        """The differences Delta^m x (``_forward_differences``) of the exact
+        value of f (``_exact``: f itself when it is exact) at multiplier 1."""
+        return _forward_differences(_exact(self.f))
+
+    @cached_property
     def _exact_itlog(self) -> TruncatedSeries:
-        """The itlog of the exact value of f (``_exact``: f itself when it is
-        exact) at multiplier 1."""
-        return itlog(_exact(self.f))
+        """The itlog of the exact value of f at multiplier 1: the log sum of
+        the spec's differences (``_log_sum``)."""
+        return _log_sum(self._differences, self.order)
 
     @cached_property
     def _koenigs(self) -> TruncatedSeries:
@@ -306,21 +358,13 @@ class UmbralSpec:
         """psi^-1, built only when a non-integer iterate needs it."""
         return self._koenigs.comp_inverse()
 
-    @cached_property
-    def _flow_terms(self) -> list:
-        """The s-free Lie-series terms (V D)^k t (``_lie_terms``) of the one
-        exact itlog V: every multiplier-1 iterate, in either mode, is their
-        weighted sum (``_lie_sum``)."""
-        return _lie_terms(self._exact_itlog)
-
     def iterate(self, s) -> TruncatedSeries:
         """f^s, once per s; the one router for iterates.  At multiplier 1,
-        every s of a float f and every non-integer s of an exact f is the
-        flow of the spec's one exact itlog: one weighted sum of its Lie terms
-        (``_flow_terms``, built once) at the exact value of s, put in the
-        spec's mode (``_in_mode``), where squaring would compose coefficients
-        that grow with s.  Otherwise integer s squares f or the cached f^-1,
-        and other s take the exact refusal or, in float mode,
+        every s (integer or not, of either sign, in either mode) is
+        (I + Delta)^s x: one binomial-weighted sum of the spec's differences
+        (``_newton_sum``) at the exact value of s, put in the spec's mode
+        (``_in_mode``).  At other multipliers integer s squares f or the
+        cached f^-1, and other s take the exact refusal or, in float mode,
         psi^-1(q^s psi) on the spec's linearizing coordinate (``_koenigs``)."""
         s = coerce(s, self.mode)
         if s not in self._iterates:
@@ -328,8 +372,8 @@ class UmbralSpec:
         return self._iterates[s]
 
     def _iterate(self, s) -> TruncatedSeries:
-        if self.q == 1 and (self.mode == FLOAT or not _is_integer(s)):
-            return _in_mode(_lie_sum(self._flow_terms, _exact_scalar(s), self.order), self.mode)
+        if self.q == 1:
+            return _in_mode(_newton_sum(self._differences, _exact_scalar(s), self.order), self.mode)
         if _is_integer(s):
             return _composed_power(self.f if s >= 0 else self.f_inverse, abs(int(s)))
         if self.mode == EXACT:

@@ -668,13 +668,15 @@ def test_float_itlog_matches_matrix_logarithm_column(order):
 
 
 def test_group_law_checks_compute_itlog_once(monkeypatch):
+    # the spec's itlog and iterates all read its one set of differences
     calls = []
+    real = umbral_module._forward_differences
 
-    def counting_itlog(f):
+    def counting_differences(f):
         calls.append(f)
-        return itlog(f)
+        return real(f)
 
-    monkeypatch.setattr(umbral_module, "itlog", counting_itlog)
+    monkeypatch.setattr(umbral_module, "_forward_differences", counting_differences)
     spec = UmbralSpec(TruncatedSeries([0, 1, 1, F(-1, 3), 2], 12))
     for s, t in ((F(1, 2), F(1, 2)), (F(1, 2), F(1, 3)), (F(-1), F(1, 2))):
         assert group_law_checks(spec, s, t)["passed"]
@@ -682,15 +684,15 @@ def test_group_law_checks_compute_itlog_once(monkeypatch):
 
 
 def test_group_law_checks_compute_each_iterate_once(monkeypatch):
-    # each multiplier-1 iterate is one evaluation of the spec's Lie terms
+    # each multiplier-1 iterate is one Newton sum of the spec's differences
     exponents = []
-    real = umbral_module._lie_sum
+    real = umbral_module._newton_sum
 
-    def counting_sum(terms, s, order):
+    def counting_sum(diffs, s, order):
         exponents.append(s)
-        return real(terms, s, order)
+        return real(diffs, s, order)
 
-    monkeypatch.setattr(umbral_module, "_lie_sum", counting_sum)
+    monkeypatch.setattr(umbral_module, "_newton_sum", counting_sum)
     spec = UmbralSpec(TruncatedSeries([0, 1, 1, F(-1, 3), 2], 12))
     report = group_law_checks(spec, F(1, 2), F(1, 3))
     # s, t, s + t, -t, t - s, -s, -s - t: -t is asked for twice
@@ -730,9 +732,38 @@ def test_flow_and_spec_iterates_match_the_flow_loop(order):
             assert_same_series(spec.iterate(float(s)), want)
 
 
+NEWTON_EXPONENTS = [F(n) for n in range(-3, 4)] + [F(1, 2), F(1, 3), F(-1, 2), F(-5, 6), F(3, 2), F(7, 3)]
+
+
+@pytest.mark.parametrize("order", ORACLE_ORDERS)
+def test_multiplier_one_iterates_are_the_flow_of_the_itlog(order):
+    # a multiplier-1 iterate is Newton's series sum_m C(s, m) Delta^m x of
+    # C_f = I + Delta; it equals the time-s flow of itlog(f), built by
+    # flow's Lie terms and by the term-by-term loop, at every s: exactly for
+    # an exact f, and with the same bits once rounded for a float f, whose
+    # iterate is the rounded flow of the itlog of its exact value
+    gens = load_corpus(order=order) + random_generators(7, 3, order) + dense_generators(7, 3, order)
+    tangent, _ = split_by_multiplier(gens)
+    for name, f in tangent:
+        spec = UmbralSpec(f)
+        v = spec.itlog_series
+        float_spec = UmbralSpec(in_mode(f, FLOAT))
+        exact_v = UmbralSpec(_exact_value(float_spec.f)).itlog_series
+        for s in NEWTON_EXPONENTS:
+            got = spec.iterate(s)
+            assert_same_series(got, flow(v, s))
+            assert_same_series(got, flow_loop(v, s))
+            got = float_spec.iterate(float(s))
+            assert_same_series(got, in_mode(flow(exact_v, F(float(s))), FLOAT))
+            assert_same_series(got, in_mode(flow_loop(exact_v, F(float(s))), FLOAT))
+        # an exact f^-1 is the Newton series at s = -1
+        assert_same_series(spec.f_inverse, f.comp_inverse())
+
+
 def test_negative_integer_iterates_use_the_cached_inverse(monkeypatch):
-    # the group suite needs iterate(-s) for integer s; each spec inverts f
-    # once, for f_inverse, instead of once more per negative integer s
+    # the group suite needs iterate(-s) for integer s; each spec at q != 1
+    # inverts f once, for f_inverse, instead of once more per negative
+    # integer s; at q = 1 every iterate is a Newton sum and inverts nothing
     calls = []
     real = TruncatedSeries.comp_inverse
 
@@ -742,8 +773,9 @@ def test_negative_integer_iterates_use_the_cached_inverse(monkeypatch):
 
     monkeypatch.setattr(TruncatedSeries, "comp_inverse", counted)
     assert run_verify("group", 7)["passed"]
-    assert len(calls) == 11
-    assert len({f.coeffs for f in calls}) == 11
+    assert len(calls) == 3
+    assert len({f.coeffs for f in calls}) == 3
+    assert all(f[1] != 1 for f in calls)
 
 
 def test_spec_iterate_matches_fractional_iterate():
@@ -779,9 +811,10 @@ def test_f_inverse_composes_its_round_trip_in_exact_mode_only(mode, monkeypatch)
     roundtrip = 1 if mode == EXACT else 0
     assert spec.f_inverse.order == 10
     assert len(calls) == roundtrip
-    # a negative integer iterate composes the cached inverse once, t o f^-1
-    assert spec.iterate(-1) == spec.f_inverse
-    assert len(calls) == roundtrip + 1
+    # a negative integer iterate squares the cached inverse, so -1 is that
+    # inverse itself, with no composition
+    assert spec.iterate(-1) is spec.f_inverse
+    assert len(calls) == roundtrip
 
 
 def test_float_itlog_reports_lost_precision():
@@ -1041,7 +1074,7 @@ def test_steffensen_constructions_share_one_dq_ladder(monkeypatch, mode):
     real = umbral_module._int_powers
 
     def counted(g, size):
-        ladders.append(size)
+        ladders.append((g, size))
         return real(g, size)
 
     monkeypatch.setattr(umbral_module, "_int_powers", counted)
@@ -1051,8 +1084,9 @@ def test_steffensen_constructions_share_one_dq_ladder(monkeypatch, mode):
     for n_max in n_maxes:
         umbral_steffensen(spec, n_max)
         umbral_steffensen2(spec, n_max)
-    # one ladder per n_max, the second n_max its own
-    assert ladders == [n_max + 1 for n_max in n_maxes]
+    # one D/Q ladder per n_max, the second n_max its own; an exact f^-1 is
+    # a Newton sum, whose differences walk the powers of f itself
+    assert [size for g, size in ladders if g != f] == [n_max + 1 for n_max in n_maxes]
     for n_max in n_maxes:
         assert_same_op(umbral_steffensen(spec, n_max).matrix, umbral_steffensen(UmbralSpec(f), n_max).matrix)
         assert_same_op(umbral_steffensen2(spec, n_max).matrix, umbral_steffensen2(UmbralSpec(f), n_max).matrix)
@@ -1096,39 +1130,41 @@ def test_exact_diamond_law_failure_names_its_coefficient():
 
 def test_float_spec_computes_one_exact_itlog_across_iterates(monkeypatch):
     modes = []
-    real = umbral_module.itlog
+    real = umbral_module._forward_differences
 
     def counted(f):
         modes.append(f.mode)
         return real(f)
 
-    monkeypatch.setattr(umbral_module, "itlog", counted)
+    monkeypatch.setattr(umbral_module, "_forward_differences", counted)
     f = TruncatedSeries([0.0, 1.0, 0.5, -0.25, 2.0], 12, FLOAT)
     spec = UmbralSpec(f)
     for s in (0.5, 2.0, -1.0, -1 / 3, 3.0, 1e6):
         want = fractional_iterate(f, s)
         assert [c.hex() for c in spec.iterate(s)] == [c.hex() for c in want], s
-    # fractional_iterate takes one exact itlog per call, the spec one in all
+    # fractional_iterate takes one exact set of differences per call, the
+    # spec one in all
     assert modes.count(EXACT) == 6 + 1
     assert modes.count(FLOAT) == 0
 
 
 def test_float_spec_itlog_series_rounds_the_spec_exact_itlog(monkeypatch):
     modes = []
-    real = umbral_module.itlog
+    real = umbral_module._forward_differences
 
     def counted(f):
         modes.append(f.mode)
         return real(f)
 
-    monkeypatch.setattr(umbral_module, "itlog", counted)
+    monkeypatch.setattr(umbral_module, "_forward_differences", counted)
     f = TruncatedSeries([0.0, 1.0, 0.5, -0.25], 12, FLOAT)
     spec = UmbralSpec(f)
     umbral_exp_itlog(spec)
     frac_power(spec, 0.5)
-    # one exact itlog feeds both; itlog_series took a second one before
+    # one exact set of differences feeds both; itlog_series took a second
+    # itlog before
     assert modes == [EXACT]
-    assert [c.hex() for c in spec.itlog_series] == [c.hex() for c in real(f)]
+    assert [c.hex() for c in spec.itlog_series] == [c.hex() for c in itlog(f)]
 
 
 def test_float_spec_builds_one_koenigs_coordinate(monkeypatch):

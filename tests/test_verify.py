@@ -241,15 +241,16 @@ def test_run_verify_deduplicates_suites_and_refuses_empty_selection():
 
 def test_run_verify_computes_itlog_once_per_generator(monkeypatch):
     # 5 tangent corpus generators, plus one reduced spec per general-multiplier
-    # generator inside umbral_exp_itlog (formulas' expitlog construction)
+    # generator inside umbral_exp_itlog (formulas' expitlog construction):
+    # each spec's itlog and iterates read its one set of differences
     calls = []
-    real = umbral.itlog
+    real = umbral._forward_differences
 
     def counted(f):
         calls.append(f)
         return real(f)
 
-    monkeypatch.setattr(umbral, "itlog", counted)
+    monkeypatch.setattr(umbral, "_forward_differences", counted)
     assert run_verify("formulas,itlog,group,coeff")["passed"]
     assert len(calls) == 8
 
@@ -275,21 +276,21 @@ def test_run_verify_builds_each_bucc_matrix_once(monkeypatch):
 
 
 def test_group_and_coeff_suites_build_each_specs_lie_terms_once(monkeypatch):
-    # every multiplier-1 iterate of a spec evaluates the Lie terms of its one
-    # itlog, built once: for each of the 5 tangent corpus generators and the
-    # 3 seeded ones.  When the iterate router called flow, each new exponent
-    # rebuilt them
+    # every multiplier-1 iterate of a spec is a Newton sum of the differences
+    # of its f, built once: for each of the 5 tangent corpus generators and
+    # the 3 seeded ones.  When the iterate router called flow, each new
+    # exponent rebuilt the Lie terms
     calls = []
-    real = umbral._lie_terms
+    real = umbral._forward_differences
 
-    def counted(V):
-        calls.append(V)
-        return real(V)
+    def counted(f):
+        calls.append(f)
+        return real(f)
 
-    monkeypatch.setattr(umbral, "_lie_terms", counted)
+    monkeypatch.setattr(umbral, "_forward_differences", counted)
     assert run_verify("group,coeff", 7)["passed"]
     tangent, _ = split_by_multiplier(load_corpus() + random_generators(7, 3, 12))
-    assert sorted(map(repr, calls)) == sorted(repr(umbral.itlog(f)) for _, f in tangent)
+    assert sorted(map(repr, calls)) == sorted(repr(f) for _, f in tangent)
 
 
 def test_verify_all_builds_each_expitlog_and_frac_power_matrix_once(monkeypatch):
@@ -407,21 +408,29 @@ def test_laguerre_suite_builds_each_alpha_free_factor_once(monkeypatch):
 
 
 def test_verify_all_builds_each_fields_lie_terms_once(monkeypatch):
-    # the Lie terms of the 8 tangent specs' itlogs (group and coeff suites),
-    # of the Laguerre suite's 3 fields -t^(p+1), each shared by its flows at
-    # s = 1 and 1/2, and of the 3 Laguerre generators' itlogs (the
-    # fractional members at s = 1/2); two flow calls per field made it 17
-    calls = []
-    real = umbral._lie_terms
+    # the Lie terms of the Laguerre suite's 3 fields -t^(p+1), each shared
+    # by its flows at s = 1 and 1/2; two flow calls per field made it 17.
+    # The specs' iterates, the Laguerre generators' fractional members
+    # included, are Newton sums and build no Lie terms: each spec builds its
+    # differences once, for the 8 tangent specs, the 3 tangent parts of the
+    # other corpus generators and the 3 Laguerre generators
+    calls, specs = [], []
+    real, real_differences = umbral._lie_terms, umbral._forward_differences
 
     def counted(V):
         calls.append(V)
         return real(V)
 
+    def counted_differences(f):
+        specs.append(f)
+        return real_differences(f)
+
     for module in (umbral, verify):
         monkeypatch.setattr(module, "_lie_terms", counted)
+    monkeypatch.setattr(umbral, "_forward_differences", counted_differences)
     assert run_verify("all", 7)["passed"]
-    assert len(calls) == 14
+    assert len(calls) == 3
+    assert len(specs) == 8 + 3 + 3
 
 
 def test_coeff_suite_reads_the_bucc_ladder_as_integer_views(monkeypatch):
