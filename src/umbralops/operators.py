@@ -511,11 +511,10 @@ def pincherle_derivative(U: OperatorMatrix) -> OperatorMatrix:
     return OperatorMatrix._from_views(cols, U.n_in - 1, max_out, U.window - 1, U.complete, U.mode)
 
 
-def nth_pincherle(U: OperatorMatrix, n: int, check: bool = True) -> OperatorMatrix:
+def nth_pincherle(U: OperatorMatrix, n: int) -> OperatorMatrix:
     """n-th Pincherle derivative, by n first differences
-    U(x^(m+1)) - x U(x^m) in the integer view; optionally
-    cross-checked against the explicit binomial sum
-    ``_nth_pincherle_explicit``."""
+    U(x^(m+1)) - x U(x^m) in the integer view, cross-checked against the
+    explicit binomial sum ``_nth_pincherle_explicit``."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     if U.window < n:
@@ -523,7 +522,7 @@ def nth_pincherle(U: OperatorMatrix, n: int, check: bool = True) -> OperatorMatr
     iterated = U
     for _ in range(n):
         iterated = pincherle_derivative(iterated)
-    if check and n > 0:
+    if n > 0:
         explicit = _nth_pincherle_explicit(U, n)
         if not ops_equal(iterated, explicit):
             raise AssertionError("the two n-th Pincherle derivative paths disagree")

@@ -65,11 +65,9 @@ def itlog(f: TruncatedSeries) -> TruncatedSeries:
     """Iterative logarithm: the generator V of the fractional-iteration flow
     of f, i.e. the unique series with C_f = e^{V(x)D} on truncations.
 
-    An exact f with multiplier f'(0) = 1 takes V as the x-column of
-    log(C_f) = log(I + Delta): the log sum (``_log_sum``) of the differences
-    Delta^k x (``_forward_differences``).  Every other generator is
-    ``UmbralSpec(f).itlog_series``, the one router for itlog, which at
-    multiplier 1 takes the same log sum of the differences its spec keeps.
+    After its two refusals it is ``UmbralSpec(f).itlog_series``, the one
+    router for itlog, for every generator: at multiplier 1 the log sum of
+    the differences Delta^k x that the spec keeps (``_exact_itlog``).
     """
     if f.order < 1 or f[0] != 0:
         raise PreconditionError("itlog requires f(0) = 0")
@@ -77,9 +75,7 @@ def itlog(f: TruncatedSeries) -> TruncatedSeries:
         raise PreconditionError(
             "exact itlog requires multiplier f'(0) = 1" if f.mode == EXACT else "itlog requires f'(0) != 0"
         )
-    if f[1] != 1 or f.mode == FLOAT:
-        return UmbralSpec(f).itlog_series
-    return _log_sum(_forward_differences(f), f.order)
+    return UmbralSpec(f).itlog_series
 
 
 def _forward_differences(f: TruncatedSeries) -> list:
@@ -101,19 +97,6 @@ def _forward_differences(f: TruncatedSeries) -> list:
             break
         diffs.append(delta)
     return diffs
-
-
-def _log_sum(diffs: list, order: int) -> TruncatedSeries:
-    """log(I + Delta) x = sum_k (-1)^{k+1}/k Delta^k x for the differences
-    ``diffs`` (``_forward_differences``): one ``_add_scaled`` pass per
-    difference, in k order, and the exact series built from the sum's view."""
-    size = order + 1
-    v = [0] * size, 1
-    for k in range(1, len(diffs)):
-        v = _add_scaled(v, 1 if k % 2 else -1, k, diffs[k], size)
-    if any(v[0][:2]):
-        raise AssertionError("iterative logarithm must vanish to second order")
-    return TruncatedSeries._from_view(*v, order, EXACT)
 
 
 def _newton_sum(diffs: list, s: Fraction, order: int) -> TruncatedSeries:
@@ -176,7 +159,8 @@ def flow(V: TruncatedSeries, s) -> TruncatedSeries:
     On the exact values of V and s it takes the s-free terms (V D)^k t
     (``_lie_terms``), then their weighted sum for s (``_lie_sum``) in V's
     mode (``_in_mode``).  Nothing is kept between calls.  It serves fields
-    given without their time-1 map (the Laguerre fields); a spec takes the
+    given without their time-1 map (the Laguerre fields), and its time -1
+    sum gives expitlog's delta operator (``_conjugated_x``); a spec takes the
     iterates of its f from the differences of C_f instead
     (``UmbralSpec.iterate``).
     """
@@ -187,14 +171,15 @@ def flow(V: TruncatedSeries, s) -> TruncatedSeries:
 
 def _lie_terms(V: TruncatedSeries) -> list:
     """The terms (V D)^k t, k < N = V.order, of flow's Lie series as integer
-    views, for an exact V with ord(V) >= 2: each is V's numerators times the
-    nonzero pairs of the last term's derivative (``_mul_ints``), reduced by
-    ``_reduced``.  They do not depend on s."""
+    views, for an exact V with ord(V) >= 2: t's view, then each term V's
+    numerators times the nonzero pairs of the last term's derivative
+    (``_mul_ints``), reduced by ``_reduced``.  They do not depend on s; flow
+    and expitlog's conjugated x (``_conjugated_x``) sum them."""
     nums, d = V._view
     if any(nums[:2]):
         raise PreconditionError("flow requires ord(V) >= 2")
     size = V.order + 1
-    terms = [TruncatedSeries.t(V.order, EXACT).int_view()]
+    terms = [([int(n == 1) for n in range(size)], 1)]
     for _ in range(1, V.order):
         cnums, e = terms[-1]
         deriv = _nonzero([i * x for i, x in enumerate(cnums)][1:])
@@ -344,9 +329,17 @@ class UmbralSpec:
 
     @cached_property
     def _exact_itlog(self) -> TruncatedSeries:
-        """The itlog of the exact value of f at multiplier 1: the log sum of
-        the spec's differences (``_log_sum``)."""
-        return _log_sum(self._differences, self.order)
+        """The itlog of the exact value of f at multiplier 1: the x-column of
+        log(C_f) = log(I + Delta), the log sum sum_k (-1)^{k+1}/k Delta^k x
+        of the spec's differences, one ``_add_scaled`` pass per difference
+        in k order."""
+        size = self.order + 1
+        v = [0] * size, 1
+        for k in range(1, len(self._differences)):
+            v = _add_scaled(v, 1 if k % 2 else -1, k, self._differences[k], size)
+        if any(v[0][:2]):
+            raise AssertionError("iterative logarithm must vanish to second order")
+        return TruncatedSeries._from_view(*v, self.order, EXACT)
 
     @cached_property
     def _koenigs(self) -> TruncatedSeries:
@@ -548,10 +541,10 @@ def umbral_exp_itlog(spec: UmbralSpec, n_max: int | None = None) -> UmbralOperat
     """Construction 6 (the flow form): phi = exp(x itlog(f)(D)).
 
     The exponential is taken as powers of the conjugated x
-    (``_exp_x_field``): phi x^n = (x W(D))^n 1 with x W(D) = phi x phi^-1,
-    where W is a Lie series in the series ring, in O(N^3).  Multiplier
-    q != 1 is handled by factoring f = (q t) o (f / q): the diagonal
-    stretch by q^n is prepended to the exponential of the
+    (``_exp_x_field``): phi x^n = (x W(D))^n 1 with x W(D) = phi x phi^-1
+    the umbral shift x / Q'(D), Q the time -1 flow of itlog(f), in O(N^3).
+    Multiplier q != 1 is handled by factoring f = (q t) o (f / q): the
+    diagonal stretch by q^n is prepended to the exponential of the
     tangent-to-identity part, whose spec (``_tangent_part``, with its itlog)
     the spec keeps.  The matrix depends on the spec and n_max only, so it
     is built once per n_max and kept on the spec, as bucc's is.
@@ -575,10 +568,11 @@ def _exp_itlog_matrix(spec: UmbralSpec, n_max: int) -> OperatorMatrix:
 def _exp_x_field(v: TruncatedSeries, n_max: int) -> OperatorMatrix:
     """exp(x v(D)) as a square matrix, for ord(v) >= 2, in O(N^3): as the
     powers of the conjugated x.  With A = x v(D), A 1 = 0, so e^A 1 = 1 and
-    e^A x^n = (x W(D))^n 1 for x W(D) = e^A x e^-A (``_conjugated_x``):
-    column n + 1 is one ``_apply_ints`` of column n over the columns of
-    W(D) (``_D_column``), shifted by x.  W is put into v's mode once
-    (``_canonical``), so a float v rounds it once."""
+    e^A x^n = (x W(D))^n 1 for x W(D) = e^A x e^-A = x / Q'(D), Q the time
+    -1 flow of v (``_conjugated_x``): column n + 1 is one ``_apply_ints``
+    of column n over the columns of W(D) (``_D_column``), shifted by x.  W
+    is put into v's mode once (``_canonical``), so a float v rounds it
+    once."""
     wnums, e = _canonical(*_conjugated_x(v, n_max), v.mode)
     terms = _nonzero(wnums)
     field = _nonzero_views([(_D_column(terms, n), e) for n in range(n_max)])
@@ -594,28 +588,19 @@ def _conjugated_x(v: TruncatedSeries, n_max: int) -> tuple:
     an exact integer view of its n_max coefficients below t^n_max, which
     are all that act on the columns up to n_max.
 
-    The operators x w(D) bracket as vector fields,
-    [x v(D), x w(D)] = x (v' w - v w')(D), so by Hadamard's lemma
-    W = sum_k W_k / k! with W_0 = 1 and W_{k+1} = v' W_k - v W_k': two
-    ``_mul_ints`` and one ``_reduced`` per step, summed by ``_add_scaled``.
-    ord W_k >= k, so the sum stops at the first W_k that vanishes, or after
-    n_max terms.  It runs on the exact value of v (``_exact``)."""
-    nums, d = _exact(v)._view
-    if any(nums[:2]):
+    x W(D) is the umbral shift x / Q'(D) of the delta operator Q(D), with
+    Q = e^{-v D} t the time -1 flow of v (the recurrence formula of Rota,
+    Kahaner and Odlyzko, "Finite operator calculus", J. Math. Anal. Appl. 42,
+    1973), so W = 1 / Q'.  Q is flow's Lie series (``_lie_terms``,
+    ``_lie_sum``) on the exact value of v (``_exact``) truncated at n_max."""
+    exact_v = _exact(v)
+    if any(exact_v._view[0][:2]):
         raise PreconditionError("exp(x v(D)) requires ord(v) >= 2")
     _check_order(v.order, n_max)
-    nums = nums[: n_max + 1]
-    dnums = [i * x for i, x in enumerate(nums)][1:]
-    w = total = [int(n == 0) for n in range(n_max)], 1
-    for k in range(1, n_max):
-        wnums, e = w
-        a = _mul_ints(dnums, _nonzero(wnums), n_max)
-        b = _mul_ints(nums, _nonzero([i * x for i, x in enumerate(wnums)][1:]), n_max)
-        w = _reduced([x - y for x, y in zip(a, b)], d * e)
-        if not any(w[0]):
-            break
-        total = _add_scaled(total, 1, math.factorial(k), w, n_max)
-    return total
+    if not n_max:
+        return [], 1
+    q = _lie_sum(_lie_terms(exact_v.truncate(n_max)), Fraction(-1), n_max)
+    return q.derivative().unit_inverse().int_view()
 
 
 CONSTRUCTIONS = {

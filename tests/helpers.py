@@ -359,3 +359,30 @@ def exp_x_field_loop(v, n_max):
     the oracle for ``umbral._exp_x_field``, which takes the exponential as
     powers of the conjugated x."""
     return exp_loc_nilpotent(x_times_D_series(v, n_max))
+
+
+def conjugated_x_loop(v, n_max):
+    """The series W with e^A x e^-A = x W(D) for A = x v(D) by Hadamard's
+    lemma, one loop per call: the oracle for ``umbral._conjugated_x``, which
+    takes W = 1 / Q' for the time -1 flow Q of v.  The operators x w(D)
+    bracket as vector fields, [x v(D), x w(D)] = x (v' w - v w')(D), so
+    W = sum_k W_k / k! with W_0 = 1 and W_{k+1} = v' W_k - v W_k'; ord W_k >= k,
+    so the sum stops at the first W_k that vanishes, or after n_max terms.
+    It runs on the exact value of v and returns an integer view of W's n_max
+    coefficients below t^n_max."""
+    nums, d = umbral._exact(v)._view
+    if any(nums[:2]):
+        raise PreconditionError("exp(x v(D)) requires ord(v) >= 2")
+    umbral._check_order(v.order, n_max)
+    nums = nums[: n_max + 1]
+    dnums = [i * x for i, x in enumerate(nums)][1:]
+    w = total = [int(n == 0) for n in range(n_max)], 1
+    for k in range(1, n_max):
+        wnums, e = w
+        a = _mul_ints(dnums, _nonzero(wnums), n_max)
+        b = _mul_ints(nums, _nonzero([i * x for i, x in enumerate(wnums)][1:]), n_max)
+        w = _reduced([x - y for x, y in zip(a, b)], d * e)
+        if not any(w[0]):
+            break
+        total = _add_scaled(total, 1, math.factorial(k), w, n_max)
+    return total

@@ -140,7 +140,7 @@ def test_nth_pincherle_paths_cross_check():
             for _ in range(3)
         }
         U = op_from_normal_form(NormalForm(table), 10, 13)
-        nth_pincherle(U, 3, check=True)
+        nth_pincherle(U, 3)
 
 
 def test_pincherle_is_derivation():
@@ -766,7 +766,6 @@ def test_pincherle_derivatives_match_the_compose_loops(order, mode):
         for n in range(1, min(4, U.window) + 1):
             iterated = pincherle_loop(iterated)
             same(nth_pincherle(U, n), iterated)
-            same(nth_pincherle(U, n, check=False), iterated)
             # the binomial sum adds only nonzero terms, as the products did
             assert_same_op(operators._nth_pincherle_explicit(U, n), nth_pincherle_explicit_loop(U, n))
     assert negative_zeros == (mode == FLOAT)

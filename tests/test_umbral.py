@@ -11,6 +11,7 @@ from helpers import (
     assert_same_op,
     assert_same_series,
     coeff_identity_scan_loop,
+    conjugated_x_loop,
     dense_generators,
     exp_x_field_loop,
     flow_loop,
@@ -37,7 +38,7 @@ from umbralops.operators import (
     xD_op,
 )
 from umbralops.polynomials import Polynomial
-from umbralops.scalars import EXACT, FLOAT
+from umbralops.scalars import EXACT, FLOAT, _canonical
 from umbralops.series import PreconditionError, TruncatedSeries, series_from_tail
 from umbralops.umbral import (
     CONSTRUCTIONS,
@@ -290,8 +291,8 @@ def test_general_expitlog_is_the_stretched_tangent_exponential(order):
 def test_conjugated_x_is_f_prime_at_the_inverse(order):
     # phi x phi^-1 = x / Q'(D) with Q = f^-1 (the recurrence
     # p_{n+1} = x Q'(D)^-1 p_n of Roman, The Umbral Calculus, 1984, ch. 3),
-    # so W (f^-1)' = 1 and W = f' o f^-1 below t^n_max, from the Lie series
-    # of V = itlog(f) alone
+    # so W (f^-1)' = 1 and W = f' o f^-1 below t^n_max, from V = itlog(f)
+    # alone: W is 1 / Q' for Q the time -1 flow of V, not read from f_inverse
     for name, f in _expitlog_generators(order):
         spec = UmbralSpec(f)
         n = spec.default_n_max()
@@ -299,6 +300,27 @@ def test_conjugated_x_is_f_prime_at_the_inverse(order):
         finv = spec.f_inverse.truncate(n - 1)
         assert W * spec.f_inverse.derivative().truncate(n - 1) == TruncatedSeries.one(n - 1), name
         assert W == f.derivative().truncate(n - 1).compose(finv), name
+
+
+@pytest.mark.parametrize("order", [12, 20, 28, pytest.param(40, marks=pytest.mark.slow)])
+def test_conjugated_x_matches_the_bracket_recurrence(order):
+    # W = 1 / Q' from the time -1 flow Q equals the Hadamard sum it replaced,
+    # in lowest terms, on the itlogs of the corpus (of its tangent parts at
+    # q != 1), of the seeded and dense generators, and on the Laguerre fields
+    # -t^(p+1); a float field runs on its exact value
+    gens = load_corpus(order=order) + random_generators(7, 3, order) + dense_generators(7, 3, order)
+    fields = [(name, UmbralSpec(f)._tangent_part.itlog_series) for name, f in gens]
+    fields += [(f"-t^{p + 1}", TruncatedSeries([0] * (p + 1) + [-1], order)) for p in range(1, 5)]
+    for mode in (EXACT, FLOAT):
+        for name, v in fields:
+            for n in (0, 1, order - 2, order):
+                want = _canonical(*conjugated_x_loop(in_mode(v, mode), n), EXACT)
+                assert _conjugated_x(in_mode(v, mode), n) == want, (name, mode, n)
+        for coeffs in ([1], [0, 1], [0, F(1, 2), 1], [F(-3), 0, 1]):
+            v = in_mode(TruncatedSeries(coeffs, order), mode)
+            for fn in (_conjugated_x, conjugated_x_loop):
+                with pytest.raises(PreconditionError, match=r"^exp\(x v\(D\)\) requires ord\(v\) >= 2$"):
+                    fn(v, order - 2)
 
 
 @pytest.mark.parametrize("mode", [EXACT, FLOAT])

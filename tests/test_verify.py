@@ -408,8 +408,11 @@ def test_laguerre_suite_builds_each_alpha_free_factor_once(monkeypatch):
 
 
 def test_verify_all_builds_each_fields_lie_terms_once(monkeypatch):
-    # the Lie terms of the Laguerre suite's 3 fields -t^(p+1), each shared
-    # by its flows at s = 1 and 1/2; two flow calls per field made it 17.
+    # the Lie terms once per field and truncation: the Laguerre suite's 3
+    # fields -t^(p+1), each shared by its flows at s = 1 and 1/2, and the
+    # time -1 flows behind expitlog's conjugated x, for the 11 expitlog
+    # fields (8 multiplier-1 specs, 3 tangent parts) and the 3 alpha-free
+    # factors exp(-x D^(p+1)).
     # The specs' iterates, the Laguerre generators' fractional members
     # included, are Newton sums and build no Lie terms: each spec builds its
     # differences once, for the 8 tangent specs, the 3 tangent parts of the
@@ -429,7 +432,7 @@ def test_verify_all_builds_each_fields_lie_terms_once(monkeypatch):
         monkeypatch.setattr(module, "_lie_terms", counted)
     monkeypatch.setattr(umbral, "_forward_differences", counted_differences)
     assert run_verify("all", 7)["passed"]
-    assert len(calls) == 3
+    assert len(calls) == 3 + 11 + 3
     assert len(specs) == 8 + 3 + 3
 
 
