@@ -79,9 +79,11 @@ FLOAT_COLUMN_TOL = 1e-9
 class OperatorMatrix(_Frozen):
     """The one stored form is ``_views``: column n as an integer view
     ``(nums, d)`` as the kernels leave it, a list that may keep trailing
-    zeros over a denominator that may not be reduced.  The kernels read it
-    and never mutate a column's list; ``cols`` and ``col(n)`` build
-    canonical :class:`Polynomial` columns from it on every read."""
+    zeros over a denominator that may not be reduced: sums, scalings and
+    power sums reduce theirs, the constructions do not, since reducing
+    theirs made the order-28 benchmark slower and nothing faster.  The
+    kernels read it and never mutate a column's list; ``cols`` and
+    ``col(n)`` build canonical :class:`Polynomial` columns on every read."""
 
     __slots__ = ("_views", "n_in", "max_out", "window", "complete", "mode")
 
@@ -531,23 +533,25 @@ def nth_pincherle(U: OperatorMatrix, n: int) -> OperatorMatrix:
 
 def _nth_pincherle_explicit(U: OperatorMatrix, n: int) -> OperatorMatrix:
     """The n-th Pincherle derivative as one sum: column m is
-    sum_k C(n, k) (-1)^(n-k) x^(n-k) U(x^(m+k)), accumulated by
-    ``_add_scaled`` on the columns' integer numerators."""
+    sum_k C(n, k) (-1)^(n-k) x^(n-k) U(x^(m+k)) (``_binomial_column_sum``)."""
     # the refusals keep the messages of the product form
     if n > U.n_in:
         raise WindowUnderflowError("operator has an empty exact window")
     if n > U.window:
         raise WindowUnderflowError("composition left no certified columns")
     max_out = U.max_out + n if U.complete else U.max_out
-    cols = []
-    for m in range(U.n_in - n + 1):
-        acc = [], 1
-        for k in range(n + 1):
-            nums, d = U._views[m + k]
-            a = math.comb(n, k) * (-1) ** (n - k)
-            acc = _add_scaled(acc, a, 1, ([0] * (n - k) + nums, d), max_out + 1)
-        cols.append(acc)
+    cols = [_binomial_column_sum(U._views[m : m + n + 1], n, max_out + 1) for m in range(U.n_in - n + 1)]
     return OperatorMatrix._from_views(cols, U.n_in - n, max_out, U.window - n, U.complete, U.mode)
+
+
+def _binomial_column_sum(views, n: int, size: int) -> tuple:
+    """sum_j C(n, j) (-1)^(n-j) x^(n-j) views[j], j = 0..n, on the integer
+    views, one ``_add_scaled`` pass per j from ([], 1): a column of the n-th
+    Pincherle derivative, and n! times row n of the normal form."""
+    acc = [], 1
+    for j, (nums, d) in enumerate(views):
+        acc = _add_scaled(acc, math.comb(n, j) * (-1) ** (n - j), 1, ([0] * (n - j) + nums, d), size)
+    return acc
 
 
 # -- exponentials, logarithms, generalized powers -------------------------
@@ -689,8 +693,8 @@ class NormalForm(_Frozen):
 def normal_form(U: OperatorMatrix, k_max: int | None = None, j_max: int | None = None) -> NormalForm:
     """Extract the x-before-D normal-ordered table from an operator matrix:
     row k is sum_j (-1)^(k-j) binom(k, j) x^(k-j) U(x^j) / k!, summed on the
-    columns' integer numerators (``_add_scaled``); the table's values are
-    read from each row once."""
+    columns' integer numerators (``_binomial_column_sum``); the table's
+    values are read from each row once."""
     if k_max is None:
         k_max = U.window
     if j_max is None:
@@ -699,11 +703,8 @@ def normal_form(U: OperatorMatrix, k_max: int | None = None, j_max: int | None =
         raise WindowUnderflowError("window too small for the requested D-power range")
     table = {}
     for k in range(k_max + 1):
-        inner = [], 1
-        for j, (nums, d) in enumerate(U._views[: k + 1]):
-            shifted = [0] * (k - j) + nums, d
-            inner = _add_scaled(inner, (-1) ** (k - j) * math.comb(k, j), 1, shifted, j_max + 1)
-        row = Polynomial._from_view(inner[0], inner[1] * math.factorial(k), U.mode)
+        nums, d = _binomial_column_sum(U._views[: k + 1], k, j_max + 1)
+        row = Polynomial._from_view(nums, d * math.factorial(k), U.mode)
         table.update(((j, k), c) for j, c in row.terms())
     return NormalForm(table, U.mode)
 

@@ -258,7 +258,7 @@ class UmbralSpec:
     """A generator series f with f(0) = 0, f'(0) != 0, plus what is derived
     from it, each built once and kept: the compositional inverse, the
     iterative logarithm, at multiplier 1 the differences Delta^m x of
-    C_f = I + Delta that give both the itlog and every iterate, the
+    C_f = I + Delta that give the itlog, every iterate and so f^-1, the
     linearizing coordinate and its inverse, the iterates f^s, and per n_max
     the bucc matrix and its power ladder, the ladder of powers of D/Q that
     both Steffensen constructions read, the expitlog matrix and the
@@ -292,16 +292,13 @@ class UmbralSpec:
 
     @cached_property
     def f_inverse(self) -> TruncatedSeries:
-        """f^-1: in exact mode ``iterate(-1)`` at multiplier 1 (the Newton
-        series of the spec's differences) and Lagrange inversion
-        (``comp_inverse``) otherwise, checked by the round trip f o f^-1 = t;
-        in float mode ``comp_inverse``."""
-        if self.mode == EXACT:
-            g = self.iterate(-1) if self.q == 1 else self.f.comp_inverse()
-            if self.f.compose(g) != TruncatedSeries.t(self.order, EXACT):
-                raise AssertionError("compositional inverse failed its round trip")
-            return g
-        return self.f.comp_inverse()
+        """f^-1, which ``iterate(-1)`` returns in both modes: the Newton sum
+        of the spec's differences at multiplier 1, rounded once in float mode,
+        and ``comp_inverse`` otherwise; an exact spec checks f o f^-1 = t."""
+        g = self.iterate(-1) if self.q == 1 else self.f.comp_inverse()
+        if self.mode == EXACT and self.f.compose(g) != TruncatedSeries.t(self.order, EXACT):
+            raise AssertionError("compositional inverse failed its round trip")
+        return g
 
     @cached_property
     def itlog_series(self) -> TruncatedSeries:
@@ -621,7 +618,7 @@ def umbral_inverse(U: UmbralOperator) -> UmbralOperator:
 def delta_operator(spec: UmbralSpec, s=1, n_in: int | None = None) -> OperatorMatrix:
     """The delta operator of phi^s: the shift-invariant operator f^{-s}(D),
     with f^{-s} the spec's one iterate at every s (``UmbralSpec.iterate``),
-    so a float spec reads one f^-1 at s = 1 and in the group laws."""
+    so at s = 1 it reads ``f_inverse``, in both modes and in the group laws."""
     if n_in is None:
         n_in = spec.default_n_max()
     g = spec.iterate(-coerce(s, spec.mode))

@@ -403,6 +403,16 @@ def test_float_overflow_is_exit_2(capsys):
         assert err.startswith("error:"), argv
 
 
+def test_float_inverse_beyond_the_float_range_is_exit_2(capsys):
+    # at multiplier 1 a float f^-1 rounds its exact value once, so one that
+    # leaves the float range is refused as the iterate at -1 is
+    for formula in ("steffensen", "steffensen2"):
+        argv = ("--mode", "float", "umbral", "--f", "1,1e200", "--formulas", formula, "--n", "3")
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), formula
+        assert err == "error: integer division result too large for a float\n", formula
+
+
 @pytest.mark.parametrize("fmt", ["pretty", "json", "csv"])
 def test_result_beyond_the_digit_limit_is_exit_2_in_the_cli_words(capsys, fmt):
     limit = sys.get_int_max_str_digits()

@@ -45,7 +45,9 @@ from umbralops.umbral import (
     UmbralOperator,
     UmbralSpec,
     _conjugated_x,
+    _exact,
     _exp_x_field,
+    _in_mode,
     coeff_identity_scan,
     delta_operator,
     duality_check,
@@ -839,6 +841,42 @@ def test_f_inverse_composes_its_round_trip_in_exact_mode_only(mode, monkeypatch)
     assert len(calls) == roundtrip
 
 
+@pytest.mark.parametrize("order", ORACLE_ORDERS)
+def test_float_f_inverse_is_the_spec_iterate_at_minus_one(order, monkeypatch):
+    # a float spec holds one f^-1: its iterate at -1, which at multiplier 1
+    # is the exact f^-1 of its exact value rounded once, and at any other
+    # multiplier the float Lagrange inversion; neither inverts nor composes
+    # an exact series
+    calls = []
+
+    def counted(real):
+        def wrapper(self, *args):
+            calls.extend(g.mode for g in (self, *args))
+            return real(self, *args)
+
+        return wrapper
+
+    for name in ("comp_inverse", "compose"):
+        monkeypatch.setattr(TruncatedSeries, name, counted(getattr(TruncatedSeries, name)))
+    gens = load_corpus(order=order) + random_generators(7, 3, order) + dense_generators(7, 3, order)
+    for name, f in gens:
+        spec = UmbralSpec(in_mode(f, FLOAT))
+        calls.clear()
+        got = spec.f_inverse
+        assert got is spec.iterate(-1), name
+        if spec.q == 1:
+            assert calls == [], name
+            want = _in_mode(UmbralSpec(_exact(spec.f)).f_inverse, FLOAT)
+        else:
+            assert calls and EXACT not in calls, name
+            want = spec.f.comp_inverse()
+        assert_same_series(got, want)
+    # an f^-1 whose exact value leaves the float range refuses to round
+    spec = UmbralSpec(TruncatedSeries([0.0, 1.0, 1e200], order, FLOAT))
+    with pytest.raises(OverflowError, match="too large for a float"):
+        spec.f_inverse
+
+
 def test_float_itlog_reports_lost_precision():
     # near multiplier 1 the Koenigs route divides by q - q^m, about (1 - m)/1000,
     # so its V fails the Julia equation by far more than the tolerance
@@ -1106,9 +1144,10 @@ def test_steffensen_constructions_share_one_dq_ladder(monkeypatch, mode):
     for n_max in n_maxes:
         umbral_steffensen(spec, n_max)
         umbral_steffensen2(spec, n_max)
-    # one D/Q ladder per n_max, the second n_max its own; an exact f^-1 is
-    # a Newton sum, whose differences walk the powers of f itself
-    assert [size for g, size in ladders if g != f] == [n_max + 1 for n_max in n_maxes]
+    # one D/Q ladder per n_max, the second n_max its own; f^-1 is a Newton
+    # sum, whose differences walk the powers of f itself (of its exact value
+    # for a float f)
+    assert [size for g, size in ladders if g.mode == spec.mode and g != f] == [n_max + 1 for n_max in n_maxes]
     for n_max in n_maxes:
         assert_same_op(umbral_steffensen(spec, n_max).matrix, umbral_steffensen(UmbralSpec(f), n_max).matrix)
         assert_same_op(umbral_steffensen2(spec, n_max).matrix, umbral_steffensen2(UmbralSpec(f), n_max).matrix)
