@@ -152,7 +152,7 @@ def cmd_series(args) -> int:
     if args.action == "itlog":
         out = itlog(f)
     elif args.action == "invert":
-        out = f.comp_inverse()
+        out = UmbralSpec(f).f_inverse
     elif args.action == "iterate":
         if args.s is None:
             raise UsageError("iterate requires --s")

@@ -36,7 +36,8 @@ degree at most n, downward when it has valuation at least n.
 The Pincherle derivatives make no operator product: column m of
 U' = U x - x U is U(x^(m+1)) - x U(x^m), and column m of the n-th
 derivative is sum_k C(n, k) (-1)^(n-k) x^(n-k) U(x^(m+k)), both summed on
-the columns' integer numerators with ``_add_scaled``.
+the columns' integer numerators with ``_combine``, over one common
+denominator.
 Float mode runs the same loops on the floats, with every denominator 1.
 """
 
@@ -52,8 +53,8 @@ from .scalars import (
     EXACT,
     FLOAT,
     _Frozen,
-    _add_scaled,
     _canonical,
+    _combine,
     _int_pair,
     _nonzero,
     _reduced,
@@ -495,8 +496,8 @@ def ops_equal(U: OperatorMatrix, V: OperatorMatrix) -> bool:
 
 
 def pincherle_derivative(U: OperatorMatrix) -> OperatorMatrix:
-    """U' = U x - x U: column m is U(x^(m+1)) - x U(x^m), one
-    ``_add_scaled`` pass on the stored views.  The input range and window
+    """U' = U x - x U: column m is U(x^(m+1)) - x U(x^m), a one-term
+    ``_combine`` on the stored views.  The input range and window
     shrink by one; a complete U's images grow by one degree, an incomplete
     one's stay truncated at max_out."""
     # the refusals keep the messages of the product form U x - x U
@@ -507,7 +508,7 @@ def pincherle_derivative(U: OperatorMatrix) -> OperatorMatrix:
     max_out = U.max_out + 1 if U.complete else U.max_out
     views = U._views
     cols = [
-        _add_scaled(views[m + 1], -1, 1, ([0] + nums, d), max_out + 1)
+        _combine(views[m + 1], [(-1, 1, ([0] + nums, d))], max_out + 1)
         for m, (nums, d) in enumerate(views[:-1])
     ]
     return OperatorMatrix._from_views(cols, U.n_in - 1, max_out, U.window - 1, U.complete, U.mode)
@@ -546,12 +547,10 @@ def _nth_pincherle_explicit(U: OperatorMatrix, n: int) -> OperatorMatrix:
 
 def _binomial_column_sum(views, n: int, size: int) -> tuple:
     """sum_j C(n, j) (-1)^(n-j) x^(n-j) views[j], j = 0..n, on the integer
-    views, one ``_add_scaled`` pass per j from ([], 1): a column of the n-th
+    views, one ``_combine`` in j order from ([], 1): a column of the n-th
     Pincherle derivative, and n! times row n of the normal form."""
-    acc = [], 1
-    for j, (nums, d) in enumerate(views):
-        acc = _add_scaled(acc, math.comb(n, j) * (-1) ** (n - j), 1, ([0] * (n - j) + nums, d), size)
-    return acc
+    terms = [(math.comb(n, j) * (-1) ** (n - j), 1, ([0] * (n - j) + v, d)) for j, (v, d) in enumerate(views)]
+    return _combine(([], 1), terms, size)
 
 
 # -- exponentials, logarithms, generalized powers -------------------------
@@ -571,7 +570,7 @@ def _int_op_powers(A: OperatorMatrix):
 
 
 def _add_term(acc: OperatorMatrix, a, b, power: OperatorMatrix) -> OperatorMatrix:
-    """acc + (a / b) power on the stored views: one ``_add_scaled`` pass per
+    """acc + (a / b) power on the stored views: a one-term ``_combine`` per
     column, shaped by ``_sum_shape``; where the power's column is zero the
     accumulator's column is kept as it is, cut at the shape's max_out.
     Float mode passes ``(c, 1)``."""
@@ -580,7 +579,7 @@ def _add_term(acc: OperatorMatrix, a, b, power: OperatorMatrix) -> OperatorMatri
     cols = []
     for s, p in zip(acc._views[: n_in + 1], power._views[: n_in + 1]):
         if any(p[0]):
-            s = _add_scaled(s, a, b, p, size)
+            s = _combine(s, [(a, b, p)], size)
         elif len(s[0]) > size:
             s = s[0][:size], s[1]
         cols.append(s)

@@ -178,22 +178,26 @@ def _trimmed(nums: list) -> list:
     return nums[:n] if n < len(nums) else nums
 
 
-def _add_scaled(acc: tuple, a, b, power: tuple, size: int):
-    """The first ``size`` entries of acc + (a / b) power for the integer
-    views acc = (S, s) and power = (P, e): over lcm(s, b e), one integer pass.
-    It is the one running-denominator accumulator.  Float mode passes
-    ``(c, 1)`` for the scalar and adds ``c * P_i`` to each entry: scaling a
-    coefficient list by c, then adding it, in float arithmetic."""
-    (nums, s), (pnums, e) = acc, power
-    den = math.lcm(s, b * e)
+def _combine(acc: tuple, terms, size: int):
+    """The first ``size`` entries of acc + sum (a / b) power over ``terms``,
+    a list of ``(a, b, power)``, for the integer views acc = (S, s) and each
+    power = (P, e): the one exact linear combination.  The common
+    denominator lcm(s, b e, ...) is taken once, so the sum is never
+    rescaled, and each term is one integer pass with the multiplier
+    a (lcm // (b e)), visiting its nonzero entries.  Float mode passes
+    ``(c, 1)`` for each scalar, so every entry receives the products
+    ``c * P_i`` term by term, in float arithmetic."""
+    nums, s = acc
+    den = math.lcm(s, *[b * e for _, b, (_, e) in terms])
     out = nums[:size]
     if den != s:
         out = [x * (den // s) for x in out]
-    out += [0] * (min(size, len(pnums)) - len(out))
-    m = a * (den // (b * e))
-    for i, y in enumerate(pnums[:size]):
-        if y:
-            out[i] += m * y
+    out += [0] * (min(size, max([len(p) for _, _, (p, _) in terms], default=0)) - len(out))
+    for a, b, (pnums, e) in terms:
+        m = a * (den // (b * e))
+        for i, y in enumerate(pnums[:size]):
+            if y:
+                out[i] += m * y
     return out, den
 
 

@@ -21,8 +21,8 @@ from .scalars import (
     PreconditionError,
     _ZEROS,
     _Coeffs,
-    _add_scaled,
     _canonical,
+    _combine,
     _int_pair,
     _int_pivot,
     _mul_ints,
@@ -176,8 +176,8 @@ class TruncatedSeries(_Coeffs):
 
         Horner evaluation on the stored views f = a / d and g = G / e:
         acc <- acc G + a_k, each product one ``_mul_ints`` on G's nonzero
-        pairs (built once) reduced by ``_reduced``, each constant one
-        ``_add_scaled``.  Float mode runs the same loop with d = e = 1,
+        pairs (built once) reduced by ``_reduced``, each constant a one-term
+        ``_combine``.  Float mode runs the same loop with d = e = 1,
         skipping zero coefficients."""
         self._peer(g)
         if g._view[0][0]:
@@ -190,7 +190,7 @@ class TruncatedSeries(_Coeffs):
         for c in reversed(a):
             acc = _reduced(_mul_ints(acc[0], G, size), acc[1] * e)
             if c:
-                acc = _add_scaled(acc, c, d, ([1], 1), size)
+                acc = _combine(acc, [(c, d, ([1], 1))], size)
         return self._like(*acc)
 
     def comp_inverse(self) -> "TruncatedSeries":
@@ -272,15 +272,15 @@ def _int_powers(g: TruncatedSeries, size: int):
 
 def _power_sum(u: TruncatedSeries, acc: TruncatedSeries, coeff) -> TruncatedSeries:
     """acc + sum_{k >= 1} (a / b) u^k for u(0) = 0, (a, b) = coeff(k), stopping
-    at the first vanishing power: the powers of ``_int_powers`` summed by
-    ``_add_scaled``."""
+    at the first vanishing power: the powers of ``_int_powers`` summed by one
+    ``_combine``."""
     size = u.order + 1
-    acc = acc._view
+    terms = []
     for k, power in enumerate(islice(_int_powers(u, size), 1, size), 1):
         if not any(power[0]):
             break
-        acc = _add_scaled(acc, *coeff(k), power, size)
-    return u._like(*acc)
+        terms.append((*coeff(k), power))
+    return u._like(*_combine(acc._view, terms, size))
 
 
 def series_from_tail(coeffs: Iterable, order: int, mode: str = EXACT) -> TruncatedSeries:

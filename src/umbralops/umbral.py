@@ -41,8 +41,8 @@ from .scalars import (
     EXACT,
     FLOAT,
     _Frozen,
-    _add_scaled,
     _canonical,
+    _combine,
     _int_pair,
     _mul_ints,
     _nonzero,
@@ -92,7 +92,7 @@ def _forward_differences(f: TruncatedSeries) -> list:
     diffs = [([0, 1], 1)]
     for _ in range(1, size):
         image = _apply_ints(cols, *diffs[-1])
-        delta = _reduced(*_add_scaled(image, -1, 1, diffs[-1], size))
+        delta = _reduced(*_combine(image, [(-1, 1, diffs[-1])], size))
         if not any(delta[0]):
             break
         diffs.append(delta)
@@ -103,19 +103,22 @@ def _newton_sum(diffs: list, s: Fraction, order: int) -> TruncatedSeries:
     """(I + Delta)^s x = sum_m C(s, m) Delta^m x for an exact s and the
     differences ``diffs`` (``_forward_differences``): Newton's
     forward-difference series of the integer iterates, exact for every s
-    because Delta is nilpotent on truncations.  One ``_add_scaled`` pass per
-    difference, in m order, stopping at the first zero weight (an integer
-    s >= 0 needs the first s + 1), and the exact series built from the sum's
-    view."""
-    size = order + 1
-    g, weight = ([0] * size, 1), Fraction(1)
-    for m, diff in enumerate(diffs):
-        if m:
-            weight = weight * (s - m + 1) / m
-            if not weight:
-                break
-        g = _add_scaled(g, weight.numerator, weight.denominator, diff, size)
-    return TruncatedSeries._from_view(*g, order, EXACT)
+    because Delta is nilpotent on truncations.  The weights C(s, m) =
+    C(s, m - 1) (a - (m - 1) b) / (b m) for s = a / b are kept as integer
+    pairs in lowest terms, up to the first zero weight (an integer s >= 0
+    needs the first s + 1), and summed in m order by one ``_combine``; the
+    exact series is built from the sum's view."""
+    a, b = s.numerator, s.denominator
+    p = q = 1
+    terms = [(p, q, diffs[0])]
+    for m in range(1, len(diffs)):
+        p, q = p * (a - (m - 1) * b), q * b * m
+        if not p:
+            break
+        g = math.gcd(p, q)
+        p, q = p // g, q // g
+        terms.append((p, q, diffs[m]))
+    return TruncatedSeries._from_view(*_combine(([0] * (order + 1), 1), terms, order + 1), order, EXACT)
 
 
 def _julia_checked(f: TruncatedSeries, v: TruncatedSeries) -> TruncatedSeries:
@@ -188,12 +191,12 @@ def _lie_terms(V: TruncatedSeries) -> list:
 
 
 def _lie_sum(terms: list, s: Fraction, order: int) -> TruncatedSeries:
-    """sum_k s^k/k! terms[k] for an exact s: one ``_add_scaled`` pass per
-    term, in k order, and the exact series built from the sum's view."""
-    g = terms[0]
-    for k in range(1, len(terms)):
-        g = _add_scaled(g, s.numerator**k, s.denominator**k * math.factorial(k), terms[k], order + 1)
-    return TruncatedSeries._from_view(*g, order, EXACT)
+    """sum_k s^k/k! terms[k] for an exact s: one ``_combine`` of the terms
+    k >= 1 onto terms[0], in k order, and the exact series built from the
+    sum's view."""
+    a, b = s.numerator, s.denominator
+    weighted = [(a**k, b**k * math.factorial(k), term) for k, term in enumerate(terms) if k]
+    return TruncatedSeries._from_view(*_combine(terms[0], weighted, order + 1), order, EXACT)
 
 
 def _exact_scalar(x) -> Fraction:
@@ -220,8 +223,12 @@ def _exact(f: TruncatedSeries) -> TruncatedSeries:
 
 def _in_mode(f: TruncatedSeries, mode: str) -> TruncatedSeries:
     """An exact f in ``mode``: the canonical exact series, or each
-    coefficient rounded once (Python rounds int / int correctly)."""
-    return TruncatedSeries._from_view(*f.int_view(), f.order, mode)
+    coefficient rounded once (Python rounds int / int correctly); a value
+    beyond the float range is an OverflowError in the CLI's words."""
+    try:
+        return TruncatedSeries._from_view(*f.int_view(), f.order, mode)
+    except OverflowError:
+        raise OverflowError("float result out of range: an exact value exceeds the largest float") from None
 
 
 def fractional_iterate(f: TruncatedSeries, s) -> TruncatedSeries:
@@ -328,12 +335,10 @@ class UmbralSpec:
     def _exact_itlog(self) -> TruncatedSeries:
         """The itlog of the exact value of f at multiplier 1: the x-column of
         log(C_f) = log(I + Delta), the log sum sum_k (-1)^{k+1}/k Delta^k x
-        of the spec's differences, one ``_add_scaled`` pass per difference
-        in k order."""
+        of the spec's differences, one ``_combine`` in k order."""
         size = self.order + 1
-        v = [0] * size, 1
-        for k in range(1, len(self._differences)):
-            v = _add_scaled(v, 1 if k % 2 else -1, k, self._differences[k], size)
+        diffs = self._differences
+        v = _combine(([0] * size, 1), [(1 if k % 2 else -1, k, diffs[k]) for k in range(1, len(diffs))], size)
         if any(v[0][:2]):
             raise AssertionError("iterative logarithm must vanish to second order")
         return TruncatedSeries._from_view(*v, self.order, EXACT)
@@ -493,8 +498,8 @@ def umbral_bucc(spec: UmbralSpec, n_max: int | None = None) -> UmbralOperator:
     """Construction 5: phi = sum_k x^k/k! (f(D) - D)^k, exact for any multiplier.
 
     With g = f - t, column n gets g^k_j (n)_j / k! at x^(n-j+k): the powers
-    of g are integer numerators (``_int_powers``) and each column sums over a
-    running common denominator (``_add_scaled``).  The
+    of g are integer numerators (``_int_powers``) and each column's terms
+    are summed once, over one common denominator (``_combine``).  The
     matrix depends on the spec and n_max only, so it is built once per
     n_max and kept on the spec."""
     if n_max is None:
@@ -521,7 +526,7 @@ def _bucc_matrix(f: TruncatedSeries, n_max: int) -> OperatorMatrix:
     one = coerce(1, mode)
     # g(0) = 0, so column n of (f(D) - D)^k has degree at most n - k and
     # its x^k shift stays within degree n
-    cols = [([], 1)] * (n_max + 1)
+    cols = [[] for _ in range(n_max + 1)]
     for k, (gnums, e) in zip(range(n_max + 1), _int_powers(g, n_max + 1)):
         # (f(D) - D)^k applied to x^n, then multiplied by x^k / k!
         terms = _nonzero(gnums)
@@ -529,9 +534,8 @@ def _bucc_matrix(f: TruncatedSeries, n_max: int) -> OperatorMatrix:
             break
         a, b = _int_pair(one / math.factorial(k), mode)
         for n in range(terms[0][0], n_max + 1):
-            column = [0] * k + _D_column(terms, n), e
-            cols[n] = _add_scaled(cols[n], a, b, column, n + 1)
-    return _square(cols, n_max, mode)
+            cols[n].append((a, b, ([0] * k + _D_column(terms, n), e)))
+    return _square([_combine(([], 1), col, n + 1) for n, col in enumerate(cols)], n_max, mode)
 
 
 def umbral_exp_itlog(spec: UmbralSpec, n_max: int | None = None) -> UmbralOperator:

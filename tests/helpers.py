@@ -5,10 +5,11 @@ import math
 import random
 from fractions import Fraction
 from functools import cache
+from itertools import islice
 
 import pytest
 
-from umbralops import umbral
+from umbralops import operators, series, umbral
 from umbralops.corpus import load_corpus, random_generators
 from umbralops.operators import (
     FLOAT_COLUMN_TOL,
@@ -27,9 +28,10 @@ from umbralops.polynomials import Polynomial
 from umbralops.scalars import (
     EXACT,
     FLOAT,
-    _add_scaled,
+    _int_pair,
     _mul_ints,
     _nonzero,
+    _qbinom_row,
     _reduced,
     coerce,
     common_mode,
@@ -41,6 +43,41 @@ from umbralops.series import PreconditionError, TruncatedSeries, series_from_tai
 # the orders of the oracle tests, which compare an integer-view kernel with
 # the Fraction loop it replaced
 ORACLE_ORDERS = [12, 20, pytest.param(28, marks=pytest.mark.slow)]
+
+
+def _add_scaled(acc: tuple, a, b, power: tuple, size: int):
+    """The first ``size`` entries of acc + (a / b) power for the integer
+    views acc = (S, s) and power = (P, e), over lcm(s, b e): the running
+    accumulator that rescales the partial sum whenever its lcm grows, one
+    call per term.  The oracle for ``scalars._combine``, which takes the lcm
+    of all terms once.  Float mode passes ``(c, 1)`` for the scalar."""
+    (nums, s), (pnums, e) = acc, power
+    den = math.lcm(s, b * e)
+    out = nums[:size]
+    if den != s:
+        out = [x * (den // s) for x in out]
+    out += [0] * (min(size, len(pnums)) - len(out))
+    m = a * (den // (b * e))
+    for i, y in enumerate(pnums[:size]):
+        if y:
+            out[i] += m * y
+    return out, den
+
+
+def newton_sum_loop(diffs, s, order):
+    """sum_m C(s, m) diffs[m] with the weight stepped as a ``Fraction`` and
+    the sum kept by ``_add_scaled``, stopping at the first zero weight: the
+    oracle for ``umbral._newton_sum``, which keeps the weights as integer
+    pairs and sums once."""
+    size = order + 1
+    g, weight = ([0] * size, 1), Fraction(1)
+    for m, diff in enumerate(diffs):
+        if m:
+            weight = weight * (s - m + 1) / m
+            if not weight:
+                break
+        g = _add_scaled(g, weight.numerator, weight.denominator, diff, size)
+    return TruncatedSeries._from_view(*g, order, EXACT)
 
 
 def oracle_generators(order):
@@ -386,3 +423,123 @@ def conjugated_x_loop(v, n_max):
             break
         total = _add_scaled(total, 1, math.factorial(k), w, n_max)
     return total
+
+
+# the exponents of the Newton sums that the one-denominator oracle compares
+NEWTON_EXPONENTS = [Fraction(*p) for p in ((1, 2), (-1, 2), (1, 1), (-1, 1), (1, 3), (5, 6), (-3, 2), (2, 1))]
+NEWTON_EXPONENTS += [Fraction(3), Fraction(7, 3)]
+
+
+def _chain(acc, terms, size):
+    """acc + sum (a / b) power over ``terms`` by one ``_add_scaled`` per
+    term, in order: the running accumulator that ``_combine`` replaced."""
+    for a, b, power in terms:
+        acc = _add_scaled(acc, a, b, power, size)
+    return acc
+
+
+def view_key(view):
+    """An integer view as a comparable value: exact entries as they are,
+    float entries by their bits (an int zero stays an int)."""
+    nums, d = view
+    return [x.hex() if isinstance(x, float) else x for x in nums], d
+
+
+def _series_key(g):
+    return g.order, g.mode, view_key(g._view)
+
+
+def _power_sum_chain(u, acc, coeff):
+    """``series._power_sum`` by the running accumulator."""
+    size = u.order + 1
+    acc = acc._view
+    for k, power in enumerate(islice(series._int_powers(u, size), 1, size), 1):
+        if not any(power[0]):
+            break
+        acc = _add_scaled(acc, *coeff(k), power, size)
+    return u._like(*acc)
+
+
+def _bucc_chain(f, n_max):
+    """``umbral._bucc_matrix`` with each column summed term by term by the
+    running accumulator, as stored views."""
+    mode = f.mode
+    g = (f - TruncatedSeries.t(f.order, mode)).truncate(n_max)
+    cols = [([], 1)] * (n_max + 1)
+    for k, (gnums, e) in zip(range(n_max + 1), series._int_powers(g, n_max + 1)):
+        terms = _nonzero(gnums)
+        if not terms:
+            break
+        a, b = _int_pair(coerce(1, mode) / math.factorial(k), mode)
+        for n in range(terms[0][0], n_max + 1):
+            column = [0] * k + operators._D_column(terms, n), e
+            cols[n] = _add_scaled(cols[n], a, b, column, n + 1)
+    return umbral._square(cols, n_max, mode)._views
+
+
+def _binomial_terms(window, n):
+    """The terms of ``operators._binomial_column_sum`` over ``window``."""
+    return [(math.comb(n, j) * (-1) ** (n - j), 1, ([0] * (n - j) + v, d)) for j, (v, d) in enumerate(window)]
+
+
+def combine_site_mismatches(f):
+    """The sites where the one-denominator sums (``scalars._combine``) of
+    the generator f, in its mode, differ from the running accumulator
+    (``_add_scaled``) term by term: at multiplier 1 the Newton sums at
+    ``NEWTON_EXPONENTS``, the itlog log sum and the Lie sums of its flow;
+    at every multiplier bucc's stored views, exp, log1 and pow_scalar of
+    f / 3, and the binomial column sums of C_f's Pincherle derivatives.
+    Exact results compare as stored views, floats by their bits."""
+    mode, order = f.mode, f.order
+    size = order + 1
+    spec = umbral.UmbralSpec(f)
+    bad = []
+
+    def scalar(s):
+        return s if mode == EXACT else float(s)
+
+    def differ(got, want):
+        return _series_key(got) != _series_key(umbral._in_mode(want, mode))
+
+    if spec.q == 1:
+        diffs = spec._differences
+        for s in NEWTON_EXPONENTS:
+            if differ(spec.iterate(scalar(s)), newton_sum_loop(diffs, umbral._exact_scalar(scalar(s)), order)):
+                bad.append(f"newton {s}")
+        log_terms = [(1 if k % 2 else -1, k, diffs[k]) for k in range(1, len(diffs))]
+        v = TruncatedSeries._from_view(*_chain(([0] * size, 1), log_terms, size), order, EXACT)
+        if _series_key(spec._exact_itlog) != _series_key(v) or differ(spec.itlog_series, v):
+            bad.append("itlog")
+        V = spec.itlog_series
+        terms = umbral._lie_terms(umbral._exact(V))
+        for s in (Fraction(1, 2), Fraction(-1), Fraction(7, 3)):
+            a, b = umbral._exact_scalar(scalar(s)).as_integer_ratio()
+            weighted = [(a**k, b**k * math.factorial(k), t) for k, t in enumerate(terms) if k]
+            want = TruncatedSeries._from_view(*_chain(terms[0], weighted, size), order, EXACT)
+            if differ(umbral.flow(V, scalar(s)), want):
+                bad.append(f"lie {s}")
+    n_max = spec.default_n_max()
+    got = umbral.umbral_bucc(spec, n_max).matrix._views
+    if list(map(view_key, got)) != list(map(view_key, _bucc_chain(f, n_max))):
+        bad.append("bucc")
+    one, zero = TruncatedSeries.one(order, mode), TruncatedSeries.zero(order, mode)
+    u = f.scale(scalar(Fraction(1, 3)))
+    exp_coeff = lambda k: _int_pair(one[0] / math.factorial(k), mode)
+    log_coeff = lambda k: _int_pair((-one[0]) ** (k + 1) / k, mode)
+    sums = [
+        ("exp", u.exp(), _power_sum_chain(u, one, exp_coeff)),
+        ("log1", (one + u).log1(), _power_sum_chain(u, zero, log_coeff)),
+    ]
+    for alpha in (Fraction(2, 3), Fraction(-1, 2)):
+        x = scalar(alpha)
+        want = _power_sum_chain(u, one, _qbinom_row(x, one[0]))
+        sums.append((f"pow {alpha}", (one + u).pow_scalar(x), want))
+    bad += [name for name, got, want in sums if _series_key(got) != _series_key(want)]
+    views = operators.composition_operator(f, min(order, 12), min(order, 12))._views
+    for n in (1, 2, 3):
+        size = len(views) + n
+        windows = [views[m : m + n + 1] for m in range(len(views) - n)]
+        got = [view_key(operators._binomial_column_sum(w, n, size)) for w in windows]
+        if got != [view_key(_chain(([], 1), _binomial_terms(w, n), size)) for w in windows]:
+            bad.append(f"binomial {n}")
+    return bad

@@ -178,7 +178,7 @@ def test_float_iterate_with_a_huge_integer_exponent_fails_fast(capsys):
     assert time.process_time() - start < 2
     assert code == 2
     assert out == ""
-    assert err == "error: integer division result too large for a float\n"
+    assert err == "error: float result out of range: an exact value exceeds the largest float\n"
 
 
 def test_laguerre_rejects_p0(capsys):
@@ -403,6 +403,26 @@ def test_float_overflow_is_exit_2(capsys):
         assert err.startswith("error:"), argv
 
 
+def test_float_series_invert_is_the_iterate_at_minus_one(capsys):
+    # series invert prints the spec's f^-1, which at multiplier 1 rounds the
+    # exact inverse once, as iterate --s -1 does
+    def coeffs(*argv):
+        code, out, err = run_cli(capsys, "--mode", "float", *argv, "--format", "json")
+        assert (code, err) == (0, ""), argv
+        return [c.hex() for c in json.loads(out)["series"]["coeffs"]]
+
+    gens = [(name, f) for name, f in load_corpus() if f[1] == 1]
+    assert len(gens) >= 4
+    for name, f in gens:
+        tail = ",".join(repr(float(c)) for c in f.coeffs[1:])
+        want = coeffs("series", "iterate", "--s", "-1", "--f", tail)
+        assert coeffs("series", "invert", "--f", tail) == want, name
+    _, out, _ = run_cli(capsys, "--mode", "float", "series", "invert", "--f", "1,1,-0.3333333333333333,2")
+    assert out.split(", ")[3] == "2.3333333333333335"
+    code, out, err = run_cli(capsys, "series", "invert", "--f", "0,1")
+    assert (code, out) == (2, "") and err.startswith("error:")
+
+
 def test_float_inverse_beyond_the_float_range_is_exit_2(capsys):
     # at multiplier 1 a float f^-1 rounds its exact value once, so one that
     # leaves the float range is refused as the iterate at -1 is
@@ -410,7 +430,7 @@ def test_float_inverse_beyond_the_float_range_is_exit_2(capsys):
         argv = ("--mode", "float", "umbral", "--f", "1,1e200", "--formulas", formula, "--n", "3")
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, ""), formula
-        assert err == "error: integer division result too large for a float\n", formula
+        assert err == "error: float result out of range: an exact value exceeds the largest float\n", formula
 
 
 @pytest.mark.parametrize("fmt", ["pretty", "json", "csv"])

@@ -2,15 +2,18 @@
 
 import math
 import operator
+import random
 from fractions import Fraction
 
 import pytest
+from helpers import _add_scaled, view_key
 from hypothesis import given, strategies as st
 
 from umbralops.scalars import (
     EXACT,
     FLOAT,
     ModeMismatchError,
+    _combine,
     coerce,
     common_mode,
     format_scalar,
@@ -217,3 +220,36 @@ def test_value_classes_refuse_attribute_assignment(value):
         value.mode = EXACT
     with pytest.raises(AttributeError, match=f"^{name} is immutable$"):
         value.extra = 1
+
+
+def _random_view(rng, mode):
+    """A random integer view of length 0..9: exact numerators over a
+    denominator 1..60 (not reduced), or floats with zeros of both signs,
+    inf, nan and huge values over 1."""
+    n = rng.randint(0, 9)
+    if mode == EXACT:
+        return [rng.choice((0, 0, rng.randint(-10**6, 10**6))) for _ in range(n)], rng.randint(1, 60)
+    pool = (0.0, -0.0, math.inf, -math.inf, math.nan, 1e308, -1e308)
+    return [rng.choice(pool) if rng.random() < 0.3 else rng.uniform(-5, 5) for _ in range(n)], 1
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+def test_combine_matches_the_running_accumulator_on_random_views(mode):
+    # one common denominator taken once gives the running accumulator's
+    # result: equal views in exact mode (not only equal values), the same
+    # bits and entry types in float mode
+    rng = random.Random(20)
+    for _ in range(3000):
+        acc = _random_view(rng, mode)
+        terms = []
+        for _ in range(rng.randint(1, 6)):
+            if mode == EXACT:
+                a, b = rng.choice((0, rng.randint(-10**4, 10**4))), rng.randint(1, 40)
+            else:
+                a, b = rng.choice((0.0, -0.0, math.inf, rng.uniform(-3, 3))), 1
+            terms.append((a, b, _random_view(rng, mode)))
+        size = rng.randint(0, 10)
+        want = acc
+        for a, b, power in terms:
+            want = _add_scaled(want, a, b, power, size)
+        assert view_key(_combine(acc, terms, size)) == view_key(want)
