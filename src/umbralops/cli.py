@@ -10,6 +10,7 @@ t^1, t^2, ... (the constant term is always zero).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -164,12 +165,13 @@ def cmd_series(args) -> int:
         out = f.compose(g)
     else:
         raise UsageError(f"unknown series action {args.action!r}")
+    row = _series_row(out)
     payload = {
         "action": args.action,
-        "series": {"order": out.order, "coeffs": _series_row(out)},
-        "pretty": [f"order {out.order}: " + ", ".join(map(str, _series_row(out)))],
+        "series": {"order": out.order, "coeffs": row},
+        "pretty": [f"order {out.order}: " + ", ".join(map(str, row))],
     }
-    _emit(payload, args.format, csv_rows=[_series_row(out)])
+    _emit(payload, args.format, csv_rows=[row])
     return 0
 
 
@@ -309,6 +311,8 @@ def cmd_verify(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser for the ``umbral`` command line, which the caller may
+    change without affecting ``main``."""
     parser = argparse.ArgumentParser(
         prog="umbral",
         description="Exact operational-calculus engine for umbral operators.",
@@ -355,6 +359,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# main's one parser per process, built on its first call rather than at
+# import: parsing leaves it unchanged, and building it costs more than most
+# commands.  Its set_defaults bound the cmd_* functions as they were then.
+_parser = functools.cache(build_parser)
+
+
 # argparse reads "-1,1" or "-1/2" after a flag as another flag; these options
 # take scalar values, so such a token is joined to its flag as --flag=value
 _SCALAR_FLAGS = ("--f", "--g", "--s", "--alpha")
@@ -372,7 +382,15 @@ def _join_negative_values(argv):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run the ``umbral`` command line on ``argv`` (default ``sys.argv[1:]``)
+    and return its exit code, as listed in the module docstring.
+
+    Bad input is reported on stderr with exit code 2, never raised, so main
+    may be called repeatedly in one process.  It builds its parser once, on
+    the first call; the ``UMBRAL_ORDER`` default and ``sys.stdout`` and
+    ``sys.stderr`` are read on every call.
+    """
+    parser = _parser()
     if argv is None:
         argv = sys.argv[1:]
     try:

@@ -22,16 +22,20 @@ def load_corpus(path: str | None = None, order: int = DEFAULT_ORDER):
 
     The built-in manifest (``path`` None) is truncated to ``order``: the
     truncation of a generator is the same generator at a lower order.  A
-    user manifest is not: it raises ValueError, naming the entry, unless it
-    is a non-empty list of {"name": str, "coeffs": [str, ...]} objects whose
-    coefficients parse and fit the order.
+    user manifest is not: it raises ValueError unless it is valid JSON
+    holding a non-empty list of {"name": str, "coeffs": [str, ...]} objects
+    whose coefficients parse and fit the order; the message names the entry
+    that breaks a rule.
     """
     if path is None:
         text = resources.files("umbralops").joinpath("data/corpus.json").read_text()
     else:
         with open(path) as fh:
             text = fh.read()
-    entries = json.loads(text)
+    try:
+        entries = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"corpus manifest is not valid JSON: {exc}") from exc
     if not isinstance(entries, list) or not entries:
         raise ValueError("corpus manifest must be a non-empty JSON list")
     out = []

@@ -334,7 +334,8 @@ def common_mode(a: str, b: str) -> str:
 
 def parse_scalar(text: str, mode: str = EXACT):
     """Parse ``"p/q"`` / integer strings (exact) or finite decimal strings
-    (float; ``inf``, ``nan`` and values beyond the float range are refused)."""
+    (float; ``inf``, ``nan`` and values beyond the float range are refused).
+    Text that is not a number raises ValueError naming the text."""
     check_mode(mode)
     text = text.strip()
     if mode == EXACT:
@@ -342,7 +343,10 @@ def parse_scalar(text: str, mode: str = EXACT):
             return Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"invalid rational {text!r}") from exc
-    value = float(text)
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise ValueError(f"invalid float {text!r}") from exc
     if not math.isfinite(value):
         raise ValueError(f"non-finite float {text!r}")
     return value

@@ -3,9 +3,11 @@ this directory on ``sys.path`` for the test files in it)."""
 
 import math
 import random
+import shlex
 from fractions import Fraction
 from functools import cache
 from itertools import islice
+from pathlib import Path
 
 import pytest
 
@@ -43,6 +45,20 @@ from umbralops.series import PreconditionError, TruncatedSeries, series_from_tai
 # the orders of the oracle tests, which compare an integer-view kernel with
 # the Fraction loop it replaced
 ORACLE_ORDERS = [12, 20, pytest.param(28, marks=pytest.mark.slow)]
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_cli_commands():
+    """The argv after ``umbral`` of every command line in README.md's shell
+    blocks, in README order."""
+    argvs, in_sh = [], False
+    for line in README.read_text().splitlines():
+        if line.startswith("```"):
+            in_sh = line == "```sh"
+        elif in_sh and line.startswith("umbral "):
+            argvs.append(shlex.split(line, comments=True)[1:])
+    return argvs
 
 
 def _add_scaled(acc: tuple, a, b, power: tuple, size: int):

@@ -1,17 +1,21 @@
 """Command-line interface: formats, exit codes, determinism."""
 
 import json
+import os
+import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from helpers import first_discrepancy_loop, in_mode
+from helpers import first_discrepancy_loop, in_mode, readme_cli_commands
 
-from umbralops import verify
+import umbralops
+from umbralops import cli, verify
 from umbralops.cli import main
 from umbralops.corpus import load_corpus, random_generators
-from umbralops.series import TruncatedSeries
+from umbralops.series import DEFAULT_ORDER, TruncatedSeries
 from umbralops.umbral import CONSTRUCTIONS, UmbralSpec
 from umbralops.verify import SUITES
 
@@ -254,6 +258,64 @@ def test_usage_error_on_unknown_flag(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", readme_cli_commands(), ids=" ".join)
+def test_readme_command_repeats_in_one_process(capsys, argv):
+    first = run_cli(capsys, *argv)
+    assert first[0] == 0 and first[2] == ""
+    assert run_cli(capsys, *argv) == first
+
+
+@pytest.mark.parametrize(
+    "between, code",
+    [(("series", "itlog", "--nonsense"), 2), (("--help",), 0), (("laguerre", "--help"), 0)],
+)
+def test_usage_error_or_help_leaves_the_next_command_unchanged(capsys, between, code):
+    argv = ("laguerre", "--p", "1", "--n", "4", "--s", "1/2", "--format", "csv")
+    before = run_cli(capsys, *argv)
+    got, out, err = run_cli(capsys, *between)
+    assert got == code
+    # argparse writes to the sys.stdout or sys.stderr of the call
+    assert (out if code == 0 else err).startswith("usage: umbral")
+    assert run_cli(capsys, *argv) == before
+
+
+def test_umbral_order_is_read_on_every_call(capsys, monkeypatch):
+    orders = []
+    for env in ("6", "9", None):
+        if env is None:
+            monkeypatch.delenv("UMBRAL_ORDER", raising=False)
+        else:
+            monkeypatch.setenv("UMBRAL_ORDER", env)
+        code, out, _ = run_cli(capsys, "series", "itlog", "--f", "1,1", "--format", "json")
+        assert code == 0
+        orders.append(json.loads(out)["series"]["order"])
+    assert orders == [6, 9, DEFAULT_ORDER]
+
+
+def test_main_builds_one_parser_and_build_parser_a_new_one_each_call(capsys, monkeypatch):
+    for argv in (("series", "invert", "--f", "1,1"), ("--help",), ("series", "itlog", "--nonsense")):
+        main(list(argv))
+    parser = cli._parser()
+    assert cli._parser() is parser
+    assert cli.build_parser() is not cli.build_parser()
+    assert cli.build_parser() is not parser
+
+    def refuse():
+        raise AssertionError("main built a parser")
+
+    monkeypatch.setattr(cli, "build_parser", refuse)
+    assert run_cli(capsys, "series", "invert", "--f", "1,1")[0] == 0
+    assert cli._parser() is parser
+
+
+def test_importing_the_package_builds_no_parser():
+    # set-up cost: the parser is built by the first main call, not at import
+    env = {**os.environ, "PYTHONPATH": str(Path(umbralops.__file__).resolve().parents[1])}
+    probe = "import umbralops, umbralops.cli as cli; print(cli._parser.cache_info().currsize)"
+    run = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
+    assert (run.returncode, run.stdout) == (0, "0\n")
+
+
 def test_float_umbral_agrees_within_column_tolerance(capsys):
     code, out, _ = run_cli(capsys, "--mode", "float", "umbral", "--f", "1,0.5", "--formulas", "all")
     assert code == 0
@@ -385,6 +447,18 @@ def test_non_finite_float_values_are_usage_errors(capsys):
         assert code == 2, argv
         assert out == ""
         assert err.startswith("error:") and "non-finite float" in err, argv
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("series", "iterate", "--f", "1,1", "--s", "1/2"), "invalid float '1/2'"),
+        (("laguerre", "--p", "1", "--n", "3", "--alpha", "1/2"), "invalid float '1/2'"),
+        (("series", "itlog", "--f", "1,abc"), "bad coefficient at position 2: invalid float 'abc'"),
+    ],
+)
+def test_float_parse_errors_name_the_text(capsys, argv, message):
+    assert run_cli(capsys, "--mode", "float", *argv) == (2, "", f"error: {message}\n")
 
 
 def test_float_overflow_is_exit_2(capsys):
@@ -549,6 +623,15 @@ def test_malformed_manifest_is_usage_error(capsys, tmp_path, manifest):
     assert code == 2
     assert out == ""
     assert err.startswith("error: corpus")
+
+
+@pytest.mark.parametrize("text", ["", '[{"name": "x", "coeffs": ["1"]}', "[{'name': 'x', 'coeffs': ['1']}]"])
+def test_manifest_that_is_not_json_is_usage_error(capsys, tmp_path, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "verify", "--suite", "coeff", "--corpus", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: corpus manifest is not valid JSON: ")
 
 
 @pytest.mark.parametrize("suite", sorted(SUITES))
